@@ -26,7 +26,6 @@ from .param_space import (
     ComplexTemperedPoint,
     Component,
     RealTemperedPoint,
-    canonicalize_point,
 )
 
 
@@ -106,14 +105,12 @@ def bc_component(component: Component) -> ParameterMap:
     return ParameterMap(component, target, tuple(matrix))
 
 
-def is_proper(pmap: ParameterMap) -> bool:
-    """Function form of ParameterMap.is_proper, for catalog sweeps."""
-    return pmap.is_proper
-
-
 def bc_point_real(point: RealTemperedPoint) -> ComplexTemperedPoint:
-    """Base change on one tempered-dual point, returned in canonical form."""
-    point = canonicalize_point(point)
+    """Base change on one tempered-dual point, returned in canonical form.
+
+    Sorting the target's (label, twist) pairs canonicalizes it whatever the
+    order of the source's twists within their runs of equal labels.
+    """
     component = point.component
     q = component.shape.q
     pairs = []

@@ -55,33 +55,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _real_record(c: Component) -> dict:
-    record = {
-        "key": c.key,
-        "q": c.shape.q,
-        "r": c.shape.r,
-        "gl2": list(c.orbit.gl2_labels),
-        "gl1": list(c.orbit.gl1_labels),
-        "dimension": c.dimension,
-        "kind": c.kind,
-    }
+def _record(c: Component | ComplexComponent, **fields) -> dict:
+    """Key, dimension, kind and (for cones) chart, plus the field's own labels."""
+    record = {"key": c.key, "dimension": c.dimension, "kind": c.kind, **fields}
     if not c.is_free:
         chart = cone_chart(c)
         record["chart"] = {"num_lines": chart.num_lines, "num_rays": chart.num_rays}
     return record
+
+
+def _real_record(c: Component) -> dict:
+    return _record(
+        c, q=c.shape.q, r=c.shape.r, gl2=list(c.orbit.gl2_labels), gl1=list(c.orbit.gl1_labels)
+    )
 
 
 def _complex_record(c: ComplexComponent) -> dict:
-    record = {
-        "key": c.key,
-        "labels": list(c.labels),
-        "dimension": c.dimension,
-        "kind": c.kind,
-    }
-    if not c.is_free:
-        chart = cone_chart(c)
-        record["chart"] = {"num_lines": chart.num_lines, "num_rays": chart.num_rays}
-    return record
+    return _record(c, labels=list(c.labels))
 
 
 def _chart_cell(record: dict) -> str:
@@ -111,7 +101,7 @@ def _kmap_payload(kmap: InducedKMap, degree: int) -> dict:
         "source_rank": kmap.source.rank,
         "target_rank": kmap.target.rank,
         "zero_map": kmap.is_zero,
-        "support_size": len(kmap.support),
+        "support_size": len(assignments),
         "assignments": assignments,
     }
 
@@ -122,9 +112,8 @@ def build_document(command: str, n: int, cutoff: int, field: str) -> dict:
         kind = "partitions"
         payload = []
         for shape in enumerate_levi_shapes(n):
-            blocks = "+".join(["2"] * shape.q + ["1"] * shape.r)
             payload.append(
-                {"q": shape.q, "r": shape.r, "blocks": blocks, "weyl": str(weyl_group(shape))}
+                {"q": shape.q, "r": shape.r, "blocks": str(shape), "weyl": str(weyl_group(shape))}
             )
     elif command == "components":
         if field == "real":
@@ -142,7 +131,8 @@ def build_document(command: str, n: int, cutoff: int, field: str) -> dict:
             k0, k1 = k_complex(n, cutoff)
             live = k1 if n % 2 else k0
             dead = k0 if n % 2 else k1
-            assert dead.rank == 0 and live.rank >= 1, "complex K-theory parity self-check failed"
+            if dead.rank != 0 or live.rank < 1:
+                raise RuntimeError("complex K-theory parity self-check failed")
         payload = {"deg0": _degree_payload(k0, cutoff), "deg1": _degree_payload(k1, cutoff)}
     elif command == "bc":
         kind = "bc"

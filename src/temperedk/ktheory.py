@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb
+from types import MappingProxyType
 from typing import Mapping, Union
 
 from .param_space import Component, ComplexComponent, complex_components, real_components
@@ -106,7 +107,9 @@ class KClass:
     items: tuple[tuple[str, int], ...]
 
     def __post_init__(self) -> None:
-        items = tuple(sorted((k, c) for k, c in self.items if c != 0))
+        # Zeros of any type other than int are kept so the check below
+        # rejects them; bool is an int subclass and is rejected too.
+        items = tuple(sorted((k, c) for k, c in self.items if c != 0 or type(c) is not int))
         object.__setattr__(self, "items", items)
         known = set(self.presentation.generator_keys)
         seen = set()
@@ -116,7 +119,7 @@ class KClass:
             seen.add(key)
             if key not in known:
                 raise ValueError(f"generator {key!r} does not belong to this presentation")
-            if not isinstance(coeff, int):
+            if type(coeff) is not int:
                 raise TypeError(f"coefficients must be integers, got {coeff!r}")
 
     @property
@@ -128,7 +131,9 @@ class KClass:
         return not self.items
 
 
-def kclass(presentation: KGroupPresentation, coefficients: Mapping[str, int] = {}) -> KClass:
+def kclass(
+    presentation: KGroupPresentation, coefficients: Mapping[str, int] = MappingProxyType({})
+) -> KClass:
     """Class from a generator-to-coefficient mapping; zeros are pruned."""
     return KClass(presentation, tuple(coefficients.items()))
 
@@ -143,7 +148,7 @@ def kclass_add(a: KClass, b: KClass) -> KClass:
 
 
 def kclass_scale(a: KClass, scalar: int) -> KClass:
-    if not isinstance(scalar, int):
+    if type(scalar) is not int:
         raise TypeError(f"scalar must be an integer, got {scalar!r}")
     return KClass(a.presentation, tuple((k, scalar * c) for k, c in a.items))
 

@@ -12,7 +12,7 @@ sorted form so that each Weyl orbit has exactly one representative.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations_with_replacement, groupby
+from itertools import combinations_with_replacement
 
 
 @dataclass(frozen=True)
@@ -96,6 +96,24 @@ def weyl_group(shape: LeviShape) -> WeylDescriptor:
     return WeylDescriptor(tuple(d for d in (shape.q, shape.r) if d >= 2))
 
 
+def run_multiplicities(*blocks: tuple[int, ...]) -> tuple[int, ...]:
+    """Lengths (each >= 2) of the runs of equal labels, block after block.
+
+    Each block is a sorted label tuple, so a label's count in its block is
+    the length of its run; equal labels in different blocks never merge.
+    The result is empty exactly when no label repeats within a block.
+    """
+    mults = []
+    for block in blocks:
+        i = 0
+        while i < len(block):
+            m = block.count(block[i])
+            if m >= 2:
+                mults.append(m)
+            i += m
+    return tuple(mults)
+
+
 def isotropy(orbit: SigmaOrbit) -> IsotropyDescriptor:
     """Stabilizer of the orbit datum inside the Weyl group.
 
@@ -103,13 +121,7 @@ def isotropy(orbit: SigmaOrbit) -> IsotropyDescriptor:
     equal labels in different blocks never merge.  The orbit is generic
     exactly when the result is trivial.
     """
-    mults = []
-    for block in (orbit.gl2_labels, orbit.gl1_labels):
-        for _, run in groupby(block):
-            m = len(list(run))
-            if m >= 2:
-                mults.append(m)
-    return IsotropyDescriptor(tuple(mults))
+    return IsotropyDescriptor(run_multiplicities(orbit.gl2_labels, orbit.gl1_labels))
 
 
 def enumerate_orbits(shape: LeviShape, cutoff: int) -> list[SigmaOrbit]:

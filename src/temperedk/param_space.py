@@ -10,7 +10,8 @@ torus, components indexed by multisets of n circle exponents.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations_with_replacement, groupby
+from itertools import combinations_with_replacement
+from math import isfinite
 
 from .levi import (
     IsotropyDescriptor,
@@ -18,22 +19,12 @@ from .levi import (
     SigmaOrbit,
     enumerate_levi_shapes,
     enumerate_orbits,
+    run_multiplicities,
 )
 from .levi import isotropy as orbit_isotropy
 
 KIND_FREE = "free"
 KIND_CONE = "cone"
-
-
-def _label_runs(labels: tuple[int, ...], offset: int) -> list[tuple[int, int]]:
-    """(start, stop) coordinate ranges of equal-label runs, shifted by offset."""
-    out = []
-    i = 0
-    for _, run in groupby(labels):
-        m = len(list(run))
-        out.append((offset + i, offset + i + m))
-        i += m
-    return out
 
 
 @dataclass(frozen=True)
@@ -78,12 +69,9 @@ class Component:
         return f"shape:{self.shape.q},{self.shape.r}|gl2:{gl2}|gl1:{gl1}"
 
     @property
-    def param_blocks(self) -> tuple[tuple[int, int], ...]:
-        """Coordinate ranges acted on by one isotropy factor each; gl2 first."""
-        return tuple(
-            _label_runs(self.orbit.gl2_labels, 0)
-            + _label_runs(self.orbit.gl1_labels, self.shape.q)
-        )
+    def label_blocks(self) -> tuple[tuple[int, ...], ...]:
+        """Sorted labels of each block, in coordinate order: gl2, then gl1."""
+        return (self.orbit.gl2_labels, self.orbit.gl1_labels)
 
 
 @dataclass(frozen=True)
@@ -103,12 +91,7 @@ class ComplexComponent:
 
     @property
     def multiplicities(self) -> tuple[int, ...]:
-        mults = []
-        for _, run in groupby(self.labels):
-            m = len(list(run))
-            if m >= 2:
-                mults.append(m)
-        return tuple(mults)
+        return run_multiplicities(self.labels)
 
     @property
     def is_free(self) -> bool:
@@ -123,8 +106,8 @@ class ComplexComponent:
         return "labels:" + ",".join(str(label) for label in self.labels)
 
     @property
-    def param_blocks(self) -> tuple[tuple[int, int], ...]:
-        return tuple(_label_runs(self.labels, 0))
+    def label_blocks(self) -> tuple[tuple[int, ...], ...]:
+        return (self.labels,)
 
 
 @dataclass(frozen=True)
@@ -141,33 +124,30 @@ class ConeChart:
 
 
 @dataclass(frozen=True)
-class RealTemperedPoint:
+class TemperedPoint:
+    """A point on a component: one finite continuous twist per coordinate."""
+
+    component: Component | ComplexComponent
+    params: tuple[float, ...]
+
+    def __post_init__(self) -> None:
+        params = tuple(self.params)
+        object.__setattr__(self, "params", params)
+        if len(params) != self.component.dimension:
+            raise ValueError(f"expected {self.component.dimension} parameters, got {len(params)}")
+        if not all(map(isfinite, params)):
+            raise ValueError(f"twists must be finite, got {params}")
+
+
+# Subclasses rather than aliases: the class records the field of a point, the
+# dataclass __eq__ compares classes, so a real and a complex point never
+# compare equal, and canonicalize_point keeps the kind through type(point).
+class RealTemperedPoint(TemperedPoint):
     """A point on a real component: the continuous twists, one per block."""
 
-    component: Component
-    params: tuple[float, ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "params", tuple(self.params))
-        if len(self.params) != self.component.dimension:
-            raise ValueError(
-                f"expected {self.component.dimension} parameters, got {len(self.params)}"
-            )
-
-
-@dataclass(frozen=True)
-class ComplexTemperedPoint:
+class ComplexTemperedPoint(TemperedPoint):
     """A point on a complex component: n continuous twists."""
-
-    component: ComplexComponent
-    params: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "params", tuple(self.params))
-        if len(self.params) != self.component.dimension:
-            raise ValueError(
-                f"expected {self.component.dimension} parameters, got {len(self.params)}"
-            )
 
 
 def real_components(n: int, cutoff: int) -> list[Component]:
@@ -201,15 +181,16 @@ def cone_chart(component: Component | ComplexComponent) -> ConeChart:
     return ConeChart(component.dimension - rays, rays)
 
 
-def canonicalize_point(
-    point: RealTemperedPoint | ComplexTemperedPoint,
-) -> RealTemperedPoint | ComplexTemperedPoint:
-    """One representative per isotropy orbit: sort each equal-label block.
+def canonicalize_point(point: TemperedPoint) -> TemperedPoint:
+    """One representative per isotropy orbit: sort each equal-label run.
 
-    Idempotent, and invariant under any permutation of parameters within a
-    block of repeated labels.
+    Sorting the (label, twist) pairs of a block, whose labels are already
+    sorted, reorders twists only within runs of equal labels.  Idempotent,
+    and invariant under any permutation of parameters within such a run.
     """
-    params = list(point.params)
-    for start, stop in point.component.param_blocks:
-        params[start:stop] = sorted(params[start:stop])
+    twists = iter(point.params)
+    params = []
+    for block in point.component.label_blocks:
+        # zip stops at the end of the block without drawing the next twist.
+        params.extend(t for _, t in sorted(zip(block, twists)))
     return type(point)(point.component, tuple(params))

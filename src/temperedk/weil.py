@@ -19,6 +19,7 @@ block, and the twists become the continuous coordinates.
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass
 from typing import Union
 
@@ -28,8 +29,14 @@ from .param_space import (
     ComplexTemperedPoint,
     Component,
     RealTemperedPoint,
-    canonicalize_point,
 )
+
+
+def _finite_twist(t: float) -> float:
+    t = float(t)
+    if not math.isfinite(t):
+        raise ValueError(f"twist must be finite, got {t}")
+    return t
 
 
 @dataclass(frozen=True)
@@ -42,7 +49,7 @@ class RealCharacter:
     def __post_init__(self) -> None:
         if self.epsilon not in (0, 1):
             raise ValueError(f"epsilon must be 0 or 1, got {self.epsilon}")
-        object.__setattr__(self, "t", float(self.t))
+        object.__setattr__(self, "t", _finite_twist(self.t))
 
     def value(self, x: float) -> complex:
         if x == 0:
@@ -59,7 +66,7 @@ class ComplexCharacter:
     t: float
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "t", float(self.t))
+        object.__setattr__(self, "t", _finite_twist(self.t))
 
     def value(self, z: complex) -> complex:
         if z == 0:
@@ -178,8 +185,11 @@ def langlands_real(parameter: LParameterR) -> RealTemperedPoint:
 
 
 def langlands_real_inverse(point: RealTemperedPoint) -> LParameterR:
-    """Parameter matched with a tempered-dual point; inverse of the above."""
-    point = canonicalize_point(point)
+    """Parameter matched with a tempered-dual point; inverse of the above.
+
+    The parameter sorts its summands, so the order of the point's twists
+    within runs of equal labels does not matter.
+    """
     component = point.component
     q = component.shape.q
     summands: list[Summand] = []

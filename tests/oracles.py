@@ -131,3 +131,18 @@ def restricted_labels_by_induction(ell: int, t: float) -> list[tuple[int, float]
         )
         out.append((li, ti))
     return sorted(out)
+
+
+def canonical_twists_bruteforce(blocks, twists) -> tuple:
+    """Twists with the positions of each label within each block refilled in
+    ascending order; ``blocks`` are the label tuples in coordinate order.
+    Labels need not be sorted and never match across blocks."""
+    out = list(twists)
+    start = 0
+    for labels in blocks:
+        for label in set(labels):
+            positions = [start + i for i, x in enumerate(labels) if x == label]
+            for pos, t in zip(positions, sorted(out[p] for p in positions)):
+                out[pos] = t
+        start += len(labels)
+    return tuple(out)

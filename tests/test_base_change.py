@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from temperedk import (
     ComplexComponent,
@@ -11,13 +13,14 @@ from temperedk import (
     SigmaOrbit,
     bc_component,
     bc_point_real,
+    canonicalize_point,
     induced_k_map,
-    is_proper,
     k_complex,
     kclass,
     kclass_add,
     langlands_complex,
     langlands_real,
+    langlands_real_inverse,
     pullback,
     real_components,
     restrict,
@@ -79,17 +82,17 @@ class TestParameterMap:
     def test_full_rank_mixed_map_is_proper(self):
         pmap = bc_component(component(1, 1, (1,), (0,)))
         assert pmap.column_rank == 2
-        assert is_proper(pmap)
+        assert pmap.is_proper
 
     def test_doubling_is_proper(self):
-        assert is_proper(bc_component(component(0, 1, (), (0,))))
+        assert bc_component(component(0, 1, (), (0,))).is_proper
 
     def test_zero_column_is_not_proper(self):
         source = component(0, 1, (), (0,))
         target = ComplexComponent((0, 0))
         pmap = ParameterMap(source, target, ((0,), (0,)))
         assert pmap.column_rank == 0
-        assert not is_proper(pmap)
+        assert not pmap.is_proper
 
     def test_rank_matches_bruteforce_on_random_matrices(self):
         rng = random.Random(11)
@@ -106,7 +109,7 @@ class TestParameterMap:
         for n in range(1, 6):
             for cutoff in range(1, 4):
                 for c in real_components(n, cutoff):
-                    assert is_proper(bc_component(c))
+                    assert bc_component(c).is_proper
 
 
 class TestBcPointReal:
@@ -127,6 +130,13 @@ class TestBcPointReal:
         image = bc_point_real(point)
         assert image.component.labels == (-2, 2)
         assert image.params == (0.5, 0.5)
+
+    @given(st.permutations([0.5, -1.5, 2.0]), st.permutations([1.0, -0.25]))
+    def test_twist_order_within_runs_is_irrelevant(self, gl2, gl1):
+        point = RealTemperedPoint(component(3, 2, (1, 1, 1), (0, 0)), tuple(gl2 + gl1))
+        canonical = canonicalize_point(point)
+        assert bc_point_real(point) == bc_point_real(canonical)
+        assert langlands_real_inverse(point) == langlands_real_inverse(canonical)
 
     def test_image_component_matches_bc_component(self):
         rng = random.Random(12)

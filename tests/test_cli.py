@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from temperedk import __version__
+from temperedk import __version__, cli
 from temperedk.cli import main
 
 
@@ -172,6 +172,14 @@ class TestDeterminism:
         _, first = run_json(capsys, "components", "--n", "4", "--cutoff", "3")
         _, second = run_json(capsys, "components", "--n", "4", "--cutoff", "3")
         assert first == second
+
+
+class TestParitySelfCheck:
+    def test_swapped_complex_degrees_raise(self, monkeypatch):
+        k_complex = cli.k_complex
+        monkeypatch.setattr(cli, "k_complex", lambda n, cutoff: k_complex(n, cutoff)[::-1])
+        with pytest.raises(RuntimeError):
+            cli.build_document("ktheory", 3, 2, "complex")
 
 
 class TestExitCodes:

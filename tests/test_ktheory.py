@@ -240,3 +240,17 @@ class TestKClasses:
     def test_non_integer_coefficient_rejected(self):
         with pytest.raises(TypeError):
             kclass(self.k0, {self.g1: 0.5})
+
+    @pytest.mark.parametrize("flag", [True, False])
+    def test_bool_coefficient_rejected(self, flag):
+        with pytest.raises(TypeError):
+            kclass(self.k0, {self.g1: flag})
+
+    def test_bool_scalar_rejected(self):
+        with pytest.raises(TypeError):
+            kclass_scale(kclass(self.k0, {self.g1: 2}), True)
+
+    def test_default_coefficients_immutable(self):
+        assert kclass(self.k0).is_zero
+        with pytest.raises(TypeError):
+            kclass.__defaults__[0][self.g1] = 1

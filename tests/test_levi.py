@@ -11,6 +11,7 @@ from temperedk import (
     enumerate_levi_shapes,
     enumerate_orbits,
     isotropy,
+    run_multiplicities,
     weyl_group,
 )
 
@@ -133,6 +134,30 @@ class TestIsotropy:
                 descriptor = isotropy(orbit)
                 assert sorted(descriptor.multiplicities) == expected
                 assert descriptor.is_trivial == (expected == [])
+
+
+class TestRunMultiplicities:
+    def test_runs_in_block_order(self):
+        assert run_multiplicities((1, 1, 2, 3, 3, 3), (0, 1)) == (2, 3)
+
+    def test_equal_labels_across_blocks_never_merge(self):
+        assert run_multiplicities((1,), (1,)) == ()
+        assert run_multiplicities((0, 1, 1), (1, 1)) == (2, 2)
+
+    def test_empty_blocks(self):
+        assert run_multiplicities() == ()
+        assert run_multiplicities((), ()) == ()
+
+    @given(st.lists(st.lists(st.integers(-2, 2), max_size=6), max_size=3))
+    def test_matches_label_counts(self, blocks):
+        blocks = [tuple(sorted(block)) for block in blocks]
+        expected = tuple(
+            block.count(label)
+            for block in blocks
+            for label in sorted(set(block))
+            if block.count(label) >= 2
+        )
+        assert run_multiplicities(*blocks) == expected
 
 
 class TestEnumerateOrbits:

@@ -1,7 +1,7 @@
 from math import comb
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from temperedk import (
@@ -11,17 +11,41 @@ from temperedk import (
     LeviShape,
     RealTemperedPoint,
     SigmaOrbit,
+    TemperedPoint,
     canonicalize_point,
     complex_components,
     cone_chart,
     real_components,
 )
 
-from oracles import complex_components_bruteforce, real_components_bruteforce
+from oracles import (
+    canonical_twists_bruteforce,
+    complex_components_bruteforce,
+    real_components_bruteforce,
+)
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
 
 
 def component(q, r, gl2, gl1):
     return Component(LeviShape(q, r), SigmaOrbit(tuple(gl2), tuple(gl1)))
+
+
+def by_label(pairs):
+    """(label, twist) pairs stably sorted by label, so each twist stays
+    with its label when the component sorts the labels."""
+    return sorted(pairs, key=lambda pair: pair[0])
+
+
+def real_point(gl2_pairs, gl1_pairs):
+    gl2, gl1 = by_label(gl2_pairs), by_label(gl1_pairs)
+    c = component(len(gl2), len(gl1), (ell for ell, _ in gl2), (eps for eps, _ in gl1))
+    return RealTemperedPoint(c, tuple(t for _, t in gl2 + gl1))
+
+
+def complex_point(pairs):
+    pairs = by_label(pairs)
+    return ComplexTemperedPoint(ComplexComponent(tuple(ell for ell, _ in pairs)), (t for _, t in pairs))
 
 
 class TestComponent:
@@ -200,3 +224,47 @@ class TestPoints:
         point = ComplexTemperedPoint(c, tuple(params))
         reference = ComplexTemperedPoint(c, (-1.5, 0.0, 0.5, 2.0))
         assert canonicalize_point(point) == reference
+
+    # Labels 1..2 in gl2 and 0..1 in gl1 repeat within each block, and
+    # label 1 can sit in both blocks without its twists mixing.
+    @given(
+        st.lists(st.tuples(st.integers(1, 2), FINITE), max_size=4),
+        st.lists(st.tuples(st.integers(0, 1), FINITE), max_size=4),
+        st.data(),
+    )
+    def test_canonicalize_real_across_blocks(self, gl2, gl1, data):
+        assume(gl2 or gl1)
+        point = real_point(gl2, gl1)
+        orbit = point.component.orbit
+        canonical = canonicalize_point(point)
+        assert type(canonical) is RealTemperedPoint
+        expected = canonical_twists_bruteforce((orbit.gl2_labels, orbit.gl1_labels), point.params)
+        assert canonical == RealTemperedPoint(point.component, expected)
+        permuted = real_point(data.draw(st.permutations(gl2)), data.draw(st.permutations(gl1)))
+        assert canonicalize_point(permuted) == canonical
+
+    @given(st.lists(st.tuples(st.integers(-1, 1), FINITE), min_size=1, max_size=5), st.data())
+    def test_canonicalize_complex_matches_oracle(self, pairs, data):
+        point = complex_point(pairs)
+        canonical = canonicalize_point(point)
+        assert type(canonical) is ComplexTemperedPoint
+        expected = canonical_twists_bruteforce((point.component.labels,), point.params)
+        assert canonical == ComplexTemperedPoint(point.component, expected)
+        assert canonicalize_point(complex_point(data.draw(st.permutations(pairs)))) == canonical
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_twists_rejected(self, bad):
+        with pytest.raises(ValueError):
+            RealTemperedPoint(component(0, 3, (), (0, 0, 0)), (1.0, bad, 0.5))
+        with pytest.raises(ValueError):
+            ComplexTemperedPoint(ComplexComponent((0, 0)), (bad, 0.0))
+
+    def test_point_kinds_never_equal(self):
+        c = ComplexComponent((0,))
+        real, cplx = RealTemperedPoint(c, (1.0,)), ComplexTemperedPoint(c, (1.0,))
+        assert isinstance(real, TemperedPoint) and isinstance(cplx, TemperedPoint)
+        assert real != cplx
+
+    def test_label_blocks(self):
+        assert component(2, 1, (1, 3), (1,)).label_blocks == ((1, 3), (1,))
+        assert ComplexComponent((2, -1)).label_blocks == ((-1, 2),)

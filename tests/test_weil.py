@@ -54,6 +54,13 @@ class TestCharacters:
         with pytest.raises(ValueError):
             RealCharacter(0, 1.0).value(0.0)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_twists_rejected(self, bad):
+        with pytest.raises(ValueError):
+            RealCharacter(0, bad)
+        with pytest.raises(ValueError):
+            ComplexCharacter(1, bad)
+
     def test_complex_character_value(self):
         chi = ComplexCharacter(2, 0.0)
         assert cmath.isclose(chi.value(1j), -1)
