@@ -17,15 +17,16 @@ dimension larger than its source, and the induced map vanishes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .ktheory import KClass, KGroupPresentation, k_complex, k_real, kclass, kclass_add, kclass_scale
+from .ktheory import KClass, KGroupPresentation, k_complex, k_real, kclass
 from .param_space import (
     ComplexComponent,
     ComplexTemperedPoint,
     Component,
     RealTemperedPoint,
+    _doubled_twist,
 )
 
 
@@ -118,7 +119,7 @@ def bc_point_real(point: RealTemperedPoint) -> ComplexTemperedPoint:
         pairs.append((ell, t))
         pairs.append((-ell, t))
     for t in point.params[q:]:
-        pairs.append((0, 2.0 * t))
+        pairs.append((0, _doubled_twist(t)))
     pairs.sort()
     target = ComplexComponent(tuple(label for label, _ in pairs))
     params = tuple(t for _, t in pairs)
@@ -133,20 +134,22 @@ class InducedKMap:
     source: KGroupPresentation
     target: KGroupPresentation
     assignments: tuple[tuple[str, KClass], ...]
+    _images: dict[str, KClass] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         ordered = tuple(sorted(self.assignments, key=lambda kv: kv[0]))
         object.__setattr__(self, "assignments", ordered)
-        known = set(self.source.generator_keys)
-        seen = set()
+        known = self.source.generator_index
+        images: dict[str, KClass] = {}
         for key, cls in ordered:
             if key not in known:
                 raise ValueError(f"assignment for {key!r}, which is not a source generator")
-            if key in seen:
+            if key in images:
                 raise ValueError(f"generator {key!r} assigned twice")
-            seen.add(key)
-            if cls.presentation != self.target:
+            if cls.presentation is not self.target and cls.presentation != self.target:
                 raise ValueError(f"image of {key!r} lives in the wrong presentation")
+            images[key] = cls
+        object.__setattr__(self, "_images", images)
 
     @property
     def is_zero(self) -> bool:
@@ -157,12 +160,10 @@ class InducedKMap:
         return tuple(key for key, cls in self.assignments if not cls.is_zero)
 
     def image_of(self, key: str) -> KClass:
-        if key not in self.source.generator_keys:
+        if key not in self.source.generator_index:
             raise ValueError(f"{key!r} is not a source generator")
-        for k, cls in self.assignments:
-            if k == key:
-                return cls
-        return kclass(self.target)
+        image = self._images.get(key)
+        return kclass(self.target) if image is None else image
 
 
 def induced_k_map(n: int, cutoff: int) -> InducedKMap:
@@ -185,7 +186,6 @@ def induced_k_map(n: int, cutoff: int) -> InducedKMap:
     target = k0r if degree == 0 else k1r
 
     images: dict[str, dict[str, int]] = {key: {} for key in source.generator_keys}
-    target_keys = set(target.generator_keys)
     for real_component in target.generators:
         pmap = bc_component(real_component)
         if not pmap.is_proper:
@@ -197,7 +197,7 @@ def induced_k_map(n: int, cutoff: int) -> InducedKMap:
         if not pmap.target.is_free:
             continue
         complex_key = pmap.target.key
-        if complex_key in images and real_component.key in target_keys:
+        if complex_key in images and real_component.key in target.generator_index:
             images[complex_key][real_component.key] = (
                 images[complex_key].get(real_component.key, 0) + 1
             )
@@ -208,10 +208,14 @@ def induced_k_map(n: int, cutoff: int) -> InducedKMap:
 
 
 def pullback(kmap: InducedKMap, cls: KClass) -> KClass:
-    """Linear extension of the induced map to an arbitrary class."""
-    if cls.presentation != kmap.source:
+    """Linear extension of the induced map to an arbitrary class: one pass
+    over the class's terms, summed into a single class."""
+    if cls.presentation is not kmap.source and cls.presentation != kmap.source:
         raise ValueError("class does not live in the map's source presentation")
-    total = kclass(kmap.target)
+    total: dict[str, int] = {}
     for key, coeff in cls.items:
-        total = kclass_add(total, kclass_scale(kmap.image_of(key), coeff))
-    return total
+        image = kmap._images.get(key)
+        if image is not None:
+            for target_key, c in image.items:
+                total[target_key] = total.get(target_key, 0) + coeff * c
+    return KClass(kmap.target, tuple(total.items()))

@@ -10,11 +10,12 @@ family and predicts the truncated rank at any cutoff.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import comb
 from types import MappingProxyType
 from typing import Mapping, Union
 
+from .levi import _require_int
 from .param_space import Component, ComplexComponent, complex_components, real_components
 
 _FAMILY_KINDS = ("rank", "nat_subsets", "nat_subsets_x_z2", "int_subsets")
@@ -65,33 +66,37 @@ class KGroupPresentation:
 
     Every generator is a free component whose dimension matches the degree
     mod 2; the catalog order is the (deterministic) catalog order of the
-    underlying component enumeration.
+    underlying component enumeration.  The generator keys and the
+    key-to-catalog-index map are computed once, at construction, so classes
+    and maps over the presentation never rebuild a key; treat both as
+    read-only.
     """
 
     degree: int
     generators: tuple[Union[Component, ComplexComponent], ...]
     closed_form: IndexFamily
+    generator_keys: tuple[str, ...] = field(init=False, repr=False, compare=False)
+    generator_index: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.degree not in (0, 1):
             raise ValueError(f"degree must be 0 or 1, got {self.degree}")
         object.__setattr__(self, "generators", tuple(self.generators))
-        keys = [c.key for c in self.generators]
-        if len(set(keys)) != len(keys):
+        keys = tuple(c.key for c in self.generators)
+        index = {key: i for i, key in enumerate(keys)}
+        if len(index) != len(keys):
             raise ValueError("duplicate generator in presentation")
-        for c in self.generators:
+        for c, key in zip(self.generators, keys):
             if not c.is_free:
-                raise ValueError(f"cone component {c.key} cannot generate K-theory")
+                raise ValueError(f"cone component {key} cannot generate K-theory")
             if c.dimension % 2 != self.degree:
-                raise ValueError(f"generator {c.key} has the wrong parity for degree {self.degree}")
+                raise ValueError(f"generator {key} has the wrong parity for degree {self.degree}")
+        object.__setattr__(self, "generator_keys", keys)
+        object.__setattr__(self, "generator_index", index)
 
     @property
     def rank(self) -> int:
         return len(self.generators)
-
-    @property
-    def generator_keys(self) -> tuple[str, ...]:
-        return tuple(c.key for c in self.generators)
 
 
 @dataclass(frozen=True)
@@ -111,7 +116,7 @@ class KClass:
         # rejects them; bool is an int subclass and is rejected too.
         items = tuple(sorted((k, c) for k, c in self.items if c != 0 or type(c) is not int))
         object.__setattr__(self, "items", items)
-        known = set(self.presentation.generator_keys)
+        known = self.presentation.generator_index
         seen = set()
         for key, coeff in items:
             if key in seen:
@@ -139,9 +144,11 @@ def kclass(
 
 
 def kclass_add(a: KClass, b: KClass) -> KClass:
-    if a.presentation != b.presentation:
+    # Identity first: deep equality is only needed for equal presentations
+    # built separately, which still interoperate.
+    if a.presentation is not b.presentation and a.presentation != b.presentation:
         raise ValueError("cannot add classes over different presentations")
-    total = a.coefficients
+    total = dict(a.items)
     for key, coeff in b.items:
         total[key] = total.get(key, 0) + coeff
     return KClass(a.presentation, tuple(total.items()))
@@ -177,6 +184,7 @@ def closed_form_real(n: int) -> tuple[IndexFamily, IndexFamily]:
     degree (q+1) mod 2 and nothing elsewhere.  Size-0 subset families
     collapse to constant ranks (1 and 2 respectively).
     """
+    _require_int("n", n)
     if n < 1:
         raise ValueError(f"n must be a positive integer, got {n}")
     q, odd = divmod(n, 2)
@@ -194,6 +202,7 @@ def closed_form_real(n: int) -> tuple[IndexFamily, IndexFamily]:
 
 def closed_form_complex(n: int) -> tuple[IndexFamily, IndexFamily]:
     """n-subsets of Z in degree n mod 2, zero in the other degree."""
+    _require_int("n", n)
     if n < 1:
         raise ValueError(f"n must be a positive integer, got {n}")
     main = IndexFamily("int_subsets", n)
@@ -207,6 +216,8 @@ def k_real(n: int, cutoff: int) -> tuple[KGroupPresentation, KGroupPresentation]
     The cutoff must admit q = floor(n/2) distinct gl2 labels, otherwise the
     top generator family would be invisible.
     """
+    _require_int("n", n)
+    _require_int("cutoff", cutoff)
     if n < 1:
         raise ValueError(f"n must be a positive integer, got {n}")
     needed = max(1, n // 2)
@@ -225,6 +236,8 @@ def k_real(n: int, cutoff: int) -> tuple[KGroupPresentation, KGroupPresentation]
 def k_complex(n: int, cutoff: int) -> tuple[KGroupPresentation, KGroupPresentation]:
     """K-group presentations for GL(n, C): one generator per distinct-label
     multiset, all in degree n mod 2."""
+    _require_int("n", n)
+    _require_int("cutoff", cutoff)
     if n < 1:
         raise ValueError(f"n must be a positive integer, got {n}")
     if 2 * cutoff + 1 < n:

@@ -15,6 +15,13 @@ from dataclasses import dataclass
 from itertools import combinations_with_replacement
 
 
+def _require_int(name: str, value: object) -> None:
+    """Reject anything but a plain int where a count, cutoff or label is
+    meant; bool is an int subclass, so True would otherwise pass as 1."""
+    if type(value) is not int:
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class LeviShape:
     """Partition n = 2q + r: q blocks of size 2 and r blocks of size 1."""
@@ -23,6 +30,8 @@ class LeviShape:
     r: int
 
     def __post_init__(self) -> None:
+        _require_int("q", self.q)
+        _require_int("r", self.r)
         if self.q < 0 or self.r < 0:
             raise ValueError(f"block counts must be non-negative, got q={self.q}, r={self.r}")
         if self.n < 1:
@@ -65,12 +74,17 @@ class SigmaOrbit:
     gl1_labels: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "gl2_labels", tuple(sorted(self.gl2_labels)))
-        object.__setattr__(self, "gl1_labels", tuple(sorted(self.gl1_labels)))
-        if any(label < 1 for label in self.gl2_labels):
-            raise ValueError(f"gl2 labels index discrete series and must be >= 1: {self.gl2_labels}")
-        if any(label not in (0, 1) for label in self.gl1_labels):
-            raise ValueError(f"gl1 labels must be 0 (trivial) or 1 (sign): {self.gl1_labels}")
+        gl2 = tuple(sorted(self.gl2_labels))
+        gl1 = tuple(sorted(self.gl1_labels))
+        object.__setattr__(self, "gl2_labels", gl2)
+        object.__setattr__(self, "gl1_labels", gl1)
+        for label in gl2 + gl1:
+            _require_int("label", label)
+        # The labels are sorted integers, so the end labels bound the rest.
+        if gl2 and gl2[0] < 1:
+            raise ValueError(f"gl2 labels index discrete series and must be >= 1: {gl2}")
+        if gl1 and (gl1[0] < 0 or gl1[-1] > 1):
+            raise ValueError(f"gl1 labels must be 0 (trivial) or 1 (sign): {gl1}")
 
 
 @dataclass(frozen=True)
@@ -86,6 +100,7 @@ class IsotropyDescriptor:
 
 def enumerate_levi_shapes(n: int) -> list[LeviShape]:
     """All shapes for n in descending q; there are exactly floor(n/2) + 1."""
+    _require_int("n", n)
     if n < 1:
         raise ValueError(f"n must be a positive integer, got {n}")
     return [LeviShape(q, n - 2 * q) for q in range(n // 2, -1, -1)]
@@ -130,6 +145,7 @@ def enumerate_orbits(shape: LeviShape, cutoff: int) -> list[SigmaOrbit]:
     gl1 labels range over {0, 1} and need no truncation.  The order is
     lexicographic, gl2-major; the count is C(cutoff + q - 1, q) * (r + 1).
     """
+    _require_int("cutoff", cutoff)
     if cutoff < 1:
         raise ValueError(f"cutoff must be >= 1, got {cutoff}")
     out = []

@@ -17,6 +17,7 @@ from .levi import (
     IsotropyDescriptor,
     LeviShape,
     SigmaOrbit,
+    _require_int,
     enumerate_levi_shapes,
     enumerate_orbits,
     run_multiplicities,
@@ -150,6 +151,15 @@ class ComplexTemperedPoint(TemperedPoint):
     """A point on a complex component: n continuous twists."""
 
 
+def _doubled_twist(t: float) -> float:
+    """2t for a finite twist t; a t whose double overflows is named in the
+    error, rather than the infinite double a point or character would report."""
+    doubled = 2.0 * t
+    if not isfinite(doubled):
+        raise ValueError(f"twist {t!r} overflows when doubled")
+    return doubled
+
+
 def real_components(n: int, cutoff: int) -> list[Component]:
     """Component catalog for GL(n, R), gl2 labels truncated at cutoff.
 
@@ -165,6 +175,8 @@ def real_components(n: int, cutoff: int) -> list[Component]:
 
 def complex_components(n: int, cutoff: int) -> list[ComplexComponent]:
     """Catalog for GL(n, C): all label multisets drawn from [-cutoff, cutoff]."""
+    _require_int("n", n)
+    _require_int("cutoff", cutoff)
     if n < 1:
         raise ValueError(f"n must be a positive integer, got {n}")
     if cutoff < 1:

@@ -29,6 +29,7 @@ from .param_space import (
     ComplexTemperedPoint,
     Component,
     RealTemperedPoint,
+    _doubled_twist,
 )
 
 
@@ -162,7 +163,7 @@ def restrict(parameter: LParameterR) -> LParameterC:
             parts.append(ComplexCharacter(s.chi.ell, s.chi.t))
             parts.append(ComplexCharacter(-s.chi.ell, s.chi.t))
         else:
-            parts.append(ComplexCharacter(0, 2.0 * s.chi.t))
+            parts.append(ComplexCharacter(0, _doubled_twist(s.chi.t)))
     return LParameterC(tuple(parts))
 
 

@@ -146,3 +146,26 @@ def canonical_twists_bruteforce(blocks, twists) -> tuple:
                 out[pos] = t
         start += len(labels)
     return tuple(out)
+
+
+# Integer combinations as plain dicts key -> coefficient, zeros dropped: the
+# K-class arithmetic spelled out term by term.
+
+
+def combination_add(a: dict, b: dict) -> dict:
+    keys = set(a) | set(b)
+    total = {key: a.get(key, 0) + b.get(key, 0) for key in keys}
+    return {key: c for key, c in total.items() if c != 0}
+
+
+def combination_scale(a: dict, scalar: int) -> dict:
+    return {key: scalar * c for key, c in a.items() if scalar * c != 0}
+
+
+def combination_pullback(images: dict, coefficients: dict) -> dict:
+    """Sum of coefficient x image over the terms; ``images`` maps a source
+    key to its image combination, and a key it lacks maps to zero."""
+    total: dict = {}
+    for key, coeff in coefficients.items():
+        total = combination_add(total, combination_scale(images.get(key, {}), coeff))
+    return total

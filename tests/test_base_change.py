@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from temperedk import (
     ComplexComponent,
     Component,
+    InducedKMap,
     LeviShape,
     ParameterMap,
     RealTemperedPoint,
@@ -16,8 +17,10 @@ from temperedk import (
     canonicalize_point,
     induced_k_map,
     k_complex,
+    k_real,
     kclass,
     kclass_add,
+    kclass_scale,
     langlands_complex,
     langlands_real,
     langlands_real_inverse,
@@ -26,7 +29,12 @@ from temperedk import (
     restrict,
 )
 
-from oracles import column_rank_bruteforce
+from oracles import (
+    column_rank_bruteforce,
+    combination_add,
+    combination_pullback,
+    combination_scale,
+)
 from test_weil import random_real_parameter
 
 
@@ -138,6 +146,12 @@ class TestBcPointReal:
         assert bc_point_real(point) == bc_point_real(canonical)
         assert langlands_real_inverse(point) == langlands_real_inverse(canonical)
 
+    def test_doubling_overflow_names_the_input_twist(self):
+        c = component(0, 1, (), (0,))
+        assert bc_point_real(RealTemperedPoint(c, (8e307,))).params == (1.6e308,)
+        with pytest.raises(ValueError, match=r"twist 1e\+308 overflows when doubled"):
+            bc_point_real(RealTemperedPoint(c, (1e308,)))
+
     def test_image_component_matches_bc_component(self):
         rng = random.Random(12)
         for n in range(1, 7):
@@ -195,6 +209,30 @@ class TestInducedKMap:
             kmap.image_of("labels:99")
 
 
+    def test_repeated_assignment_rejected(self):
+        kmap = induced_k_map(1, 2)
+        image = kmap.image_of("labels:0")
+        with pytest.raises(ValueError):
+            InducedKMap(kmap.source, kmap.target, (("labels:0", image), ("labels:0", image)))
+
+    def test_unknown_assignment_rejected(self):
+        kmap = induced_k_map(1, 2)
+        with pytest.raises(ValueError):
+            InducedKMap(kmap.source, kmap.target, (("labels:9", kclass(kmap.target)),))
+
+    def test_image_in_wrong_presentation_rejected(self):
+        kmap = induced_k_map(1, 2)
+        with pytest.raises(ValueError):
+            InducedKMap(kmap.source, kmap.target, (("labels:0", kclass(k_real(1, 2)[0])),))
+
+    def test_equal_target_built_separately_accepted(self):
+        kmap = induced_k_map(1, 2)
+        target = k_real(1, 2)[1]
+        image = kclass(target, kmap.image_of("labels:0").coefficients)
+        rebuilt = InducedKMap(kmap.source, target, (("labels:0", image),))
+        assert rebuilt == kmap
+
+
 class TestPullback:
     def test_diagonal_scales(self):
         kmap = induced_k_map(1, 2)
@@ -229,3 +267,56 @@ class TestPullback:
         k0, k1 = k_complex(1, 3)
         with pytest.raises(ValueError):
             pullback(kmap, kclass(k1, {"labels:3": 1}))
+
+    def test_equal_source_built_separately_accepted(self):
+        kmap = induced_k_map(1, 2)
+        source = k_complex(1, 2)[1]
+        assert source is not kmap.source
+        assert pullback(kmap, kclass(source, {"labels:0": 1})) == kmap.image_of("labels:0")
+
+    def test_class_operations_never_rebuild_keys(self, monkeypatch):
+        kmap = induced_k_map(2, 12)
+        ones = {key: 1 for key in kmap.source.generator_keys}
+        evaluations = []
+        for cls in (Component, ComplexComponent):
+            def counted(self, key=cls.key.fget):
+                evaluations.append(self)
+                return key(self)
+
+            monkeypatch.setattr(cls, "key", property(counted))
+        a = kclass(kmap.source, ones)
+        doubled = kclass_add(a, a)
+        images = [kmap.image_of(key) for key in ones]
+        pulled = pullback(kmap, a)
+        assert evaluations == []
+        assert doubled.coefficients == {key: 2 for key in ones}
+        assert pulled.is_zero and all(image.is_zero for image in images)
+        assert kmap.source.generators[0].key in ones
+        assert len(evaluations) == 1
+
+
+# The paper's K-map, written out: for n = 1 the winding-0 line pulls back to
+# both real character lines; for n >= 2 the map is zero.
+PAPER_IMAGES = {
+    1: {"labels:0": {"shape:0,1|gl2:|gl1:0": 1, "shape:0,1|gl2:|gl1:1": 1}},
+    2: {},
+}
+LINEARITY_MAPS = {(n, cutoff): induced_k_map(n, cutoff) for n, cutoff in ((1, 2), (1, 4), (2, 1), (2, 3))}
+
+
+class TestPullbackLinearity:
+    @pytest.mark.parametrize("n, cutoff", list(LINEARITY_MAPS))
+    @given(data=st.data())
+    def test_linear_and_matches_paper(self, n, cutoff, data):
+        kmap = LINEARITY_MAPS[(n, cutoff)]
+        combinations = st.dictionaries(
+            st.sampled_from(kmap.source.generator_keys), st.integers(-20, 20), max_size=12
+        )
+        a, b = data.draw(combinations), data.draw(combinations)
+        k = data.draw(st.integers(-6, 6))
+        class_a, class_b = kclass(kmap.source, a), kclass(kmap.source, b)
+        left = pullback(kmap, kclass_add(class_a, kclass_scale(class_b, k)))
+        right = kclass_add(pullback(kmap, class_a), kclass_scale(pullback(kmap, class_b), k))
+        assert left == right
+        combined = combination_add(a, combination_scale(b, k))
+        assert left.coefficients == combination_pullback(PAPER_IMAGES[n], combined)

@@ -1,14 +1,21 @@
 from math import comb
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from temperedk import (
     ComplexComponent,
     IndexFamily,
+    KClass,
     KGroupPresentation,
+    LeviShape,
+    SigmaOrbit,
     closed_form_complex,
     closed_form_real,
     complex_components,
+    enumerate_levi_shapes,
+    enumerate_orbits,
     k_complex,
     k_of_component,
     k_of_euclidean,
@@ -19,7 +26,12 @@ from temperedk import (
     real_components,
 )
 
-from oracles import k_complex_rank_bruteforce, k_real_ranks_bruteforce
+from oracles import (
+    combination_add,
+    combination_scale,
+    k_complex_rank_bruteforce,
+    k_real_ranks_bruteforce,
+)
 
 
 class TestKOfEuclidean:
@@ -254,3 +266,112 @@ class TestKClasses:
         assert kclass(self.k0).is_zero
         with pytest.raises(TypeError):
             kclass.__defaults__[0][self.g1] = 1
+
+    def test_repeated_generator_rejected(self):
+        with pytest.raises(ValueError):
+            KClass(self.k0, ((self.g1, 1), (self.g1, 2)))
+
+
+# Each call passes a bool where an int count, cutoff or label is meant.
+BOOL_INPUTS = {
+    "k_real-n": lambda: k_real(True, 1),
+    "k_real-cutoff": lambda: k_real(1, True),
+    "k_complex-n": lambda: k_complex(True, 1),
+    "k_complex-cutoff": lambda: k_complex(1, True),
+    "real_components-n": lambda: real_components(True, 1),
+    "real_components-cutoff": lambda: real_components(1, True),
+    "complex_components-n": lambda: complex_components(True, 1),
+    "complex_components-cutoff": lambda: complex_components(1, True),
+    "enumerate_levi_shapes": lambda: enumerate_levi_shapes(True),
+    "enumerate_orbits": lambda: enumerate_orbits(LeviShape(1, 0), True),
+    "closed_form_real": lambda: closed_form_real(True),
+    "closed_form_complex": lambda: closed_form_complex(True),
+    "LeviShape-q": lambda: LeviShape(True, 0),
+    "LeviShape-r": lambda: LeviShape(0, True),
+    "SigmaOrbit-gl2": lambda: SigmaOrbit((True,), ()),
+    "SigmaOrbit-gl1": lambda: SigmaOrbit((), (True,)),
+}
+
+
+class TestCatalogInputTypes:
+    @pytest.mark.parametrize("call", list(BOOL_INPUTS.values()), ids=list(BOOL_INPUTS))
+    def test_bool_rejected(self, call):
+        with pytest.raises(TypeError):
+            call()
+
+    def test_float_label_rejected(self):
+        with pytest.raises(TypeError):
+            SigmaOrbit((1.0,), ())
+
+    def test_label_ranges_still_checked(self):
+        with pytest.raises(ValueError):
+            SigmaOrbit((0, 2), ())
+        with pytest.raises(ValueError):
+            SigmaOrbit((), (0, 2))
+        with pytest.raises(ValueError):
+            SigmaOrbit((), (-1, 0))
+
+
+class TestIndexOnce:
+    def test_keys_computed_once(self):
+        p = k_real(4, 3)[1]
+        assert p.generator_keys is p.generator_keys
+        assert p.generator_keys == tuple(c.key for c in p.generators)
+        assert p.generator_index == {key: i for i, key in enumerate(p.generator_keys)}
+
+    def test_index_fields_stay_out_of_equality_and_repr(self):
+        p = k_complex(2, 1)[0]
+        assert "generator_keys" not in repr(p)
+        assert hash(p) == hash(k_complex(2, 1)[0])
+
+    def test_equal_presentations_built_separately_interoperate(self):
+        p, p_again = k_complex(2, 3)[0], k_complex(2, 3)[0]
+        assert p is not p_again and p == p_again
+        g = p.generator_keys[0]
+        total = kclass_add(kclass(p, {g: 1}), kclass(p_again, {g: 2}))
+        assert total.coefficients == {g: 3}
+
+    def test_degrees_built_separately_do_not_mix(self):
+        k0 = k_complex(2, 3)[0]
+        k1 = k_complex(2, 3)[1]
+        with pytest.raises(ValueError):
+            kclass_add(kclass(k0, {k0.generator_keys[0]: 1}), kclass(k1))
+
+
+LAW_PRESENTATION = k_complex(2, 2)[0]
+COMBINATIONS = st.dictionaries(
+    st.sampled_from(LAW_PRESENTATION.generator_keys), st.integers(-20, 20), max_size=10
+)
+SCALARS = st.integers(-6, 6)
+
+
+def as_class(combination):
+    return kclass(LAW_PRESENTATION, combination)
+
+
+class TestClassGroupLaws:
+    """K-class arithmetic against the plain-dict oracle."""
+
+    @given(COMBINATIONS, COMBINATIONS, COMBINATIONS)
+    def test_add_associative(self, a, b, c):
+        left = kclass_add(kclass_add(as_class(a), as_class(b)), as_class(c))
+        right = kclass_add(as_class(a), kclass_add(as_class(b), as_class(c)))
+        assert left == right
+        assert left.coefficients == combination_add(combination_add(a, b), c)
+
+    @given(COMBINATIONS, COMBINATIONS)
+    def test_add_commutative(self, a, b):
+        total = kclass_add(as_class(a), as_class(b))
+        assert total == kclass_add(as_class(b), as_class(a))
+        assert total.coefficients == combination_add(a, b)
+
+    @given(COMBINATIONS)
+    def test_inverse_cancels(self, a):
+        assert kclass_add(as_class(a), kclass_scale(as_class(a), -1)).is_zero
+
+    @given(COMBINATIONS, COMBINATIONS, SCALARS)
+    def test_scale_distributes_over_add(self, a, b, k):
+        left = kclass_scale(kclass_add(as_class(a), as_class(b)), k)
+        right = kclass_add(kclass_scale(as_class(a), k), kclass_scale(as_class(b), k))
+        assert left == right
+        assert left.coefficients == combination_scale(combination_add(a, b), k)

@@ -115,6 +115,12 @@ class TestRestrict:
         p = LParameterR((OneDim(RealCharacter(1, 2.0)),))
         assert restrict(p).summands == (ComplexCharacter(0, 4.0),)
 
+    def test_doubling_overflow_names_the_input_twist(self):
+        near_max = LParameterR((OneDim(RealCharacter(1, -8e307)),))
+        assert restrict(near_max).summands == (ComplexCharacter(0, -1.6e308),)
+        with pytest.raises(ValueError, match=r"twist -1e\+308 overflows when doubled"):
+            restrict(LParameterR((OneDim(RealCharacter(1, -1e308)),)))
+
     def test_induced_splits_into_conjugate_pair(self):
         p = LParameterR((TwoDimInduced(ComplexCharacter(3, 0.5)),))
         assert restrict(p).summands == (
