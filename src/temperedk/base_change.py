@@ -174,36 +174,23 @@ def induced_k_map(n: int, cutoff: int) -> InducedKMap:
     induced map runs from the complex catalog to the real one.  A complex
     generator pulls back to a real generator X with coefficient 1 exactly
     when the parameter map of X lands on it with degree-one affine
-    geometry: q = 0, equal dimensions, free target.  Coordinate doubling is
-    ignored because t -> 2t can be deformed to the identity through proper
-    maps.  For n = 1 this matches both character lines onto the winding-0
+    geometry: proper, q = 0, equal dimensions, free target, so only the (at
+    most two) q = 0 generators are examined.  Coordinate doubling is ignored
+    because t -> 2t can be deformed to the identity through proper maps.
+    For n = 1 this matches both character lines onto the winding-0
     generator; for n >= 2 no component qualifies and the map is zero.
     """
-    k0c, k1c = k_complex(n, cutoff)
-    k0r, k1r = k_real(n, cutoff)
     degree = n % 2
-    source = k0c if degree == 0 else k1c
-    target = k0r if degree == 0 else k1r
-
-    images: dict[str, dict[str, int]] = {key: {} for key in source.generator_keys}
-    for real_component in target.generators:
-        pmap = bc_component(real_component)
-        if not pmap.is_proper:
+    source = k_complex(n, cutoff)[degree]
+    target = k_real(n, cutoff)[degree]
+    images: dict[str, dict[str, int]] = {}
+    for generator in target.generators:
+        if generator.shape.q != 0:
             continue
-        if real_component.shape.q != 0:
-            continue
-        if pmap.target.dimension != real_component.dimension:
-            continue
-        if not pmap.target.is_free:
-            continue
-        complex_key = pmap.target.key
-        if complex_key in images and real_component.key in target.generator_index:
-            images[complex_key][real_component.key] = (
-                images[complex_key].get(real_component.key, 0) + 1
-            )
-    assignments = tuple(
-        (key, kclass(target, coeffs)) for key, coeffs in images.items() if coeffs
-    )
+        pmap = bc_component(generator)
+        if pmap.is_proper and pmap.target.is_free and pmap.target.dimension == generator.dimension:
+            images.setdefault(pmap.target.key, {})[generator.key] = 1
+    assignments = tuple((key, kclass(target, coeffs)) for key, coeffs in images.items())
     return InducedKMap(source, target, assignments)
 
 

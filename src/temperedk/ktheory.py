@@ -11,12 +11,13 @@ family and predicts the truncated rank at any cutoff.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import combinations
 from math import comb
 from types import MappingProxyType
 from typing import Mapping, Union
 
-from .levi import _require_int
-from .param_space import Component, ComplexComponent, complex_components, real_components
+from .levi import SigmaOrbit, _require_int, enumerate_levi_shapes
+from .param_space import Component, ComplexComponent
 
 _FAMILY_KINDS = ("rank", "nat_subsets", "nat_subsets_x_z2", "int_subsets")
 
@@ -65,8 +66,8 @@ class KGroupPresentation:
     """One K-degree presented by its generator catalog.
 
     Every generator is a free component whose dimension matches the degree
-    mod 2; the catalog order is the (deterministic) catalog order of the
-    underlying component enumeration.  The generator keys and the
+    mod 2; generators keep the (deterministic) order of the full component
+    catalog with its cones left out.  The generator keys and the
     key-to-catalog-index map are computed once, at construction, so classes
     and maps over the presentation never rebuild a key; treat both as
     read-only.
@@ -214,8 +215,9 @@ def k_real(n: int, cutoff: int) -> tuple[KGroupPresentation, KGroupPresentation]
     """K-group presentations (degree 0, degree 1) for GL(n, R) at a cutoff.
 
     The cutoff must admit q = floor(n/2) distinct gl2 labels, otherwise the
-    top generator family would be invisible.
-    """
+    top generator family would be invisible.  Only free components are built:
+    the gl2 labels form a q-subset of {1..cutoff}, the gl1 labels an r-subset
+    of {0, 1}."""
     _require_int("n", n)
     _require_int("cutoff", cutoff)
     if n < 1:
@@ -225,7 +227,12 @@ def k_real(n: int, cutoff: int) -> tuple[KGroupPresentation, KGroupPresentation]
         raise ValueError(
             f"cutoff {cutoff} cannot host {n // 2} distinct gl2 labels; need cutoff >= {needed}"
         )
-    free = [c for c in real_components(n, cutoff) if c.is_free]
+    free = [
+        Component(shape, SigmaOrbit(gl2, gl1))
+        for shape in enumerate_levi_shapes(n)
+        for gl2 in combinations(range(1, cutoff + 1), shape.q)
+        for gl1 in combinations((0, 1), shape.r)
+    ]
     cf0, cf1 = closed_form_real(n)
     return (
         KGroupPresentation(0, tuple(c for c in free if c.dimension % 2 == 0), cf0),
@@ -234,8 +241,8 @@ def k_real(n: int, cutoff: int) -> tuple[KGroupPresentation, KGroupPresentation]
 
 
 def k_complex(n: int, cutoff: int) -> tuple[KGroupPresentation, KGroupPresentation]:
-    """K-group presentations for GL(n, C): one generator per distinct-label
-    multiset, all in degree n mod 2."""
+    """K-group presentations for GL(n, C): one generator per n-subset of
+    {-cutoff..cutoff}, all in degree n mod 2."""
     _require_int("n", n)
     _require_int("cutoff", cutoff)
     if n < 1:
@@ -245,10 +252,12 @@ def k_complex(n: int, cutoff: int) -> tuple[KGroupPresentation, KGroupPresentati
             f"cutoff {cutoff} offers only {2 * cutoff + 1} labels for {n} distinct ones; "
             f"need 2*cutoff + 1 >= n"
         )
-    free = tuple(c for c in complex_components(n, cutoff) if c.is_free)
+    if cutoff < 1:
+        raise ValueError(f"cutoff must be >= 1, got {cutoff}")
+    labels = range(-cutoff, cutoff + 1)
     cf0, cf1 = closed_form_complex(n)
     generators = {0: (), 1: ()}
-    generators[n % 2] = free
+    generators[n % 2] = tuple(ComplexComponent(c) for c in combinations(labels, n))
     return (
         KGroupPresentation(0, generators[0], cf0),
         KGroupPresentation(1, generators[1], cf1),

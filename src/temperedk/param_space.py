@@ -82,9 +82,14 @@ class ComplexComponent:
     labels: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "labels", tuple(sorted(self.labels)))
-        if not self.labels:
+        labels = tuple(sorted(self.labels))
+        object.__setattr__(self, "labels", labels)
+        if not labels:
             raise ValueError("a complex component needs at least one label")
+        for label in labels:
+            # Inline test first: k_complex builds one component per generator.
+            if type(label) is not int:
+                _require_int("label", label)
 
     @property
     def dimension(self) -> int:

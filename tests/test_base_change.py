@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from temperedk import base_change
 from temperedk import (
     ComplexComponent,
     Component,
@@ -207,6 +208,25 @@ class TestInducedKMap:
         kmap = induced_k_map(1, 2)
         with pytest.raises(ValueError):
             kmap.image_of("labels:99")
+
+    def test_cutoff_zero_rejected(self):
+        with pytest.raises(ValueError, match=r"^cutoff must be >= 1, got 0$"):
+            induced_k_map(1, 0)
+
+    def test_examines_only_the_q0_generators(self, monkeypatch):
+        calls = []
+
+        def counting(component):
+            calls.append(component)
+            return bc_component(component)
+
+        monkeypatch.setattr(base_change, "bc_component", counting)
+        for n in range(1, 7):
+            for cutoff in range(max(1, n // 2), 6):
+                calls.clear()
+                kmap = induced_k_map(n, cutoff)
+                q0 = [c for c in kmap.target.generators if c.shape.q == 0]
+                assert calls == q0 and len(calls) <= 2, (n, cutoff)
 
 
     def test_repeated_assignment_rejected(self):

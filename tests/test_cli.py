@@ -189,6 +189,12 @@ class TestExitCodes:
         assert err.startswith("error:")
         assert out == ""
 
+    def test_complex_cutoff_zero_is_one(self, capsys):
+        code, out, err = run(capsys, "ktheory", "--n", "1", "--cutoff", "0", "--field", "complex")
+        assert code == 1
+        assert err == "error: cutoff must be >= 1, got 0\n"
+        assert out == ""
+
     def test_invalid_n_is_one(self, capsys):
         code, out, err = run(capsys, "components", "--n", "0")
         assert code == 1

@@ -5,6 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from temperedk import (
+    Component,
     ComplexComponent,
     IndexFamily,
     KClass,
@@ -29,8 +30,10 @@ from temperedk import (
 from oracles import (
     combination_add,
     combination_scale,
+    complex_components_bruteforce,
     k_complex_rank_bruteforce,
     k_real_ranks_bruteforce,
+    real_components_bruteforce,
 )
 
 
@@ -199,6 +202,60 @@ class TestKComplex:
         with pytest.raises(ValueError):
             k_complex(4, 1)
 
+    def test_cutoff_zero_rejected(self):
+        with pytest.raises(ValueError, match=r"^cutoff must be >= 1, got 0$"):
+            k_complex(1, 0)
+
+
+class TestFreeEnumeration:
+    """Generators against the free rows of the brute-force catalogs, in order,
+    and the work done to build them."""
+
+    def test_real_generators_are_the_free_catalog_rows(self):
+        for n in range(1, 9):
+            for cutoff in range(max(1, n // 2), 6):
+                rows = [row for row in real_components_bruteforce(n, cutoff) if row[5]]
+                for presentation in k_real(n, cutoff):
+                    got = [
+                        (c.shape.q, c.shape.r, c.orbit.gl2_labels, c.orbit.gl1_labels)
+                        for c in presentation.generators
+                    ]
+                    want = [row[:4] for row in rows if row[4] % 2 == presentation.degree]
+                    assert got == want, (n, cutoff, presentation.degree)
+
+    def test_complex_generators_are_the_free_catalog_rows(self):
+        for n in range(1, 9):
+            for cutoff in range(max(1, n // 2), 6):
+                rows = [labels for labels, free in complex_components_bruteforce(n, cutoff) if free]
+                for presentation in k_complex(n, cutoff):
+                    got = [c.labels for c in presentation.generators]
+                    want = rows if n % 2 == presentation.degree else []
+                    assert got == want, (n, cutoff, presentation.degree)
+
+    def test_complex_builds_only_generators(self, monkeypatch):
+        built = count_constructions(monkeypatch, ComplexComponent)
+        k0, k1 = k_complex(8, 8)
+        assert k0.rank == comb(17, 8) == 24310
+        assert built[0] == 24310
+
+    def test_real_builds_only_generators(self, monkeypatch):
+        built = count_constructions(monkeypatch, Component)
+        k0, k1 = k_real(10, 5)
+        assert built[0] == k0.rank + k1.rank == comb(5, 5) + comb(5, 4)
+
+
+def count_constructions(monkeypatch, cls):
+    """One-cell counter of the instances of a dataclass built from now on."""
+    built = [0]
+    post_init = cls.__post_init__
+
+    def counting(self):
+        built[0] += 1
+        post_init(self)
+
+    monkeypatch.setattr(cls, "__post_init__", counting)
+    return built
+
 
 class TestPresentationValidation:
     def test_wrong_parity_rejected(self):
@@ -290,6 +347,7 @@ BOOL_INPUTS = {
     "LeviShape-r": lambda: LeviShape(0, True),
     "SigmaOrbit-gl2": lambda: SigmaOrbit((True,), ()),
     "SigmaOrbit-gl1": lambda: SigmaOrbit((), (True,)),
+    "ComplexComponent": lambda: ComplexComponent((True, 0)),
 }
 
 
@@ -302,6 +360,8 @@ class TestCatalogInputTypes:
     def test_float_label_rejected(self):
         with pytest.raises(TypeError):
             SigmaOrbit((1.0,), ())
+        with pytest.raises(TypeError):
+            ComplexComponent((1.5, 0))
 
     def test_label_ranges_still_checked(self):
         with pytest.raises(ValueError):
