@@ -18,9 +18,9 @@ dimension larger than its source, and the induced map vanishes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .ktheory import KClass, KGroupPresentation, k_complex, k_real, kclass
+from .levi import _require_int
 from .param_space import (
     ComplexComponent,
     ComplexTemperedPoint,
@@ -38,6 +38,7 @@ class ParameterMap:
     source: Component
     target: ComplexComponent
     matrix: tuple[tuple[int, ...], ...]
+    column_rank: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         rows = tuple(tuple(row) for row in self.matrix)
@@ -47,10 +48,11 @@ class ParameterMap:
         for row in rows:
             if len(row) != self.source.dimension:
                 raise ValueError("matrix column count must equal the source dimension")
-
-    @property
-    def column_rank(self) -> int:
-        return _column_rank(self.matrix)
+            for x in row:
+                # Inline test first: the rank's exact division needs plain ints.
+                if type(x) is not int:
+                    _require_int("matrix entry", x)
+        object.__setattr__(self, "column_rank", _column_rank(rows))
 
     @property
     def is_proper(self) -> bool:
@@ -60,22 +62,22 @@ class ParameterMap:
 
 
 def _column_rank(matrix: tuple[tuple[int, ...], ...]) -> int:
-    if not matrix:
-        return 0
-    rows = [[Fraction(x) for x in row] for row in matrix]
-    ncols = len(rows[0])
+    """Rank by fraction-free integer elimination (Bareiss, Math. Comp. 22,
+    1968).  Each division by the previous pivot is exact only because every
+    row below the pivot is updated, even one already 0 in the pivot column."""
+    rows = [list(row) for row in matrix]
     rank = 0
-    for col in range(ncols):
-        pivot = next((i for i in range(rank, len(rows)) if rows[i][col] != 0), None)
+    previous = 1
+    for col in range(len(rows[0])):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
         if pivot is None:
             continue
         rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inverse = 1 / rows[rank][col]
-        rows[rank] = [x * inverse for x in rows[rank]]
-        for i in range(len(rows)):
-            if i != rank and rows[i][col] != 0:
-                factor = rows[i][col]
-                rows[i] = [a - factor * b for a, b in zip(rows[i], rows[rank])]
+        p = rows[rank][col]
+        for i in range(rank + 1, len(rows)):
+            f = rows[i][col]
+            rows[i] = [(p * a - f * b) // previous for a, b in zip(rows[i], rows[rank])]
+        previous = p
         rank += 1
     return rank
 

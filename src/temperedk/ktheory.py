@@ -38,6 +38,8 @@ class IndexFamily:
     def __post_init__(self) -> None:
         if self.kind not in _FAMILY_KINDS:
             raise ValueError(f"unknown family kind: {self.kind!r}")
+        if type(self.size) is not int:
+            _require_int("size", self.size)
         if self.size < 0:
             raise ValueError(f"family size must be >= 0, got {self.size}")
 
@@ -80,6 +82,8 @@ class KGroupPresentation:
     generator_index: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        if type(self.degree) is not int:
+            _require_int("degree", self.degree)
         if self.degree not in (0, 1):
             raise ValueError(f"degree must be 0 or 1, got {self.degree}")
         object.__setattr__(self, "generators", tuple(self.generators))
@@ -159,20 +163,6 @@ def kclass_scale(a: KClass, scalar: int) -> KClass:
     if type(scalar) is not int:
         raise TypeError(f"scalar must be an integer, got {scalar!r}")
     return KClass(a.presentation, tuple((k, scalar * c) for k, c in a.items))
-
-
-def k_of_euclidean(d: int) -> tuple[int, int]:
-    """(rank in degree 0, rank in degree 1) for R^d with compact supports."""
-    if d < 0:
-        raise ValueError(f"dimension must be >= 0, got {d}")
-    return (1, 0) if d % 2 == 0 else (0, 1)
-
-
-def k_of_component(component: Component | ComplexComponent) -> tuple[int, int]:
-    """Cones contribute nothing; free components follow the dimension parity."""
-    if not component.is_free:
-        return (0, 0)
-    return k_of_euclidean(component.dimension)
 
 
 def closed_form_real(n: int) -> tuple[IndexFamily, IndexFamily]:

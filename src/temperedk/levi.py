@@ -87,17 +87,6 @@ class SigmaOrbit:
             raise ValueError(f"gl1 labels must be 0 (trivial) or 1 (sign): {gl1}")
 
 
-@dataclass(frozen=True)
-class IsotropyDescriptor:
-    """Multiplicities (each >= 2) of repeated labels, gl2 block first."""
-
-    multiplicities: tuple[int, ...]
-
-    @property
-    def is_trivial(self) -> bool:
-        return not self.multiplicities
-
-
 def enumerate_levi_shapes(n: int) -> list[LeviShape]:
     """All shapes for n in descending q; there are exactly floor(n/2) + 1."""
     _require_int("n", n)
@@ -127,16 +116,6 @@ def run_multiplicities(*blocks: tuple[int, ...]) -> tuple[int, ...]:
                 mults.append(m)
             i += m
     return tuple(mults)
-
-
-def isotropy(orbit: SigmaOrbit) -> IsotropyDescriptor:
-    """Stabilizer of the orbit datum inside the Weyl group.
-
-    A label repeated m times within its block contributes one S_m factor;
-    equal labels in different blocks never merge.  The orbit is generic
-    exactly when the result is trivial.
-    """
-    return IsotropyDescriptor(run_multiplicities(orbit.gl2_labels, orbit.gl1_labels))
 
 
 def enumerate_orbits(shape: LeviShape, cutoff: int) -> list[SigmaOrbit]:

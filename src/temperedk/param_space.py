@@ -14,7 +14,6 @@ from itertools import combinations_with_replacement
 from math import isfinite
 
 from .levi import (
-    IsotropyDescriptor,
     LeviShape,
     SigmaOrbit,
     _require_int,
@@ -22,7 +21,6 @@ from .levi import (
     enumerate_orbits,
     run_multiplicities,
 )
-from .levi import isotropy as orbit_isotropy
 
 KIND_FREE = "free"
 KIND_CONE = "cone"
@@ -47,16 +45,14 @@ class Component:
         return self.shape.q + self.shape.r
 
     @property
-    def isotropy(self) -> IsotropyDescriptor:
-        return orbit_isotropy(self.orbit)
-
-    @property
     def multiplicities(self) -> tuple[int, ...]:
-        return self.isotropy.multiplicities
+        """Degrees m of the S_m factors of the orbit's isotropy in the Weyl
+        group: one per label repeated m times within its block."""
+        return run_multiplicities(self.orbit.gl2_labels, self.orbit.gl1_labels)
 
     @property
     def is_free(self) -> bool:
-        return self.isotropy.is_trivial
+        return not self.multiplicities
 
     @property
     def kind(self) -> str:

@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass
 from typing import Union
 
-from .levi import LeviShape, SigmaOrbit
+from .levi import LeviShape, SigmaOrbit, _require_int
 from .param_space import (
     ComplexComponent,
     ComplexTemperedPoint,
@@ -48,6 +48,8 @@ class RealCharacter:
     t: float
 
     def __post_init__(self) -> None:
+        if type(self.epsilon) is not int:
+            _require_int("epsilon", self.epsilon)
         if self.epsilon not in (0, 1):
             raise ValueError(f"epsilon must be 0 or 1, got {self.epsilon}")
         object.__setattr__(self, "t", _finite_twist(self.t))
@@ -67,6 +69,8 @@ class ComplexCharacter:
     t: float
 
     def __post_init__(self) -> None:
+        if type(self.ell) is not int:
+            _require_int("ell", self.ell)
         object.__setattr__(self, "t", _finite_twist(self.t))
 
     def value(self, z: complex) -> complex:

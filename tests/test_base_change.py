@@ -113,6 +113,39 @@ class TestParameterMap:
             )
             pmap = ParameterMap(source, target, matrix)
             assert pmap.column_rank == column_rank_bruteforce(matrix)
+        # Up to 7 x 7: half with entries up to +-50, half products of a
+        # rows x k and a k x cols factor, so often rank-deficient.
+        for _ in range(400):
+            rows, cols = rng.randint(1, 7), rng.randint(1, 7)
+            if rng.random() < 0.5:
+                k = rng.randint(0, min(rows, cols))
+                a = [[rng.randint(-7, 7) for _ in range(k)] for _ in range(rows)]
+                b = [[rng.randint(-7, 7) for _ in range(cols)] for _ in range(k)]
+                matrix = tuple(
+                    tuple(sum(a[i][l] * b[l][j] for l in range(k)) for j in range(cols))
+                    for i in range(rows)
+                )
+            else:
+                matrix = tuple(
+                    tuple(rng.choice((0, rng.randint(-50, 50))) for _ in range(cols))
+                    for _ in range(rows)
+                )
+            source = Component(LeviShape(0, cols), SigmaOrbit((), (0,) * cols))
+            pmap = ParameterMap(source, ComplexComponent((0,) * rows), matrix)
+            assert pmap.column_rank == column_rank_bruteforce(matrix)
+
+    @pytest.mark.parametrize("bad", [0.5, True], ids=["float", "bool"])
+    def test_non_int_entry_rejected(self, bad):
+        source = component(0, 1, (), (0,))
+        with pytest.raises(TypeError):
+            ParameterMap(source, ComplexComponent((0,)), ((bad,),))
+
+    def test_rank_stored_once_outside_equality_and_repr(self):
+        pmap = bc_component(component(1, 1, (1,), (0,)))
+        assert vars(pmap)["column_rank"] == 2
+        assert "column_rank" not in repr(pmap)
+        assert pmap == ParameterMap(pmap.source, pmap.target, pmap.matrix)
+        assert hash(pmap) == hash(ParameterMap(pmap.source, pmap.target, pmap.matrix))
 
     def test_every_catalog_map_is_proper(self):
         for n in range(1, 6):

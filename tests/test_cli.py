@@ -1,8 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
-from temperedk import __version__, cli
+from temperedk import __version__, base_change, cli, real_components
 from temperedk.cli import main
 
 
@@ -155,6 +158,28 @@ class TestBcCommand:
         code, out, err = run(capsys, "bc", "--n", "2", "--cutoff", "1")
         assert code == 0
         assert "4 of 4 maps proper" in out
+
+
+class TestBcRankOnce:
+    def test_one_rank_per_component(self, monkeypatch):
+        calls = []
+        rank = base_change._column_rank
+
+        def counted(matrix):
+            calls.append(matrix)
+            return rank(matrix)
+
+        monkeypatch.setattr(base_change, "_column_rank", counted)
+        cli.build_document("bc", 4, 3, "real")
+        assert len(calls) == len(real_components(4, 3))
+
+    def test_import_leaves_fractions_out(self):
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        probe = "import sys, temperedk.cli; print('fractions' in sys.modules)"
+        result = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True
+        )
+        assert result.stdout.strip() == "False"
 
 
 class TestDeterminism:

@@ -18,8 +18,6 @@ from temperedk import (
     enumerate_levi_shapes,
     enumerate_orbits,
     k_complex,
-    k_of_component,
-    k_of_euclidean,
     k_real,
     kclass,
     kclass_add,
@@ -37,37 +35,60 @@ from oracles import (
 )
 
 
+def accepted_degrees(component):
+    """Degrees whose presentation takes the component as a generator: K of
+    R^d is Z in degree d mod 2, and a cone contributes nothing."""
+    degrees = []
+    for degree in (0, 1):
+        try:
+            KGroupPresentation(degree, (component,), IndexFamily("rank", 1))
+        except ValueError:
+            continue
+        degrees.append(degree)
+    return tuple(degrees)
+
+
+def real_component(q, gl2, gl1):
+    return Component(LeviShape(q, len(gl1)), SigmaOrbit(gl2, gl1))
+
+
 class TestKOfEuclidean:
     def test_point(self):
-        assert k_of_euclidean(0) == (1, 0)
+        # No component is a point; the even-dimensional free ones, from the
+        # smallest up, sit in degree 0 as R^0 does.
+        assert accepted_degrees(real_component(0, (), (0, 1))) == (0,)
+        assert accepted_degrees(real_component(2, (1, 2), (0, 1))) == (0,)
 
     def test_line(self):
-        assert k_of_euclidean(1) == (0, 1)
+        assert accepted_degrees(ComplexComponent((0,))) == (1,)
+        assert accepted_degrees(real_component(1, (3,), ())) == (1,)
 
     def test_plane(self):
-        assert k_of_euclidean(2) == (1, 0)
+        assert accepted_degrees(ComplexComponent((-2, 5))) == (0,)
+        assert accepted_degrees(real_component(1, (1,), (0,))) == (0,)
 
     def test_parity_table(self):
-        for d in range(12):
-            assert k_of_euclidean(d) == ((1, 0) if d % 2 == 0 else (0, 1))
-
-    def test_negative_dimension(self):
-        with pytest.raises(ValueError):
-            k_of_euclidean(-1)
+        for d in range(1, 12):
+            free = ComplexComponent(tuple(range(d)))
+            assert accepted_degrees(free) == (d % 2,)
+        for n in range(1, 7):
+            for c in real_components(n, 3):
+                if c.is_free:
+                    assert accepted_degrees(c) == (c.dimension % 2,)
 
 
 class TestKOfComponent:
     def test_cone_vanishes(self):
-        assert k_of_component(ComplexComponent((0, 0))) == (0, 0)
-        assert k_of_component(ComplexComponent((1, 1, 1, 2, 2))) == (0, 0)
+        assert accepted_degrees(ComplexComponent((0, 0))) == ()
+        assert accepted_degrees(ComplexComponent((1, 1, 1, 2, 2))) == ()
 
     def test_free_follows_parity(self):
-        assert k_of_component(ComplexComponent((-1, 0, 1))) == (0, 1)
-        assert k_of_component(ComplexComponent((0, 1))) == (1, 0)
+        assert accepted_degrees(ComplexComponent((-1, 0, 1))) == (1,)
+        assert accepted_degrees(ComplexComponent((0, 1))) == (0,)
 
     def test_vanishes_exactly_on_cones(self):
         for c in real_components(5, 3) + complex_components(3, 2):
-            assert (k_of_component(c) == (0, 0)) == (not c.is_free)
+            assert (accepted_degrees(c) == ()) == (not c.is_free)
 
 
 class TestClosedForms:
@@ -348,6 +369,8 @@ BOOL_INPUTS = {
     "SigmaOrbit-gl2": lambda: SigmaOrbit((True,), ()),
     "SigmaOrbit-gl1": lambda: SigmaOrbit((), (True,)),
     "ComplexComponent": lambda: ComplexComponent((True, 0)),
+    "IndexFamily-size": lambda: IndexFamily("rank", True),
+    "KGroupPresentation-degree": lambda: KGroupPresentation(True, (), IndexFamily("rank", 0)),
 }
 
 
@@ -362,6 +385,10 @@ class TestCatalogInputTypes:
             SigmaOrbit((1.0,), ())
         with pytest.raises(TypeError):
             ComplexComponent((1.5, 0))
+        with pytest.raises(TypeError):
+            IndexFamily("rank", 1.0)
+        with pytest.raises(TypeError):
+            KGroupPresentation(0.0, (), IndexFamily("rank", 0))
 
     def test_label_ranges_still_checked(self):
         with pytest.raises(ValueError):

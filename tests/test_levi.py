@@ -6,11 +6,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from temperedk import (
+    Component,
     LeviShape,
     SigmaOrbit,
     enumerate_levi_shapes,
     enumerate_orbits,
-    isotropy,
     run_multiplicities,
     weyl_group,
 )
@@ -104,23 +104,35 @@ class TestSigmaOrbit:
         assert SigmaOrbit(tuple(gl2), tuple(gl1)) == SigmaOrbit(tuple(shuffled2), tuple(shuffled1))
 
 
+def orbit_multiplicities(orbit):
+    """Degrees of the S_m factors of the orbit's isotropy in the Weyl group."""
+    return run_multiplicities(orbit.gl2_labels, orbit.gl1_labels)
+
+
+def component_of(orbit):
+    shape = LeviShape(len(orbit.gl2_labels), len(orbit.gl1_labels))
+    return Component(shape, orbit)
+
+
 class TestIsotropy:
     def test_one_repeat_in_gl2(self):
-        assert isotropy(SigmaOrbit((1, 1, 4), (0,))).multiplicities == (2,)
+        assert orbit_multiplicities(SigmaOrbit((1, 1, 4), (0,))) == (2,)
 
     def test_distinct_gl1_pair_is_free(self):
-        descriptor = isotropy(SigmaOrbit((), (0, 1)))
-        assert descriptor.multiplicities == ()
-        assert descriptor.is_trivial
+        orbit = SigmaOrbit((), (0, 1))
+        assert orbit_multiplicities(orbit) == ()
+        assert component_of(orbit).is_free
 
     def test_repeated_gl1(self):
-        assert isotropy(SigmaOrbit((), (0, 0, 1))).multiplicities == (2,)
+        assert orbit_multiplicities(SigmaOrbit((), (0, 0, 1))) == (2,)
 
     def test_repeats_in_both_blocks(self):
-        assert isotropy(SigmaOrbit((5, 5), (1, 1, 1))).multiplicities == (2, 3)
+        assert orbit_multiplicities(SigmaOrbit((5, 5), (1, 1, 1))) == (2, 3)
 
     def test_same_label_across_blocks_does_not_mix(self):
-        assert isotropy(SigmaOrbit((1,), (1,))).is_trivial
+        orbit = SigmaOrbit((1,), (1,))
+        assert orbit_multiplicities(orbit) == ()
+        assert component_of(orbit).is_free
 
     def test_multiplicities_match_label_counts(self):
         for shape in enumerate_levi_shapes(6):
@@ -131,9 +143,9 @@ class TestIsotropy:
                     + [count for _label, group in itertools.groupby(orbit.gl1_labels)
                        if (count := len(list(group))) > 1]
                 )
-                descriptor = isotropy(orbit)
-                assert sorted(descriptor.multiplicities) == expected
-                assert descriptor.is_trivial == (expected == [])
+                component = Component(shape, orbit)
+                assert sorted(component.multiplicities) == expected
+                assert component.is_free == (expected == [])
 
 
 class TestRunMultiplicities:
@@ -205,7 +217,7 @@ class TestEnumerateOrbits:
     def test_three_gl1_blocks_always_have_isotropy(self):
         for shape in (LeviShape(0, 3), LeviShape(1, 3), LeviShape(0, 5)):
             for orbit in enumerate_orbits(shape, 2):
-                assert not isotropy(orbit).is_trivial
+                assert not Component(shape, orbit).is_free
 
     def test_invalid_cutoff(self):
         with pytest.raises(ValueError):

@@ -61,6 +61,13 @@ class TestCharacters:
         with pytest.raises(ValueError):
             ComplexCharacter(1, bad)
 
+    @pytest.mark.parametrize("bad", [True, 1.0, 1.5], ids=["bool", "integral-float", "float"])
+    def test_non_int_label_rejected(self, bad):
+        with pytest.raises(TypeError):
+            RealCharacter(bad, 0.0)
+        with pytest.raises(TypeError):
+            ComplexCharacter(bad, 0.0)
+
     def test_complex_character_value(self):
         chi = ComplexCharacter(2, 0.0)
         assert cmath.isclose(chi.value(1j), -1)
