@@ -7,6 +7,13 @@ matrices), and ``kmap`` (the induced map on K-theory).  Output is either a
 deterministic JSON document or an aligned text table; identical inputs give
 byte-identical output, and nothing is printed until the whole document has
 been built.
+
+JSON is written by ``_json``: exactly the bytes of ``json.dumps(document,
+sort_keys=True, indent=2)`` for the types a document holds, ``TypeError``
+on any other, and faster up to CPython 3.12, where the stdlib encoder runs
+in pure Python whenever ``indent`` is set.  Before enumerating anything,
+``build_document`` predicts the command's size from closed forms and raises
+``ValueError`` over ``MAX_CELLS``, so the CLI exits 1 with an empty stdout.
 """
 
 from __future__ import annotations
@@ -14,6 +21,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from json.encoder import encode_basestring_ascii
+from math import comb, inf
 from typing import Optional, Sequence
 
 from . import __version__
@@ -21,12 +30,20 @@ from .base_change import InducedKMap, bc_component, induced_k_map
 from .ktheory import KGroupPresentation, k_complex, k_real
 from .levi import enumerate_levi_shapes, weyl_group
 from .param_space import (
+    KIND_CONE,
+    KIND_FREE,
     ComplexComponent,
     Component,
     complex_components,
     cone_chart,
     real_components,
 )
+
+# Largest output a command may build, in cells: n labels per entry, n^2 per
+# bc record for its n-row matrix, plus the label pool.  kmap and ktheory
+# --field complex at n = cutoff = 10 need 3.5e6; a complex components export
+# at the limit peaks near 1 GB (CPython 3.11, about 250 bytes per cell).
+MAX_CELLS = 4_000_000
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -56,10 +73,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _record(c: Component | ComplexComponent, **fields) -> dict:
-    """Key, dimension, kind and (for cones) chart, plus the field's own labels."""
-    record = {"key": c.key, "dimension": c.dimension, "kind": c.kind, **fields}
-    if not c.is_free:
-        chart = cone_chart(c)
+    """Key, dimension, kind and (for cones) chart, plus the field's own labels.
+
+    One chart per record: a component is free exactly when its chart has no
+    rays, so its label runs are scanned once."""
+    chart = cone_chart(c)
+    record = {
+        "key": c.key,
+        "dimension": c.dimension,
+        "kind": KIND_CONE if chart.num_rays else KIND_FREE,
+        **fields,
+    }
+    if chart.num_rays:
         record["chart"] = {"num_lines": chart.num_lines, "num_rays": chart.num_rays}
     return record
 
@@ -106,8 +131,64 @@ def _kmap_payload(kmap: InducedKMap, degree: int) -> dict:
     }
 
 
+def _binomial(a: int, k: int) -> int | float:
+    """C(a, k), and 0 outside 0 <= k <= a.  When k and a - k both exceed 64
+    the value is above C(128, 64) > 10^37, far past any limit; ``inf``
+    stands for it, so no --n or --cutoff, however large, costs more than a
+    product of 64 terms."""
+    if k < 0 or k > a:
+        return 0
+    if min(k, a - k) > 64:
+        return inf
+    return comb(a, k)
+
+
+def predicted_size(command: str, n: int, cutoff: int, field: str) -> int | float:
+    """Entries ``build_document`` would enumerate, from closed forms alone:
+    Levi shapes (partitions), catalog components (components, bc),
+    generators of both degrees (ktheory) or of both presentations (kmap).
+
+    0 when n < 1, which every command rejects before enumerating; ``inf``
+    for counts above 10^37 (see ``_binomial``)."""
+    if n < 1:
+        return 0
+    q, odd = divmod(n, 2)
+    if command == "partitions":
+        return q + 1
+    if command == "bc" or (command == "components" and field == "real"):
+        # The sum over shapes of C(L + q' - 1, q')(r + 1), in closed form by
+        # the hockey-stick identity.  real_components builds its shapes
+        # before it checks the cutoff, so a cutoff below 1 counts as 1.
+        top = max(cutoff, 1) + q + 1
+        return _binomial(top, q) + (_binomial(top, q) if odd else _binomial(top - 1, q - 1))
+    if command == "components":
+        return _binomial(2 * cutoff + n, n)
+    complex_rank = _binomial(2 * cutoff + 1, n)
+    # k_real's free orbits: a q-subset of {1..cutoff} times an r-subset of
+    # {0, 1}, so r = 1 for odd n and r in (0, 2) for even n.
+    if odd:
+        real_rank = 2 * _binomial(cutoff, q)
+    else:
+        real_rank = _binomial(cutoff, q) + _binomial(cutoff, q - 1)
+    if command == "ktheory":
+        return real_rank if field == "real" else complex_rank
+    return complex_rank + real_rank
+
+
 def build_document(command: str, n: int, cutoff: int, field: str) -> dict:
-    """CatalogDocument for one invocation; raises ValueError on bad domains."""
+    """CatalogDocument for one invocation; raises ValueError on bad domains
+    and on commands whose predicted size exceeds ``MAX_CELLS``."""
+    size = predicted_size(command, n, cutoff, field)
+    # Up to n labels per entry (n^2 per bc record, for its matrix), plus the
+    # pool of up to 2 * cutoff + 1 labels that the enumerators materialize.
+    cells = size * (n * n if command == "bc" else n)
+    if command != "partitions":
+        cells += 2 * max(cutoff, 0) + 1
+    if cells > MAX_CELLS:
+        raise ValueError(
+            f"{command} would enumerate {size} entries ({cells} cells with their labels), "
+            f"more than the limit of {MAX_CELLS} cells"
+        )
     if command == "partitions":
         kind = "partitions"
         payload = []
@@ -257,6 +338,37 @@ def render_table(document: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _json(value: object, newline: str = "\n") -> str:
+    """``json.dumps(value, sort_keys=True, indent=2)`` for str-keyed dicts,
+    lists, str, int and bool; any other type raises ``TypeError``.
+
+    ``newline`` carries the indentation of the current level.  Each
+    container is joined into one string rather than yielded token by token,
+    which keeps the peak memory of a large document down."""
+    kind = type(value)
+    if kind is str:
+        return encode_basestring_ascii(value)
+    if kind is int:
+        return repr(value)
+    if kind is bool:
+        return "true" if value else "false"
+    inner = newline + "  "
+    if kind is list:
+        if not value:
+            return "[]"
+        parts = [_json(item, inner) for item in value]
+        return "[" + inner + ("," + inner).join(parts) + newline + "]"
+    if kind is dict:
+        if not value:
+            return "{}"
+        # encode_basestring_ascii raises TypeError on a key that is not a str.
+        parts = [
+            encode_basestring_ascii(key) + ": " + _json(value[key], inner) for key in sorted(value)
+        ]
+        return "{" + inner + ("," + inner).join(parts) + newline + "}"
+    raise TypeError(f"cannot write {kind.__name__} as JSON")
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -266,7 +378,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     if args.format == "json":
-        output = json.dumps(document, sort_keys=True, indent=2) + "\n"
+        output = _json(document) + "\n"
     else:
         output = render_table(document)
     sys.stdout.write(output)

@@ -2,10 +2,23 @@ import json
 import os
 import subprocess
 import sys
+from math import comb, inf
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from temperedk import __version__, base_change, cli, real_components
+from temperedk import (
+    __version__,
+    base_change,
+    cli,
+    complex_components,
+    enumerate_levi_shapes,
+    k_complex,
+    k_real,
+    param_space,
+    real_components,
+)
 from temperedk.cli import main
 
 
@@ -239,3 +252,137 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as excinfo:
             main(["ktheory"])
         assert excinfo.value.code == 2
+
+
+class TestSizePredictor:
+    @pytest.mark.parametrize("n", range(1, 7))
+    @pytest.mark.parametrize("cutoff", range(1, 5))
+    def test_matches_enumeration(self, n, cutoff):
+        predicted = cli.predicted_size
+        assert predicted("partitions", n, cutoff, "real") == len(enumerate_levi_shapes(n))
+        real = len(real_components(n, cutoff))
+        assert predicted("components", n, cutoff, "real") == real
+        for field in ("real", "complex"):
+            assert predicted("bc", n, cutoff, field) == real
+        complex_size = len(complex_components(n, cutoff))
+        assert predicted("components", n, cutoff, "complex") == complex_size
+        if 2 * cutoff + 1 < n:
+            return  # k_complex and kmap reject the cutoff before enumerating
+        complex_rank = sum(p.rank for p in k_complex(n, cutoff))
+        assert predicted("ktheory", n, cutoff, "complex") == complex_rank
+        if cutoff < n // 2:
+            return  # so do k_real and kmap here
+        real_rank = sum(p.rank for p in k_real(n, cutoff))
+        assert predicted("ktheory", n, cutoff, "real") == real_rank
+        for field in ("real", "complex"):
+            assert predicted("kmap", n, cutoff, field) == complex_rank + real_rank
+
+    def test_invalid_n_predicts_nothing(self):
+        for command in ("partitions", "components", "ktheory", "bc", "kmap"):
+            assert cli.predicted_size(command, 0, 3, "real") == 0
+            assert cli.predicted_size(command, -4, 3, "complex") == 0
+
+    def test_huge_requests_cost_nothing(self):
+        # Closed forms only: none of these is ever enumerated.
+        predicted = cli.predicted_size
+        assert predicted("partitions", 10**9, 4, "real") == 5 * 10**8 + 1
+        assert predicted("components", 30, 20, "complex") == comb(70, 30)
+        assert predicted("components", 10**9, 10**9, "complex") == inf
+        assert predicted("ktheory", 10**9, 2 * 10**9, "real") == inf
+        assert predicted("ktheory", 2 * 10**9 + 1, 10**9, "real") == 2
+        assert predicted("components", 1, 10**12, "real") == 2
+
+    def test_cap_rejects_before_output(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "MAX_CELLS", 100)
+        # 8 components of up to 3 labels, from a pool of 5: 29 cells.
+        code, out, _ = run(capsys, "components", "--n", "3", "--cutoff", "2")
+        assert code == 0 and out
+        for args, size in (
+            (("components", "--n", "4", "--cutoff", "4", "--field", "complex"), 495),
+            (("bc", "--n", "4", "--cutoff", "2"), 14),
+            (("partitions", "--n", "20"), 11),
+        ):
+            for fmt in ("json", "table"):
+                code, out, err = run(capsys, *args, "--format", fmt)
+                assert code == 1
+                assert out == ""
+                assert err.startswith(f"error: {args[0]} would enumerate {size} entries")
+                assert err.rstrip().endswith("more than the limit of 100 cells")
+
+    def test_cap_counts_the_label_pool(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "MAX_CELLS", 100)
+        # Two entries, but a pool of 101 labels to draw them from.
+        code, out, err = run(capsys, "components", "--n", "1", "--cutoff", "50")
+        assert (code, out) == (1, "")
+        assert "2 entries (103 cells" in err
+
+
+class TestRunScanOnce:
+    @pytest.mark.parametrize("field", ["complex", "real"])
+    def test_one_scan_per_record(self, field, monkeypatch):
+        calls = []
+        scan = param_space.run_multiplicities
+
+        def counted(*blocks):
+            calls.append(blocks)
+            return scan(*blocks)
+
+        monkeypatch.setattr(param_space, "run_multiplicities", counted)
+        document = cli.build_document("components", 6, 4, field)
+        assert len(calls) == len(document["payload"])
+        if field == "complex":
+            assert len(calls) == comb(14, 6)
+
+
+_awkward = st.sampled_from('"\\/\x00\x1f\x7f\n\t\u2028\ud800')
+_text = st.text(st.one_of(_awkward, st.characters()))
+_documents = st.recursive(
+    st.one_of(
+        _text, st.integers(), st.integers(min_value=-(10**40), max_value=-(10**20)), st.booleans()
+    ),
+    lambda children: st.one_of(
+        st.lists(children, max_size=4), st.dictionaries(_text, children, max_size=4)
+    ),
+    max_leaves=25,
+)
+
+
+class TestJsonWriter:
+    @given(_documents)
+    def test_matches_stdlib(self, document):
+        assert cli._json(document) == json.dumps(document, sort_keys=True, indent=2)
+
+    @pytest.mark.parametrize(
+        "value",
+        [1.5, None, (1, 2), {1: 2}, {"a": None}, [1, [2.0]], {"a": {"b": (3,)}}, {None: 1}],
+        ids=repr,
+    )
+    def test_other_types_rejected(self, value):
+        with pytest.raises(TypeError):
+            cli._json(value)
+
+
+class TestJsonGrid:
+    """Every subcommand, field and format for n 1-5 and cutoff 1-3; the
+    stdlib encoder is the oracle for the JSON bytes."""
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    @pytest.mark.parametrize("command", ["partitions", "components", "ktheory", "bc", "kmap"])
+    def test_matches_stdlib_encoder(self, capsys, command, field, n):
+        for cutoff in range(1, 4):
+            args = (command, "--n", str(n), "--cutoff", str(cutoff), "--field", field)
+            try:
+                document = cli.build_document(command, n, cutoff, field)
+            except ValueError:
+                document = None
+            expected = {
+                "json": json.dumps(document, sort_keys=True, indent=2) + "\n",
+                "table": document and cli.render_table(document),
+            }
+            for fmt in ("json", "table"):
+                code, out, _ = run(capsys, *args, "--format", fmt)
+                if document is None:
+                    assert (code, out) == (1, ""), args
+                else:
+                    assert (code, out) == (0, expected[fmt]), args
