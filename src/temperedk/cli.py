@@ -5,35 +5,41 @@ Five subcommands cover the engine surface: ``partitions`` (Levi shapes),
 (K-group presentations), ``bc`` (base change on components, with parameter
 matrices), and ``kmap`` (the induced map on K-theory).  Output is either a
 deterministic JSON document or an aligned text table; identical inputs give
-byte-identical output, and nothing is printed until the whole document has
-been built.
+byte-identical output.
 
-JSON is written by ``_json``: exactly the bytes of ``json.dumps(document,
-sort_keys=True, indent=2)`` for the types a document holds, ``TypeError``
-on any other, and faster up to CPython 3.12, where the stdlib encoder runs
-in pure Python whenever ``indent`` is set.  Before enumerating anything,
-``build_document`` predicts the command's size from closed forms and raises
-``ValueError`` over ``MAX_CELLS``, so the CLI exits 1 with an empty stdout.
+Nothing is printed until every check has passed.  ``main`` first predicts
+the command's size from closed forms (``predicted_size``) and rejects it
+over ``MAX_CELLS``; then it builds the shapes, catalog, presentations,
+parameter maps or induced map, which raises every other ``ValueError`` and
+the complex parity ``RuntimeError``; only then does it write.  A
+``ValueError`` exits 1 with an empty stdout.
+
+Each kind has one record function, shared by both formats.  JSON is the
+bytes of ``json.dumps(document, sort_keys=True, indent=2)``, written record
+by record from templates whose keys are already sorted: strings go through
+``encode_basestring_ascii`` and ints through ``repr``.  A table collects its
+rows of strings and aligns them once.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
+from argparse import Namespace
 from json.encoder import encode_basestring_ascii
 from math import comb, inf
-from typing import Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from . import __version__
-from .base_change import InducedKMap, bc_component, induced_k_map
+from .base_change import InducedKMap, ParameterMap, bc_component, induced_k_map
 from .ktheory import KGroupPresentation, k_complex, k_real
-from .levi import enumerate_levi_shapes, weyl_group
+from .levi import LeviShape, enumerate_levi_shapes, weyl_group
 from .param_space import (
     KIND_CONE,
     KIND_FREE,
     ComplexComponent,
     Component,
+    ConeChart,
     complex_components,
     cone_chart,
     real_components,
@@ -72,65 +78,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _record(c: Component | ComplexComponent, **fields) -> dict:
-    """Key, dimension, kind and (for cones) chart, plus the field's own labels.
-
-    One chart per record: a component is free exactly when its chart has no
-    rays, so its label runs are scanned once."""
-    chart = cone_chart(c)
-    record = {
-        "key": c.key,
-        "dimension": c.dimension,
-        "kind": KIND_CONE if chart.num_rays else KIND_FREE,
-        **fields,
-    }
-    if chart.num_rays:
-        record["chart"] = {"num_lines": chart.num_lines, "num_rays": chart.num_rays}
-    return record
-
-
-def _real_record(c: Component) -> dict:
-    return _record(
-        c, q=c.shape.q, r=c.shape.r, gl2=list(c.orbit.gl2_labels), gl1=list(c.orbit.gl1_labels)
-    )
-
-
-def _complex_record(c: ComplexComponent) -> dict:
-    return _record(c, labels=list(c.labels))
-
-
-def _chart_cell(record: dict) -> str:
-    if "chart" not in record:
-        return "-"
-    chart = record["chart"]
-    return f"lines={chart['num_lines']},rays={chart['num_rays']}"
-
-
-def _degree_payload(p: KGroupPresentation, cutoff: int) -> dict:
-    return {
-        "rank": p.rank,
-        "closed_form": p.closed_form.describe(),
-        "predicted_rank": p.closed_form.rank_at(cutoff),
-        "generators": list(p.generator_keys),
-    }
-
-
-def _kmap_payload(kmap: InducedKMap, degree: int) -> dict:
-    assignments = [
-        {"source": key, "image": dict(cls.items)}
-        for key, cls in kmap.assignments
-        if not cls.is_zero
-    ]
-    return {
-        "degree": degree,
-        "source_rank": kmap.source.rank,
-        "target_rank": kmap.target.rank,
-        "zero_map": kmap.is_zero,
-        "support_size": len(assignments),
-        "assignments": assignments,
-    }
-
-
 def _binomial(a: int, k: int) -> int | float:
     """C(a, k), and 0 outside 0 <= k <= a.  When k and a - k both exceed 64
     the value is above C(128, 64) > 10^37, far past any limit; ``inf``
@@ -144,7 +91,7 @@ def _binomial(a: int, k: int) -> int | float:
 
 
 def predicted_size(command: str, n: int, cutoff: int, field: str) -> int | float:
-    """Entries ``build_document`` would enumerate, from closed forms alone:
+    """Entries the command would enumerate, from closed forms alone:
     Levi shapes (partitions), catalog components (components, bc),
     generators of both degrees (ktheory) or of both presentations (kmap).
 
@@ -175,12 +122,12 @@ def predicted_size(command: str, n: int, cutoff: int, field: str) -> int | float
     return complex_rank + real_rank
 
 
-def build_document(command: str, n: int, cutoff: int, field: str) -> dict:
-    """CatalogDocument for one invocation; raises ValueError on bad domains
-    and on commands whose predicted size exceeds ``MAX_CELLS``."""
+def _check_size(command: str, n: int, cutoff: int, field: str) -> None:
+    """Raise ValueError when the command's predicted output exceeds
+    ``MAX_CELLS``: up to n labels per entry (n^2 per bc record, for its
+    matrix), plus the pool of up to 2 * cutoff + 1 labels that the
+    enumerators materialize."""
     size = predicted_size(command, n, cutoff, field)
-    # Up to n labels per entry (n^2 per bc record, for its matrix), plus the
-    # pool of up to 2 * cutoff + 1 labels that the enumerators materialize.
     cells = size * (n * n if command == "bc" else n)
     if command != "partitions":
         cells += 2 * max(cutoff, 0) + 1
@@ -189,199 +136,272 @@ def build_document(command: str, n: int, cutoff: int, field: str) -> dict:
             f"{command} would enumerate {size} entries ({cells} cells with their labels), "
             f"more than the limit of {MAX_CELLS} cells"
         )
+
+
+def _collect(command: str, n: int, cutoff: int, field: str) -> tuple[str, object]:
+    """Kind and contents of one command's output: Levi shapes, a catalog, two
+    presentations, parameter maps or the induced map.  Every input check and
+    the complex parity self-check run here, so nothing is written before."""
     if command == "partitions":
-        kind = "partitions"
-        payload = []
-        for shape in enumerate_levi_shapes(n):
-            payload.append(
-                {"q": shape.q, "r": shape.r, "blocks": str(shape), "weyl": str(weyl_group(shape))}
-            )
-    elif command == "components":
+        return "partitions", enumerate_levi_shapes(n)
+    if command == "components":
         if field == "real":
-            kind = "real_components"
-            payload = [_real_record(c) for c in real_components(n, cutoff)]
-        else:
-            kind = "complex_components"
-            payload = [_complex_record(c) for c in complex_components(n, cutoff)]
-    elif command == "ktheory":
+            return "real_components", real_components(n, cutoff)
+        return "complex_components", complex_components(n, cutoff)
+    if command == "ktheory":
         if field == "real":
-            kind = "k_real"
-            k0, k1 = k_real(n, cutoff)
-        else:
-            kind = "k_complex"
-            k0, k1 = k_complex(n, cutoff)
-            live = k1 if n % 2 else k0
-            dead = k0 if n % 2 else k1
-            if dead.rank != 0 or live.rank < 1:
-                raise RuntimeError("complex K-theory parity self-check failed")
-        payload = {"deg0": _degree_payload(k0, cutoff), "deg1": _degree_payload(k1, cutoff)}
-    elif command == "bc":
-        kind = "bc"
-        payload = []
-        for c in real_components(n, cutoff):
-            pmap = bc_component(c)
-            payload.append(
-                {
-                    "source": _real_record(c),
-                    "target": _complex_record(pmap.target),
-                    "matrix": [list(row) for row in pmap.matrix],
-                    "column_rank": pmap.column_rank,
-                    "proper": pmap.is_proper,
-                }
-            )
+            return "k_real", k_real(n, cutoff)
+        degrees = k_complex(n, cutoff)
+        live, dead = degrees[n % 2], degrees[1 - n % 2]
+        if dead.rank != 0 or live.rank < 1:
+            raise RuntimeError("complex K-theory parity self-check failed")
+        return "k_complex", degrees
+    if command == "bc":
+        return "bc", [bc_component(c) for c in real_components(n, cutoff)]
+    return "kmap", induced_k_map(n, cutoff)
+
+
+# Record functions, one per kind and shared by both formats.
+
+
+def _partition(shape: LeviShape) -> tuple[str, str, str, str]:
+    """q, r, blocks and Weyl group of one Levi shape."""
+    return str(shape.q), str(shape.r), str(shape), str(weyl_group(shape))
+
+
+def _component(c: Component | ComplexComponent) -> tuple[str, int, str, Optional[ConeChart]]:
+    """Key, dimension, kind and, for a cone, chart of one component.
+
+    One chart per record: a component is free exactly when its chart has no
+    rays, so its label runs are scanned once."""
+    chart = cone_chart(c)
+    if chart.num_rays:
+        return c.key, c.dimension, KIND_CONE, chart
+    return c.key, c.dimension, KIND_FREE, None
+
+
+def _degree(p: KGroupPresentation, cutoff: int) -> tuple[str, str, str]:
+    """Rank, predicted rank and closed form of one K-degree."""
+    return str(p.rank), str(p.closed_form.rank_at(cutoff)), p.closed_form.describe()
+
+
+def _support(kmap: InducedKMap) -> list[tuple[str, tuple[tuple[str, int], ...]]]:
+    """Nonzero assignments of the map: source key and image items, sorted by key."""
+    return [(key, cls.items) for key, cls in kmap.assignments if not cls.is_zero]
+
+
+# JSON: the bytes of json.dumps(document, sort_keys=True, indent=2), written
+# from templates whose keys are already sorted.  Strings go through
+# encode_basestring_ascii, ints through repr (or %s, its equal).  A value
+# that opens on a line indented by ``pad`` has its members at pad + "  ".
+
+_HEAD = '{\n  "cutoff": %d,\n  "kind": "%s",\n  "n": %d,\n  "payload": '
+_TAIL = ',\n  "tool_version": ' + encode_basestring_ascii(__version__) + "\n}\n"
+_Write = Callable[[str], object]
+_Degrees = tuple[KGroupPresentation, KGroupPresentation]
+
+
+def _join(items: Iterable[str], pad: str, brackets: str = "[]") -> str:
+    """JSON list (or, with brackets "{}", object) of already-written items."""
+    inner = "\n  " + pad
+    body = ("," + inner).join(items)
+    return brackets[0] + inner + body + "\n" + pad + brackets[1] if body else brackets
+
+
+def _object(pad: str, keys: Sequence[str]) -> str:
+    """%-template of a JSON object with these keys, in sorted order."""
+    return _join((f'"{key}": %s' for key in keys), pad, "{}")
+
+
+def _component_json(pad: str, field: str) -> Callable[[Component | ComplexComponent], str]:
+    """Writer of one component's JSON object; a cone puts "chart" first."""
+    if field == "real":
+        free = _object(pad, ("dimension", "gl1", "gl2", "key", "kind", "q", "r"))
     else:
-        kind = "kmap"
-        kmap = induced_k_map(n, cutoff)
-        payload = _kmap_payload(kmap, n % 2)
-    return {
-        "tool_version": __version__,
-        "n": n,
-        "cutoff": cutoff,
-        "kind": kind,
-        "payload": payload,
-    }
+        free = _object(pad, ("dimension", "key", "kind", "labels"))
+    inner = pad + "  "
+    cone = "{\n" + inner + '"chart": ' + _object(inner, ("num_lines", "num_rays")) + "," + free[1:]
+
+    def record(c: Component | ComplexComponent) -> str:
+        key, dimension, kind, chart = _component(c)
+        key, kind = encode_basestring_ascii(key), encode_basestring_ascii(kind)
+        if field == "real":
+            gl2, gl1 = (_join(map(repr, labels), inner) for labels in c.label_blocks)
+            fields = (dimension, gl1, gl2, key, kind, c.shape.q, c.shape.r)
+        else:
+            fields = (dimension, key, kind, _join(map(repr, c.labels), inner))
+        return free % fields if chart is None else cone % (chart.num_lines, chart.num_rays, *fields)
+
+    return record
 
 
-def _aligned(headers: Sequence[str], rows: Sequence[Sequence[str]]) -> list[str]:
-    table = [list(headers)] + [list(r) for r in rows]
-    widths = [max(len(row[i]) for row in table) for i in range(len(headers))]
-    return [
-        "  ".join(cell.ljust(width) for cell, width in zip(row, widths)).rstrip()
-        for row in table
+def _stream(write: _Write, items: Iterable[str], pad: str = "  ") -> None:
+    """Write a JSON list one item at a time, as each is produced."""
+    sep = "[\n  " + pad
+    for item in items:
+        write(sep + item)
+        sep = ",\n  " + pad
+    write("\n" + pad + "]" if sep[0] == "," else "[]")
+
+
+def _partitions_json(write: _Write, shapes: list[LeviShape], args: Namespace) -> None:
+    template = _object("    ", ("blocks", "q", "r", "weyl"))
+    encode = encode_basestring_ascii
+    records = map(_partition, shapes)
+    _stream(write, (template % (encode(b), q, r, encode(w)) for q, r, b, w in records))
+
+
+def _components_json(write: _Write, catalog: list, args: Namespace) -> None:
+    _stream(write, map(_component_json("    ", args.field), catalog))
+
+
+def _ktheory_json(write: _Write, degrees: _Degrees, args: Namespace) -> None:
+    # Generator lists are streamed too: k_complex(10, 10) has 352,716 in degree 0.
+    encode = encode_basestring_ascii
+    for d, p in enumerate(degrees):
+        rank, predicted, closed_form = _degree(p, args.cutoff)
+        head = ",\n" if d else "{\n"
+        write(f'{head}    "deg{d}": {{\n      "closed_form": {encode(closed_form)},\n')
+        write('      "generators": ')
+        _stream(write, map(encode, p.generator_keys), "      ")
+        write(f',\n      "predicted_rank": {predicted},\n      "rank": {rank}\n    }}')
+    write("\n  }")
+
+
+def _bc_json(write: _Write, maps: list[ParameterMap], args: Namespace) -> None:
+    template = _object("    ", ("column_rank", "matrix", "proper", "source", "target"))
+    pad = "      "
+    source, target = _component_json(pad, "real"), _component_json(pad, "complex")
+
+    def record(m: ParameterMap) -> str:
+        matrix = _join((_join(map(repr, row), pad + "  ") for row in m.matrix), pad)
+        proper = "true" if m.is_proper else "false"
+        return template % (m.column_rank, matrix, proper, source(m.source), target(m.target))
+
+    _stream(write, map(record, maps))
+
+
+def _kmap_json(write: _Write, kmap: InducedKMap, args: Namespace) -> None:
+    encode = encode_basestring_ascii
+    support = _support(kmap)
+    template = _object("      ", ("image", "source"))
+
+    def assignment(key: str, items: tuple[tuple[str, int], ...]) -> str:
+        image = _join((f"{encode(k)}: {c!r}" for k, c in items), "        ", "{}")
+        return template % (image, encode(key))
+
+    keys = ("assignments", "degree", "source_rank", "support_size", "target_rank", "zero_map")
+    zero = "true" if kmap.is_zero else "false"
+    assignments = _join((assignment(key, items) for key, items in support), "    ")
+    fields = (assignments, args.n % 2, kmap.source.rank, len(support), kmap.target.rank, zero)
+    write(_object("  ", keys) % fields)
+
+
+# Tables: rows of strings, aligned once.
+
+_FIELD_NAMES = {"real": "R", "complex": "C"}
+
+
+def _aligned(headers: tuple[str, ...], rows: list[tuple[str, ...]]) -> str:
+    table = [headers, *rows]
+    widths = [max(map(len, column)) for column in zip(*table)]
+    template = "  ".join(f"%-{width}s" for width in widths)
+    return "".join((template % row).rstrip() + "\n" for row in table)
+
+
+def _partitions_table(write: _Write, shapes: list[LeviShape], args: Namespace) -> None:
+    rows = [_partition(shape) for shape in shapes]
+    write(f"Levi shapes n = 2q + r for GL({args.n}, R): {len(rows)} shapes\n")
+    write(_aligned(("q", "r", "blocks", "weyl"), rows))
+
+
+def _components_table(write: _Write, catalog: list, args: Namespace) -> None:
+    rows = []
+    for c in catalog:
+        key, dimension, kind, chart = _component(c)
+        cell = "-" if chart is None else f"lines={chart.num_lines},rays={chart.num_rays}"
+        rows.append((key, str(dimension), kind, cell))
+    free = [row[2] for row in rows].count(KIND_FREE)
+    write(
+        f"Tempered-dual components for GL({args.n}, {_FIELD_NAMES[args.field]}) "
+        f"at cutoff {args.cutoff}: {free} free, {len(rows) - free} cone\n"
+    )
+    write(_aligned(("key", "dim", "kind", "chart"), rows))
+
+
+def _ktheory_table(write: _Write, degrees: _Degrees, args: Namespace) -> None:
+    rows = [(f"K{d}", *_degree(p, args.cutoff)) for d, p in enumerate(degrees)]
+    write(f"K-theory of C*_r GL({args.n}, {_FIELD_NAMES[args.field]}) at cutoff {args.cutoff}\n")
+    write(_aligned(("degree", "rank", "predicted", "closed form"), rows))
+    for d, p in enumerate(degrees):
+        if p.generator_keys:
+            write(f"K{d} generators:\n")
+            for key in p.generator_keys:
+                write("  " + key + "\n")
+
+
+def _bc_table(write: _Write, maps: list[ParameterMap], args: Namespace) -> None:
+    rows = []
+    for m in maps:
+        matrix = "[" + ",".join("[" + ",".join(map(repr, row)) + "]" for row in m.matrix) + "]"
+        kind = _component(m.target)[2]
+        proper = "yes" if m.is_proper else "no"
+        rows.append((m.source.key, m.target.key, kind, matrix, str(m.column_rank), proper))
+    proper_maps = sum(m.is_proper for m in maps)
+    write(
+        f"Base change on components, GL({args.n}, R) -> GL({args.n}, C) "
+        f"at cutoff {args.cutoff}: {proper_maps} of {len(rows)} maps proper\n"
+    )
+    write(_aligned(("source", "target", "target kind", "matrix", "rank", "proper"), rows))
+
+
+def _kmap_table(write: _Write, kmap: InducedKMap, args: Namespace) -> None:
+    support = _support(kmap)
+    plural = "" if len(support) == 1 else "s"
+    summary = (
+        f"{len(support)} nonzero assignment{plural} out of {kmap.source.rank} source generators"
+    )
+    write(
+        f"Induced K-theory map of base change for GL({args.n}) at cutoff {args.cutoff}, "
+        f"degree {args.n % 2}\n"
+    )
+    if kmap.is_zero:
+        write(f"zero map: {summary}\n")
+        return
+    rows = [
+        (key, "->", " + ".join(k if c == 1 else f"{c}*{k}" for k, c in items))
+        for key, items in support
     ]
+    write(summary + "\n" + _aligned(("source", "", "image"), rows))
 
 
-def _image_cell(image: dict) -> str:
-    terms = []
-    for key in sorted(image):
-        coeff = image[key]
-        terms.append(key if coeff == 1 else f"{coeff}*{key}")
-    return " + ".join(terms)
 
-
-def render_table(document: dict) -> str:
-    n = document["n"]
-    cutoff = document["cutoff"]
-    kind = document["kind"]
-    payload = document["payload"]
-    lines: list[str] = []
-    if kind == "partitions":
-        lines.append(f"Levi shapes n = 2q + r for GL({n}, R): {len(payload)} shapes")
-        rows = [(str(p["q"]), str(p["r"]), p["blocks"], p["weyl"]) for p in payload]
-        lines.extend(_aligned(("q", "r", "blocks", "weyl"), rows))
-    elif kind in ("real_components", "complex_components"):
-        field_name = "R" if kind == "real_components" else "C"
-        free = sum(1 for p in payload if p["kind"] == "free")
-        lines.append(
-            f"Tempered-dual components for GL({n}, {field_name}) at cutoff {cutoff}: "
-            f"{free} free, {len(payload) - free} cone"
-        )
-        rows = [
-            (p["key"], str(p["dimension"]), p["kind"], _chart_cell(p))
-            for p in payload
-        ]
-        lines.extend(_aligned(("key", "dim", "kind", "chart"), rows))
-    elif kind in ("k_real", "k_complex"):
-        field_name = "R" if kind == "k_real" else "C"
-        lines.append(f"K-theory of C*_r GL({n}, {field_name}) at cutoff {cutoff}")
-        rows = [
-            (
-                f"K{deg}",
-                str(payload[f"deg{deg}"]["rank"]),
-                str(payload[f"deg{deg}"]["predicted_rank"]),
-                payload[f"deg{deg}"]["closed_form"],
-            )
-            for deg in (0, 1)
-        ]
-        lines.extend(_aligned(("degree", "rank", "predicted", "closed form"), rows))
-        for deg in (0, 1):
-            generators = payload[f"deg{deg}"]["generators"]
-            if generators:
-                lines.append(f"K{deg} generators:")
-                lines.extend(f"  {key}" for key in generators)
-    elif kind == "bc":
-        proper = sum(1 for p in payload if p["proper"])
-        lines.append(
-            f"Base change on components, GL({n}, R) -> GL({n}, C) at cutoff {cutoff}: "
-            f"{proper} of {len(payload)} maps proper"
-        )
-        rows = [
-            (
-                p["source"]["key"],
-                p["target"]["key"],
-                p["target"]["kind"],
-                json.dumps(p["matrix"], separators=(",", ":")),
-                str(p["column_rank"]),
-                "yes" if p["proper"] else "no",
-            )
-            for p in payload
-        ]
-        lines.extend(_aligned(("source", "target", "target kind", "matrix", "rank", "proper"), rows))
-    else:
-        lines.append(
-            f"Induced K-theory map of base change for GL({n}) at cutoff {cutoff}, "
-            f"degree {payload['degree']}"
-        )
-        plural = "" if payload["support_size"] == 1 else "s"
-        summary = (
-            f"{payload['support_size']} nonzero assignment{plural} out of "
-            f"{payload['source_rank']} source generators"
-        )
-        if payload["zero_map"]:
-            lines.append(f"zero map: {summary}")
-        else:
-            lines.append(summary)
-            rows = [
-                (a["source"], "->", _image_cell(a["image"])) for a in payload["assignments"]
-            ]
-            lines.extend(_aligned(("source", "", "image"), rows))
-    return "\n".join(lines) + "\n"
-
-
-def _json(value: object, newline: str = "\n") -> str:
-    """``json.dumps(value, sort_keys=True, indent=2)`` for str-keyed dicts,
-    lists, str, int and bool; any other type raises ``TypeError``.
-
-    ``newline`` carries the indentation of the current level.  Each
-    container is joined into one string rather than yielded token by token,
-    which keeps the peak memory of a large document down."""
-    kind = type(value)
-    if kind is str:
-        return encode_basestring_ascii(value)
-    if kind is int:
-        return repr(value)
-    if kind is bool:
-        return "true" if value else "false"
-    inner = newline + "  "
-    if kind is list:
-        if not value:
-            return "[]"
-        parts = [_json(item, inner) for item in value]
-        return "[" + inner + ("," + inner).join(parts) + newline + "]"
-    if kind is dict:
-        if not value:
-            return "{}"
-        # encode_basestring_ascii raises TypeError on a key that is not a str.
-        parts = [
-            encode_basestring_ascii(key) + ": " + _json(value[key], inner) for key in sorted(value)
-        ]
-        return "{" + inner + ("," + inner).join(parts) + newline + "}"
-    raise TypeError(f"cannot write {kind.__name__} as JSON")
+# command -> (write its JSON payload, write its table)
+_WRITERS = {
+    "partitions": (_partitions_json, _partitions_table),
+    "components": (_components_json, _components_table),
+    "ktheory": (_ktheory_json, _ktheory_table),
+    "bc": (_bc_json, _bc_table),
+    "kmap": (_kmap_json, _kmap_table),
+}
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        document = build_document(args.command, args.n, args.cutoff, args.field)
+        _check_size(args.command, args.n, args.cutoff, args.field)
+        kind, data = _collect(args.command, args.n, args.cutoff, args.field)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    write_json, write_table = _WRITERS[args.command]
+    write = sys.stdout.write
     if args.format == "json":
-        output = _json(document) + "\n"
+        write(_HEAD % (args.cutoff, kind, args.n))
+        write_json(write, data, args)
+        write(_TAIL)
     else:
-        output = render_table(document)
-    sys.stdout.write(output)
+        write_table(write, data, args)
     return 0
 
 

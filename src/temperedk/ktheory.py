@@ -45,6 +45,10 @@ class IndexFamily:
 
     def rank_at(self, cutoff: int) -> int:
         """Generator count once labels are truncated at the given cutoff."""
+        if type(cutoff) is not int:
+            _require_int("cutoff", cutoff)
+        if cutoff < 0:
+            raise ValueError(f"cutoff must be >= 0, got {cutoff}")
         if self.kind == "rank":
             return self.size
         if self.kind == "nat_subsets":

@@ -1,8 +1,11 @@
+import hashlib
 import json
 import os
 import subprocess
 import sys
+from json.encoder import encode_basestring_ascii
 from math import comb, inf
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -174,7 +177,7 @@ class TestBcCommand:
 
 
 class TestBcRankOnce:
-    def test_one_rank_per_component(self, monkeypatch):
+    def test_one_rank_per_component(self, monkeypatch, capsys):
         calls = []
         rank = base_change._column_rank
 
@@ -183,8 +186,10 @@ class TestBcRankOnce:
             return rank(matrix)
 
         monkeypatch.setattr(base_change, "_column_rank", counted)
-        cli.build_document("bc", 4, 3, "real")
-        assert len(calls) == len(real_components(4, 3))
+        for fmt in ("json", "table"):
+            calls.clear()
+            assert main(["bc", "--n", "4", "--cutoff", "3", "--format", fmt]) == 0
+            assert len(calls) == len(real_components(4, 3))
 
     def test_import_leaves_fractions_out(self):
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
@@ -216,8 +221,10 @@ class TestParitySelfCheck:
     def test_swapped_complex_degrees_raise(self, monkeypatch):
         k_complex = cli.k_complex
         monkeypatch.setattr(cli, "k_complex", lambda n, cutoff: k_complex(n, cutoff)[::-1])
-        with pytest.raises(RuntimeError):
-            cli.build_document("ktheory", 3, 2, "complex")
+        args = ["ktheory", "--n", "3", "--cutoff", "2", "--field", "complex", "--format"]
+        for fmt in ("json", "table"):
+            with pytest.raises(RuntimeError):
+                main(args + [fmt])
 
 
 class TestExitCodes:
@@ -319,7 +326,7 @@ class TestSizePredictor:
 
 class TestRunScanOnce:
     @pytest.mark.parametrize("field", ["complex", "real"])
-    def test_one_scan_per_record(self, field, monkeypatch):
+    def test_one_scan_per_record(self, field, monkeypatch, capsys):
         calls = []
         scan = param_space.run_multiplicities
 
@@ -328,61 +335,136 @@ class TestRunScanOnce:
             return scan(*blocks)
 
         monkeypatch.setattr(param_space, "run_multiplicities", counted)
-        document = cli.build_document("components", 6, 4, field)
-        assert len(calls) == len(document["payload"])
+        records = cli.predicted_size("components", 6, 4, field)
         if field == "complex":
-            assert len(calls) == comb(14, 6)
+            assert records == comb(14, 6)
+        for fmt in ("json", "table"):
+            calls.clear()
+            args = ["components", "--n", "6", "--cutoff", "4", "--field", field, "--format", fmt]
+            assert main(args) == 0
+            assert len(calls) == records
 
 
 _awkward = st.sampled_from('"\\/\x00\x1f\x7f\n\t\u2028\ud800')
 _text = st.text(st.one_of(_awkward, st.characters()))
-_documents = st.recursive(
-    st.one_of(
-        _text, st.integers(), st.integers(min_value=-(10**40), max_value=-(10**20)), st.booleans()
-    ),
-    lambda children: st.one_of(
-        st.lists(children, max_size=4), st.dictionaries(_text, children, max_size=4)
-    ),
-    max_leaves=25,
-)
+_ints = st.one_of(st.integers(), st.integers(min_value=-(10**40), max_value=-(10**20)))
+_pads = st.sampled_from(["", "  ", "    ", "      "])
 
 
 class TestJsonWriter:
-    @given(_documents)
-    def test_matches_stdlib(self, document):
-        assert cli._json(document) == json.dumps(document, sort_keys=True, indent=2)
+    @given(st.one_of(st.lists(_text), st.lists(_ints), st.lists(st.lists(_ints))), _pads)
+    def test_matches_stdlib(self, values, pad):
+        # The helper behind every list the CLI writes: keys, labels,
+        # generators and matrices, at any indentation.
+        if values and type(values[0]) is list:
+            text = cli._join((cli._join(map(repr, row), pad + "  ") for row in values), pad)
+        elif values and type(values[0]) is str:
+            text = cli._join(map(encode_basestring_ascii, values), pad)
+        else:
+            text = cli._join(map(repr, values), pad)
+        assert text == json.dumps(values, sort_keys=True, indent=2).replace("\n", "\n" + pad)
 
-    @pytest.mark.parametrize(
-        "value",
-        [1.5, None, (1, 2), {1: 2}, {"a": None}, [1, [2.0]], {"a": {"b": (3,)}}, {None: 1}],
-        ids=repr,
-    )
-    def test_other_types_rejected(self, value):
-        with pytest.raises(TypeError):
-            cli._json(value)
+    @given(st.dictionaries(_text, _ints), _pads)
+    def test_objects_match_stdlib(self, value, pad):
+        # The same helper writes an image class: key -> coefficient.
+        items = (f"{encode_basestring_ascii(k)}: {c!r}" for k, c in sorted(value.items()))
+        expected = json.dumps(value, sort_keys=True, indent=2).replace("\n", "\n" + pad)
+        assert cli._join(items, pad, "{}") == expected
+
+
+def _grid(path):
+    """Entries of a recorded CLI grid (argv, exit code, stdout sha256)."""
+    return json.loads(path.read_text("utf-8"))["commands"]
+
+
+GRID = _grid(Path(__file__).with_name("cli_grid.json"))
+GOLDEN = _grid(Path(__file__).resolve().parents[1] / "perfbench" / "golden.json")
+
+
+def _sha256(text):
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 class TestJsonGrid:
-    """Every subcommand, field and format for n 1-5 and cutoff 1-3; the
-    stdlib encoder is the oracle for the JSON bytes."""
+    """Every subcommand, field and format for n 0-6 and cutoff 0-4, against
+    ``tests/cli_grid.json``: exit code and stdout sha256, recorded from the
+    dict-document writer that preceded the per-kind writers.  A mismatch is
+    a change of output to explain, not a file to re-record.  Every JSON
+    output must also be the stdlib encoder's own layout of what it parses
+    to."""
 
-    @pytest.mark.parametrize("n", range(1, 6))
+    @pytest.mark.parametrize("n", range(0, 7))
     @pytest.mark.parametrize("field", ["real", "complex"])
     @pytest.mark.parametrize("command", ["partitions", "components", "ktheory", "bc", "kmap"])
     def test_matches_stdlib_encoder(self, capsys, command, field, n):
-        for cutoff in range(1, 4):
-            args = (command, "--n", str(n), "--cutoff", str(cutoff), "--field", field)
-            try:
-                document = cli.build_document(command, n, cutoff, field)
-            except ValueError:
-                document = None
-            expected = {
-                "json": json.dumps(document, sort_keys=True, indent=2) + "\n",
-                "table": document and cli.render_table(document),
-            }
-            for fmt in ("json", "table"):
-                code, out, _ = run(capsys, *args, "--format", fmt)
-                if document is None:
-                    assert (code, out) == (1, ""), args
-                else:
-                    assert (code, out) == (0, expected[fmt]), args
+        entries = [e for e in GRID if e["argv"][:3] == [command, "--n", str(n)]]
+        entries = [e for e in entries if e["argv"][6] == field]
+        assert len(entries) == 10  # cutoff 0-4, json and table
+        for entry in entries:
+            args = entry["argv"]
+            code, out, _ = run(capsys, *args)
+            assert (code, _sha256(out)) == (entry["exit"], entry["sha256"]), args
+            if code == 0 and args[-1] == "json":
+                assert json.dumps(json.loads(out), sort_keys=True, indent=2) + "\n" == out, args
+            if code == 1:
+                assert out == "", args
+
+
+class _CountingStdout:
+    """Stand-in for sys.stdout that counts ``write`` calls."""
+
+    def __init__(self):
+        self.writes = 0
+
+    def write(self, text):
+        self.writes += 1
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+class TestNoByteBeforeChecks:
+    """Nothing is written to stdout until every check has passed."""
+
+    def writes(self, argv):
+        """(exit code, stdout writes) of one command."""
+        stdout, saved = _CountingStdout(), sys.stdout
+        sys.stdout = stdout
+        try:
+            code = main(list(argv))
+        finally:
+            sys.stdout = saved
+        return code, stdout.writes
+
+    @pytest.mark.parametrize("grid", ["cli_grid", "golden"])
+    def test_failing_commands_write_nothing(self, capsys, grid):
+        failing = [e["argv"] for e in (GRID if grid == "cli_grid" else GOLDEN) if e["exit"] == 1]
+        assert failing
+        for argv in failing:
+            assert self.writes(argv) == (1, 0), argv
+
+    def test_succeeding_commands_do_write(self, capsys):
+        code, writes = self.writes(["components", "--n", "2", "--format", "json"])
+        assert code == 0 and writes > 0
+
+    @pytest.mark.parametrize("fmt", ["json", "table"])
+    def test_cap_rejection_writes_nothing(self, monkeypatch, capsys, fmt):
+        monkeypatch.setattr(cli, "MAX_CELLS", 100)
+        for argv in (
+            ["components", "--n", "4", "--cutoff", "4", "--field", "complex"],
+            ["bc", "--n", "4", "--cutoff", "2"],
+            ["partitions", "--n", "20"],
+            ["components", "--n", "1", "--cutoff", "50"],
+        ):
+            assert self.writes(argv + ["--format", fmt]) == (1, 0), argv
+
+    @pytest.mark.parametrize("fmt", ["json", "table"])
+    def test_parity_failure_writes_nothing(self, monkeypatch, capsys, fmt):
+        k_complex = cli.k_complex
+        stdout = _CountingStdout()
+        monkeypatch.setattr(cli, "k_complex", lambda n, cutoff: k_complex(n, cutoff)[::-1])
+        monkeypatch.setattr(sys, "stdout", stdout)
+        with pytest.raises(RuntimeError):
+            main(["ktheory", "--n", "3", "--cutoff", "2", "--field", "complex", "--format", fmt])
+        assert stdout.writes == 0

@@ -371,6 +371,7 @@ BOOL_INPUTS = {
     "ComplexComponent": lambda: ComplexComponent((True, 0)),
     "IndexFamily-size": lambda: IndexFamily("rank", True),
     "KGroupPresentation-degree": lambda: KGroupPresentation(True, (), IndexFamily("rank", 0)),
+    "rank_at-cutoff": lambda: closed_form_real(4)[0].rank_at(True),
 }
 
 
@@ -389,6 +390,17 @@ class TestCatalogInputTypes:
             IndexFamily("rank", 1.0)
         with pytest.raises(TypeError):
             KGroupPresentation(0.0, (), IndexFamily("rank", 0))
+
+    @pytest.mark.parametrize("kind", ["rank", "nat_subsets", "nat_subsets_x_z2", "int_subsets"])
+    def test_rank_at_checks_the_cutoff(self, kind):
+        family = IndexFamily(kind, 2)
+        for cutoff in (2.0, "2", None):
+            with pytest.raises(TypeError, match="cutoff must be an integer"):
+                family.rank_at(cutoff)
+        for cutoff in (-1, -5):
+            with pytest.raises(ValueError, match="cutoff must be >= 0"):
+                family.rank_at(cutoff)
+        assert family.rank_at(0) == (2 if kind == "rank" else 0)
 
     def test_label_ranges_still_checked(self):
         with pytest.raises(ValueError):
