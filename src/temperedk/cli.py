@@ -165,8 +165,9 @@ def _collect(command: str, n: int, cutoff: int, field: str) -> tuple[str, object
 
 
 def _partition(shape: LeviShape) -> tuple[str, str, str, str]:
-    """q, r, blocks and Weyl group of one Levi shape."""
-    return str(shape.q), str(shape.r), str(shape), str(weyl_group(shape))
+    """q, r, blocks and Weyl group (its S_d factors, or 1) of one Levi shape."""
+    weyl = " x ".join(f"S{d}" for d in weyl_group(shape)) or "1"
+    return str(shape.q), str(shape.r), str(shape), weyl
 
 
 def _component(c: Component | ComplexComponent) -> tuple[str, int, str, Optional[ConeChart]]:
@@ -183,11 +184,6 @@ def _component(c: Component | ComplexComponent) -> tuple[str, int, str, Optional
 def _degree(p: KGroupPresentation, cutoff: int) -> tuple[str, str, str]:
     """Rank, predicted rank and closed form of one K-degree."""
     return str(p.rank), str(p.closed_form.rank_at(cutoff)), p.closed_form.describe()
-
-
-def _support(kmap: InducedKMap) -> list[tuple[str, tuple[tuple[str, int], ...]]]:
-    """Nonzero assignments of the map: source key and image items, sorted by key."""
-    return [(key, cls.items) for key, cls in kmap.assignments if not cls.is_zero]
 
 
 # JSON: the bytes of json.dumps(document, sort_keys=True, indent=2), written
@@ -283,16 +279,17 @@ def _bc_json(write: _Write, maps: list[ParameterMap], args: Namespace) -> None:
 
 def _kmap_json(write: _Write, kmap: InducedKMap, args: Namespace) -> None:
     encode = encode_basestring_ascii
-    support = _support(kmap)
+    support = kmap.support
     template = _object("      ", ("image", "source"))
 
-    def assignment(key: str, items: tuple[tuple[str, int], ...]) -> str:
+    def assignment(key: str) -> str:
+        items = kmap.image_of(key).items
         image = _join((f"{encode(k)}: {c!r}" for k, c in items), "        ", "{}")
         return template % (image, encode(key))
 
     keys = ("assignments", "degree", "source_rank", "support_size", "target_rank", "zero_map")
     zero = "true" if kmap.is_zero else "false"
-    assignments = _join((assignment(key, items) for key, items in support), "    ")
+    assignments = _join(map(assignment, support), "    ")
     fields = (assignments, args.n % 2, kmap.source.rank, len(support), kmap.target.rank, zero)
     write(_object("  ", keys) % fields)
 
@@ -356,7 +353,7 @@ def _bc_table(write: _Write, maps: list[ParameterMap], args: Namespace) -> None:
 
 
 def _kmap_table(write: _Write, kmap: InducedKMap, args: Namespace) -> None:
-    support = _support(kmap)
+    support = kmap.support
     plural = "" if len(support) == 1 else "s"
     summary = (
         f"{len(support)} nonzero assignment{plural} out of {kmap.source.rank} source generators"
@@ -369,8 +366,8 @@ def _kmap_table(write: _Write, kmap: InducedKMap, args: Namespace) -> None:
         write(f"zero map: {summary}\n")
         return
     rows = [
-        (key, "->", " + ".join(k if c == 1 else f"{c}*{k}" for k, c in items))
-        for key, items in support
+        (key, "->", " + ".join(k if c == 1 else f"{c}*{k}" for k, c in kmap.image_of(key).items))
+        for key in support
     ]
     write(summary + "\n" + _aligned(("source", "", "image"), rows))
 

@@ -16,7 +16,7 @@ from math import comb
 from types import MappingProxyType
 from typing import Mapping, Union
 
-from .levi import SigmaOrbit, _require_int, enumerate_levi_shapes
+from .levi import SigmaOrbit, _require_at_least, _require_int, enumerate_levi_shapes
 from .param_space import Component, ComplexComponent
 
 _FAMILY_KINDS = ("rank", "nat_subsets", "nat_subsets_x_z2", "int_subsets")
@@ -38,17 +38,11 @@ class IndexFamily:
     def __post_init__(self) -> None:
         if self.kind not in _FAMILY_KINDS:
             raise ValueError(f"unknown family kind: {self.kind!r}")
-        if type(self.size) is not int:
-            _require_int("size", self.size)
-        if self.size < 0:
-            raise ValueError(f"family size must be >= 0, got {self.size}")
+        _require_at_least("size", self.size, 0)
 
     def rank_at(self, cutoff: int) -> int:
         """Generator count once labels are truncated at the given cutoff."""
-        if type(cutoff) is not int:
-            _require_int("cutoff", cutoff)
-        if cutoff < 0:
-            raise ValueError(f"cutoff must be >= 0, got {cutoff}")
+        _require_at_least("cutoff", cutoff, 0)
         if self.kind == "rank":
             return self.size
         if self.kind == "nat_subsets":
@@ -164,8 +158,7 @@ def kclass_add(a: KClass, b: KClass) -> KClass:
 
 
 def kclass_scale(a: KClass, scalar: int) -> KClass:
-    if type(scalar) is not int:
-        raise TypeError(f"scalar must be an integer, got {scalar!r}")
+    _require_int("scalar", scalar)
     return KClass(a.presentation, tuple((k, scalar * c) for k, c in a.items))
 
 
@@ -179,9 +172,7 @@ def closed_form_real(n: int) -> tuple[IndexFamily, IndexFamily]:
     degree (q+1) mod 2 and nothing elsewhere.  Size-0 subset families
     collapse to constant ranks (1 and 2 respectively).
     """
-    _require_int("n", n)
-    if n < 1:
-        raise ValueError(f"n must be a positive integer, got {n}")
+    _require_at_least("n", n, 1)
     q, odd = divmod(n, 2)
     if odd:
         main = IndexFamily("nat_subsets_x_z2", q) if q >= 1 else IndexFamily("rank", 2)
@@ -197,9 +188,7 @@ def closed_form_real(n: int) -> tuple[IndexFamily, IndexFamily]:
 
 def closed_form_complex(n: int) -> tuple[IndexFamily, IndexFamily]:
     """n-subsets of Z in degree n mod 2, zero in the other degree."""
-    _require_int("n", n)
-    if n < 1:
-        raise ValueError(f"n must be a positive integer, got {n}")
+    _require_at_least("n", n, 1)
     main = IndexFamily("int_subsets", n)
     other = IndexFamily("rank", 0)
     return (main, other) if n % 2 == 0 else (other, main)
@@ -212,14 +201,11 @@ def k_real(n: int, cutoff: int) -> tuple[KGroupPresentation, KGroupPresentation]
     top generator family would be invisible.  Only free components are built:
     the gl2 labels form a q-subset of {1..cutoff}, the gl1 labels an r-subset
     of {0, 1}."""
-    _require_int("n", n)
-    _require_int("cutoff", cutoff)
-    if n < 1:
-        raise ValueError(f"n must be a positive integer, got {n}")
-    needed = max(1, n // 2)
-    if cutoff < needed:
+    _require_at_least("n", n, 1)
+    _require_at_least("cutoff", cutoff, 1)
+    if cutoff < n // 2:
         raise ValueError(
-            f"cutoff {cutoff} cannot host {n // 2} distinct gl2 labels; need cutoff >= {needed}"
+            f"cutoff {cutoff} cannot host {n // 2} distinct gl2 labels; need cutoff >= {n // 2}"
         )
     free = [
         Component(shape, SigmaOrbit(gl2, gl1))
@@ -237,17 +223,13 @@ def k_real(n: int, cutoff: int) -> tuple[KGroupPresentation, KGroupPresentation]
 def k_complex(n: int, cutoff: int) -> tuple[KGroupPresentation, KGroupPresentation]:
     """K-group presentations for GL(n, C): one generator per n-subset of
     {-cutoff..cutoff}, all in degree n mod 2."""
-    _require_int("n", n)
-    _require_int("cutoff", cutoff)
-    if n < 1:
-        raise ValueError(f"n must be a positive integer, got {n}")
+    _require_at_least("n", n, 1)
+    _require_at_least("cutoff", cutoff, 1)
     if 2 * cutoff + 1 < n:
         raise ValueError(
             f"cutoff {cutoff} offers only {2 * cutoff + 1} labels for {n} distinct ones; "
             f"need 2*cutoff + 1 >= n"
         )
-    if cutoff < 1:
-        raise ValueError(f"cutoff must be >= 1, got {cutoff}")
     labels = range(-cutoff, cutoff + 1)
     cf0, cf1 = closed_form_complex(n)
     generators = {0: (), 1: ()}

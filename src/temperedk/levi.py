@@ -1,5 +1,5 @@
 """Levi bookkeeping for GL(n, R): partitions into 2-blocks and 1-blocks,
-their Weyl groups, and discrete-series orbit data.
+the degrees of their Weyl groups, and discrete-series orbit data.
 
 Over R only blocks of size 1 and 2 carry discrete series, so an equivalence
 class of Levi subgroups is determined by a pair (q, r) with 2q + r = n.  A
@@ -7,6 +7,9 @@ discrete-series datum on such a Levi is a multiset of q GL(2)-indices
 (integers >= 1) together with a multiset of r GL(1)-characters of the
 order-two component group (0 = trivial, 1 = sign), always kept in canonical
 sorted form so that each Weyl orbit has exactly one representative.
+
+It also owns the input checks of every catalog entry point: ``_require_int``
+and ``_require_at_least``, the one range check ("n must be >= 1").
 """
 
 from __future__ import annotations
@@ -20,6 +23,15 @@ def _require_int(name: str, value: object) -> None:
     meant; bool is an int subclass, so True would otherwise pass as 1."""
     if type(value) is not int:
         raise TypeError(f"{name} must be an integer, got {value!r}")
+
+
+def _require_at_least(name: str, value: object, least: int) -> None:
+    """The one range check: an int, not a bool, and at least ``least``."""
+    # Inline test first: rank_at runs this check on every call.
+    if type(value) is not int:
+        _require_int(name, value)
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value}")
 
 
 @dataclass(frozen=True)
@@ -43,22 +55,6 @@ class LeviShape:
 
     def __str__(self) -> str:
         return "+".join(["2"] * self.q + ["1"] * self.r)
-
-
-@dataclass(frozen=True)
-class WeylDescriptor:
-    """Product of symmetric-group factors; degree 0 and 1 factors are dropped."""
-
-    factor_degrees: tuple[int, ...]
-
-    @property
-    def is_trivial(self) -> bool:
-        return not self.factor_degrees
-
-    def __str__(self) -> str:
-        if self.is_trivial:
-            return "1"
-        return " x ".join(f"S{d}" for d in self.factor_degrees)
 
 
 @dataclass(frozen=True)
@@ -89,15 +85,14 @@ class SigmaOrbit:
 
 def enumerate_levi_shapes(n: int) -> list[LeviShape]:
     """All shapes for n in descending q; there are exactly floor(n/2) + 1."""
-    _require_int("n", n)
-    if n < 1:
-        raise ValueError(f"n must be a positive integer, got {n}")
+    _require_at_least("n", n, 1)
     return [LeviShape(q, n - 2 * q) for q in range(n // 2, -1, -1)]
 
 
-def weyl_group(shape: LeviShape) -> WeylDescriptor:
-    """Block permutations of the Levi: S_q x S_r with trivial factors dropped."""
-    return WeylDescriptor(tuple(d for d in (shape.q, shape.r) if d >= 2))
+def weyl_group(shape: LeviShape) -> tuple[int, ...]:
+    """Degrees of the block permutations S_q x S_r of the Levi, with the
+    trivial factors (degree 0 or 1) dropped; () is the trivial group."""
+    return tuple(d for d in (shape.q, shape.r) if d >= 2)
 
 
 def run_multiplicities(*blocks: tuple[int, ...]) -> tuple[int, ...]:
@@ -124,9 +119,7 @@ def enumerate_orbits(shape: LeviShape, cutoff: int) -> list[SigmaOrbit]:
     gl1 labels range over {0, 1} and need no truncation.  The order is
     lexicographic, gl2-major; the count is C(cutoff + q - 1, q) * (r + 1).
     """
-    _require_int("cutoff", cutoff)
-    if cutoff < 1:
-        raise ValueError(f"cutoff must be >= 1, got {cutoff}")
+    _require_at_least("cutoff", cutoff, 1)
     out = []
     for gl2 in combinations_with_replacement(range(1, cutoff + 1), shape.q):
         for gl1 in combinations_with_replacement((0, 1), shape.r):

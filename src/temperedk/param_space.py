@@ -16,6 +16,7 @@ from math import isfinite
 from .levi import (
     LeviShape,
     SigmaOrbit,
+    _require_at_least,
     _require_int,
     enumerate_levi_shapes,
     enumerate_orbits,
@@ -26,8 +27,21 @@ KIND_FREE = "free"
 KIND_CONE = "cone"
 
 
+class _FreeOrCone:
+    """Free (and so a K-theory generator) exactly when no label repeats
+    within a block: each component class supplies its ``multiplicities``."""
+
+    @property
+    def is_free(self) -> bool:
+        return not self.multiplicities
+
+    @property
+    def kind(self) -> str:
+        return KIND_FREE if self.is_free else KIND_CONE
+
+
 @dataclass(frozen=True)
-class Component:
+class Component(_FreeOrCone):
     """One connected piece of the real tempered dual."""
 
     shape: LeviShape
@@ -51,14 +65,6 @@ class Component:
         return run_multiplicities(self.orbit.gl2_labels, self.orbit.gl1_labels)
 
     @property
-    def is_free(self) -> bool:
-        return not self.multiplicities
-
-    @property
-    def kind(self) -> str:
-        return KIND_FREE if self.is_free else KIND_CONE
-
-    @property
     def key(self) -> str:
         """Canonical reference string, stable across runs and serializations."""
         gl2 = ",".join(str(label) for label in self.orbit.gl2_labels)
@@ -72,7 +78,7 @@ class Component:
 
 
 @dataclass(frozen=True)
-class ComplexComponent:
+class ComplexComponent(_FreeOrCone):
     """One connected piece of the complex tempered dual: n circle exponents."""
 
     labels: tuple[int, ...]
@@ -94,14 +100,6 @@ class ComplexComponent:
     @property
     def multiplicities(self) -> tuple[int, ...]:
         return run_multiplicities(self.labels)
-
-    @property
-    def is_free(self) -> bool:
-        return not self.multiplicities
-
-    @property
-    def kind(self) -> str:
-        return KIND_FREE if self.is_free else KIND_CONE
 
     @property
     def key(self) -> str:
@@ -176,12 +174,8 @@ def real_components(n: int, cutoff: int) -> list[Component]:
 
 def complex_components(n: int, cutoff: int) -> list[ComplexComponent]:
     """Catalog for GL(n, C): all label multisets drawn from [-cutoff, cutoff]."""
-    _require_int("n", n)
-    _require_int("cutoff", cutoff)
-    if n < 1:
-        raise ValueError(f"n must be a positive integer, got {n}")
-    if cutoff < 1:
-        raise ValueError(f"cutoff must be >= 1, got {cutoff}")
+    _require_at_least("n", n, 1)
+    _require_at_least("cutoff", cutoff, 1)
     return [
         ComplexComponent(labels)
         for labels in combinations_with_replacement(range(-cutoff, cutoff + 1), n)

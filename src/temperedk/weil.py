@@ -34,10 +34,10 @@ from .param_space import (
 
 
 def _finite_twist(t: float) -> float:
-    t = float(t)
+    """t as a float; isfinite runs first because float() would parse a str."""
     if not math.isfinite(t):
         raise ValueError(f"twist must be finite, got {t}")
-    return t
+    return float(t)
 
 
 @dataclass(frozen=True)

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from temperedk import (
     __version__,
+    LeviShape,
     base_change,
     cli,
     complex_components,
@@ -160,6 +161,12 @@ class TestPartitionsCommand:
         assert [(p["q"], p["r"]) for p in doc["payload"]] == [(2, 1), (1, 3), (0, 5)]
         assert doc["payload"][2]["weyl"] == "S5"
 
+    @pytest.mark.parametrize(
+        "q, r, weyl", [(3, 2, "S3 x S2"), (1, 0, "1"), (1, 1, "1"), (0, 3, "S3"), (2, 0, "S2")]
+    )
+    def test_weyl_rendering(self, q, r, weyl):
+        assert cli._partition(LeviShape(q, r))[3] == weyl
+
 
 class TestBcCommand:
     def test_json(self, capsys):
@@ -239,6 +246,12 @@ class TestExitCodes:
         assert code == 1
         assert err == "error: cutoff must be >= 1, got 0\n"
         assert out == ""
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_negative_cutoff_names_the_cutoff(self, capsys, field):
+        code, out, err = run(capsys, "ktheory", "--n", "1", "--cutoff", "-1", "--field", field)
+        assert (code, out) == (1, "")
+        assert err == "error: cutoff must be >= 1, got -1\n"
 
     def test_invalid_n_is_one(self, capsys):
         code, out, err = run(capsys, "components", "--n", "0")

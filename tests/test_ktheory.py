@@ -17,6 +17,7 @@ from temperedk import (
     complex_components,
     enumerate_levi_shapes,
     enumerate_orbits,
+    induced_k_map,
     k_complex,
     k_real,
     kclass,
@@ -163,7 +164,7 @@ class TestKReal:
                     assert c.dimension % 2 == presentation.degree
 
     def test_cutoff_too_small(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="cannot host 3 distinct gl2 labels"):
             k_real(6, 2)
         with pytest.raises(ValueError):
             k_real(1, 0)
@@ -220,7 +221,7 @@ class TestKComplex:
             assert live.rank == k_complex_rank_bruteforce(n, cutoff)
 
     def test_cutoff_too_small(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="offers only 3 labels for 4 distinct ones"):
             k_complex(4, 1)
 
     def test_cutoff_zero_rejected(self):
@@ -374,8 +375,47 @@ BOOL_INPUTS = {
     "rank_at-cutoff": lambda: closed_form_real(4)[0].rank_at(True),
 }
 
+# Every entry point that takes n, called with a valid cutoff where it takes one.
+N_INPUTS = {
+    "enumerate_levi_shapes": enumerate_levi_shapes,
+    "closed_form_real": closed_form_real,
+    "closed_form_complex": closed_form_complex,
+    "real_components": lambda n: real_components(n, 2),
+    "complex_components": lambda n: complex_components(n, 2),
+    "k_real": lambda n: k_real(n, 2),
+    "k_complex": lambda n: k_complex(n, 2),
+    "induced_k_map": lambda n: induced_k_map(n, 2),
+}
+
+# Every entry point that takes a cutoff, at n = 1, where any cutoff >= 1 is valid.
+CUTOFF_INPUTS = {
+    "enumerate_orbits": lambda cutoff: enumerate_orbits(LeviShape(0, 1), cutoff),
+    "real_components": lambda cutoff: real_components(1, cutoff),
+    "complex_components": lambda cutoff: complex_components(1, cutoff),
+    "k_real": lambda cutoff: k_real(1, cutoff),
+    "k_complex": lambda cutoff: k_complex(1, cutoff),
+    "induced_k_map": lambda cutoff: induced_k_map(1, cutoff),
+}
+
 
 class TestCatalogInputTypes:
+    @pytest.mark.parametrize("n", [0, -3])
+    @pytest.mark.parametrize("call", list(N_INPUTS.values()), ids=list(N_INPUTS))
+    def test_n_below_one_rejected(self, call, n):
+        with pytest.raises(ValueError, match=f"^n must be >= 1, got {n}$"):
+            call(n)
+
+    @pytest.mark.parametrize("cutoff", [0, -1])
+    @pytest.mark.parametrize("call", list(CUTOFF_INPUTS.values()), ids=list(CUTOFF_INPUTS))
+    def test_cutoff_below_one_rejected(self, call, cutoff):
+        # k_real and k_complex check the cutoff before they count its labels.
+        with pytest.raises(ValueError, match=f"^cutoff must be >= 1, got {cutoff}$"):
+            call(cutoff)
+
+    def test_negative_family_size_rejected(self):
+        with pytest.raises(ValueError, match="^size must be >= 0, got -1$"):
+            IndexFamily("rank", -1)
+
     @pytest.mark.parametrize("call", list(BOOL_INPUTS.values()), ids=list(BOOL_INPUTS))
     def test_bool_rejected(self, call):
         with pytest.raises(TypeError):

@@ -61,6 +61,13 @@ class TestCharacters:
         with pytest.raises(ValueError):
             ComplexCharacter(1, bad)
 
+    def test_str_twist_rejected(self):
+        # float() would parse these; a TemperedPoint rejects them too.
+        with pytest.raises(TypeError):
+            RealCharacter(0, "2")
+        with pytest.raises(TypeError):
+            ComplexCharacter(1, "0.5")
+
     @pytest.mark.parametrize("bad", [True, 1.0, 1.5], ids=["bool", "integral-float", "float"])
     def test_non_int_label_rejected(self, bad):
         with pytest.raises(TypeError):
