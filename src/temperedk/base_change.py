@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .ktheory import KClass, KGroupPresentation, k_complex, k_real, kclass
+from .ktheory import KClass, KGroupPresentation, kclass
 from .levi import _require_int
 from .param_space import (
     ComplexComponent,
@@ -148,7 +148,7 @@ class InducedKMap:
                 raise ValueError(f"assignment for {key!r}, which is not a source generator")
             if key in images:
                 raise ValueError(f"generator {key!r} assigned twice")
-            if cls.presentation is not self.target and cls.presentation != self.target:
+            if cls.presentation != self.target:
                 raise ValueError(f"image of {key!r} lives in the wrong presentation")
             images[key] = cls
         object.__setattr__(self, "_images", images)
@@ -183,8 +183,8 @@ def induced_k_map(n: int, cutoff: int) -> InducedKMap:
     generator; for n >= 2 no component qualifies and the map is zero.
     """
     degree = n % 2
-    source = k_complex(n, cutoff)[degree]
-    target = k_real(n, cutoff)[degree]
+    source = KGroupPresentation("complex", n, cutoff, degree)
+    target = KGroupPresentation("real", n, cutoff, degree)
     images: dict[str, dict[str, int]] = {}
     for generator in target.generators:
         if generator.shape.q != 0:
@@ -199,7 +199,7 @@ def induced_k_map(n: int, cutoff: int) -> InducedKMap:
 def pullback(kmap: InducedKMap, cls: KClass) -> KClass:
     """Linear extension of the induced map to an arbitrary class: one pass
     over the class's terms, summed into a single class."""
-    if cls.presentation is not kmap.source and cls.presentation != kmap.source:
+    if cls.presentation != kmap.source:
         raise ValueError("class does not live in the map's source presentation")
     total: dict[str, int] = {}
     for key, coeff in cls.items:

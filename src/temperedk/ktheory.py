@@ -10,14 +10,16 @@ family and predicts the truncated rank at any cutoff.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from dataclasses import field as dataclass_field
+from functools import cached_property
 from itertools import combinations
 from math import comb
 from types import MappingProxyType
-from typing import Mapping, Union
+from typing import Callable, Iterator, Mapping, Union
 
 from .levi import SigmaOrbit, _require_at_least, _require_int, enumerate_levi_shapes
-from .param_space import Component, ComplexComponent
+from .param_space import Component, ComplexComponent, _complex_key, _real_key
 
 _FAMILY_KINDS = ("rank", "nat_subsets", "nat_subsets_x_z2", "int_subsets")
 
@@ -63,43 +65,100 @@ class IndexFamily:
 
 @dataclass(frozen=True)
 class KGroupPresentation:
-    """One K-degree presented by its generator catalog.
+    """One K-degree of C*_r GL(n, field), its generators truncated at a label
+    cutoff; the four fields define it, and equality and hash are theirs.
 
     Every generator is a free component whose dimension matches the degree
-    mod 2; generators keep the (deterministic) order of the full component
-    catalog with its cones left out.  The generator keys and the
-    key-to-catalog-index map are computed once, at construction, so classes
-    and maps over the presentation never rebuild a key; treat both as
-    read-only.
+    mod 2, in the order of the full component catalog with its cones left
+    out: over R a q-subset of gl2 labels {1..cutoff} with an r-subset of the
+    gl1 labels {0, 1}, over C an n-subset of {-cutoff..cutoff}.  The
+    generator keys and the key-to-position index are built at construction,
+    straight from those subsets, so classes and maps never rebuild a key;
+    treat both as read-only.  The component records are built only when
+    ``generators`` is first read.
     """
 
+    field: str
+    n: int
+    cutoff: int
     degree: int
-    generators: tuple[Union[Component, ComplexComponent], ...]
-    closed_form: IndexFamily
-    generator_keys: tuple[str, ...] = field(init=False, repr=False, compare=False)
-    generator_index: dict[str, int] = field(init=False, repr=False, compare=False)
+    closed_form: IndexFamily = dataclass_field(init=False, repr=False, compare=False)
+    generator_keys: tuple[str, ...] = dataclass_field(init=False, repr=False, compare=False)
+    generator_index: dict[str, int] = dataclass_field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        if self.field not in ("real", "complex"):
+            raise ValueError(f"field must be 'real' or 'complex', got {self.field!r}")
         if type(self.degree) is not int:
             _require_int("degree", self.degree)
         if self.degree not in (0, 1):
             raise ValueError(f"degree must be 0 or 1, got {self.degree}")
-        object.__setattr__(self, "generators", tuple(self.generators))
-        keys = tuple(c.key for c in self.generators)
+        n, cutoff = self.n, self.cutoff
+        _require_at_least("n", n, 1)
+        _require_at_least("cutoff", cutoff, 1)
+        if self.field == "real":
+            if cutoff < n // 2:
+                raise ValueError(
+                    f"cutoff {cutoff} cannot host {n // 2} distinct gl2 labels; "
+                    f"need cutoff >= {n // 2}"
+                )
+            closed_form = closed_form_real(n)[self.degree]
+            keys = tuple(_real_key(s.q, s.r, gl2, gl1) for s, gl2, gl1 in self._label_sets(str))
+        else:
+            if 2 * cutoff + 1 < n:
+                raise ValueError(
+                    f"cutoff {cutoff} offers only {2 * cutoff + 1} labels for {n} distinct ones; "
+                    f"need 2*cutoff + 1 >= n"
+                )
+            closed_form = closed_form_complex(n)[self.degree]
+            keys = tuple(map(_complex_key, self._label_sets(str)))
         index = {key: i for i, key in enumerate(keys)}
         if len(index) != len(keys):
-            raise ValueError("duplicate generator in presentation")
-        for c, key in zip(self.generators, keys):
-            if not c.is_free:
-                raise ValueError(f"cone component {key} cannot generate K-theory")
-            if c.dimension % 2 != self.degree:
-                raise ValueError(f"generator {key} has the wrong parity for degree {self.degree}")
+            raise RuntimeError("duplicate generator key in presentation")
+        object.__setattr__(self, "closed_form", closed_form)
         object.__setattr__(self, "generator_keys", keys)
         object.__setattr__(self, "generator_index", index)
 
+    def _label_sets(self, label: Callable[[int], object]) -> Iterator[tuple]:
+        """Label sets of the generators in catalog order, each label passed
+        through ``label``: (shape, gl2 labels, gl1 labels) over R, the n
+        labels over C."""
+        n, cutoff = self.n, self.cutoff
+        if self.field == "complex":
+            if n % 2 == self.degree:
+                yield from combinations(map(label, range(-cutoff, cutoff + 1)), n)
+            return
+        gl2_pool = tuple(map(label, range(1, cutoff + 1)))
+        gl1_pool = tuple(map(label, (0, 1)))
+        for shape in enumerate_levi_shapes(n):
+            if (shape.q + shape.r) % 2 == self.degree:
+                for gl2 in combinations(gl2_pool, shape.q):
+                    for gl1 in combinations(gl1_pool, shape.r):
+                        yield shape, gl2, gl1
+
+    @cached_property
+    def generators(self) -> tuple[Union[Component, ComplexComponent], ...]:
+        """The generator components, built on first access from the same
+        label sets as the keys, and checked against them."""
+        if self.field == "real":
+            sets = self._label_sets(int)
+            built = tuple(Component(shape, SigmaOrbit(gl2, gl1)) for shape, gl2, gl1 in sets)
+        else:
+            built = tuple(map(ComplexComponent, self._label_sets(int)))
+        if len(built) != self.rank:
+            raise RuntimeError(f"built {len(built)} generators for {self.rank} keys")
+        for c, key in zip(built, self.generator_keys):
+            if not c.is_free:
+                raise RuntimeError(f"cone component {c.key} cannot generate K-theory")
+            if c.dimension % 2 != self.degree:
+                raise RuntimeError(f"generator {c.key} has the wrong parity for degree {self.degree}")
+            if c.key != key:
+                raise RuntimeError(f"generator {c.key} does not match its key {key}")
+        return built
+
     @property
     def rank(self) -> int:
-        return len(self.generators)
+        return len(self.generator_keys)
 
 
 @dataclass(frozen=True)
@@ -147,9 +206,7 @@ def kclass(
 
 
 def kclass_add(a: KClass, b: KClass) -> KClass:
-    # Identity first: deep equality is only needed for equal presentations
-    # built separately, which still interoperate.
-    if a.presentation is not b.presentation and a.presentation != b.presentation:
+    if a.presentation != b.presentation:
         raise ValueError("cannot add classes over different presentations")
     total = dict(a.items)
     for key, coeff in b.items:
@@ -198,43 +255,11 @@ def k_real(n: int, cutoff: int) -> tuple[KGroupPresentation, KGroupPresentation]
     """K-group presentations (degree 0, degree 1) for GL(n, R) at a cutoff.
 
     The cutoff must admit q = floor(n/2) distinct gl2 labels, otherwise the
-    top generator family would be invisible.  Only free components are built:
-    the gl2 labels form a q-subset of {1..cutoff}, the gl1 labels an r-subset
-    of {0, 1}."""
-    _require_at_least("n", n, 1)
-    _require_at_least("cutoff", cutoff, 1)
-    if cutoff < n // 2:
-        raise ValueError(
-            f"cutoff {cutoff} cannot host {n // 2} distinct gl2 labels; need cutoff >= {n // 2}"
-        )
-    free = [
-        Component(shape, SigmaOrbit(gl2, gl1))
-        for shape in enumerate_levi_shapes(n)
-        for gl2 in combinations(range(1, cutoff + 1), shape.q)
-        for gl1 in combinations((0, 1), shape.r)
-    ]
-    cf0, cf1 = closed_form_real(n)
-    return (
-        KGroupPresentation(0, tuple(c for c in free if c.dimension % 2 == 0), cf0),
-        KGroupPresentation(1, tuple(c for c in free if c.dimension % 2 == 1), cf1),
-    )
+    top generator family would be invisible."""
+    return KGroupPresentation("real", n, cutoff, 0), KGroupPresentation("real", n, cutoff, 1)
 
 
 def k_complex(n: int, cutoff: int) -> tuple[KGroupPresentation, KGroupPresentation]:
     """K-group presentations for GL(n, C): one generator per n-subset of
     {-cutoff..cutoff}, all in degree n mod 2."""
-    _require_at_least("n", n, 1)
-    _require_at_least("cutoff", cutoff, 1)
-    if 2 * cutoff + 1 < n:
-        raise ValueError(
-            f"cutoff {cutoff} offers only {2 * cutoff + 1} labels for {n} distinct ones; "
-            f"need 2*cutoff + 1 >= n"
-        )
-    labels = range(-cutoff, cutoff + 1)
-    cf0, cf1 = closed_form_complex(n)
-    generators = {0: (), 1: ()}
-    generators[n % 2] = tuple(ComplexComponent(c) for c in combinations(labels, n))
-    return (
-        KGroupPresentation(0, generators[0], cf0),
-        KGroupPresentation(1, generators[1], cf1),
-    )
+    return KGroupPresentation("complex", n, cutoff, 0), KGroupPresentation("complex", n, cutoff, 1)

@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
 from math import isfinite
+from typing import Iterable
 
 from .levi import (
     LeviShape,
@@ -25,6 +26,18 @@ from .levi import (
 
 KIND_FREE = "free"
 KIND_CONE = "cone"
+
+
+# The one owner of the key format.  Labels arrive already written as strings,
+# so K-group presentations can key their generators without building them.
+
+
+def _real_key(q: int, r: int, gl2: Iterable[str], gl1: Iterable[str]) -> str:
+    return f"shape:{q},{r}|gl2:{','.join(gl2)}|gl1:{','.join(gl1)}"
+
+
+def _complex_key(labels: Iterable[str]) -> str:
+    return "labels:" + ",".join(labels)
 
 
 class _FreeOrCone:
@@ -67,9 +80,8 @@ class Component(_FreeOrCone):
     @property
     def key(self) -> str:
         """Canonical reference string, stable across runs and serializations."""
-        gl2 = ",".join(str(label) for label in self.orbit.gl2_labels)
-        gl1 = ",".join(str(label) for label in self.orbit.gl1_labels)
-        return f"shape:{self.shape.q},{self.shape.r}|gl2:{gl2}|gl1:{gl1}"
+        gl2, gl1 = map(str, self.orbit.gl2_labels), map(str, self.orbit.gl1_labels)
+        return _real_key(self.shape.q, self.shape.r, gl2, gl1)
 
     @property
     def label_blocks(self) -> tuple[tuple[int, ...], ...]:
@@ -103,7 +115,7 @@ class ComplexComponent(_FreeOrCone):
 
     @property
     def key(self) -> str:
-        return "labels:" + ",".join(str(label) for label in self.labels)
+        return _complex_key(map(str, self.labels))
 
     @property
     def label_blocks(self) -> tuple[tuple[int, ...], ...]:

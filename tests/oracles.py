@@ -56,6 +56,22 @@ def k_complex_rank_bruteforce(n: int, cutoff: int) -> int:
     return sum(1 for _labels, free in complex_components_bruteforce(n, cutoff) if free)
 
 
+# Component keys in the format the README documents, written from the rows
+# above: "shape:q,r|gl2:...|gl1:..." and "labels:...", labels as decimals.
+
+
+def real_key_bruteforce(q: int, r: int, gl2: tuple[int, ...], gl1: tuple[int, ...]) -> str:
+    return "shape:%d,%d|gl2:%s|gl1:%s" % (q, r, _decimals(gl2), _decimals(gl1))
+
+
+def complex_key_bruteforce(labels: tuple[int, ...]) -> str:
+    return "labels:" + _decimals(labels)
+
+
+def _decimals(labels: tuple[int, ...]) -> str:
+    return ",".join("%d" % label for label in labels)
+
+
 def column_rank_bruteforce(matrix) -> int:
     """Gaussian elimination over Fraction, written independently of the
     package's version (no pivot normalization)."""

@@ -330,6 +330,8 @@ class TestPullback:
     def test_class_operations_never_rebuild_keys(self, monkeypatch):
         kmap = induced_k_map(2, 12)
         ones = {key: 1 for key in kmap.source.generator_keys}
+        # Built before counting: the negative control below reads one of them.
+        generators = kmap.source.generators
         evaluations = []
         for cls in (Component, ComplexComponent):
             def counted(self, key=cls.key.fget):
@@ -344,7 +346,7 @@ class TestPullback:
         assert evaluations == []
         assert doubled.coefficients == {key: 2 for key in ones}
         assert pulled.is_zero and all(image.is_zero for image in images)
-        assert kmap.source.generators[0].key in ones
+        assert generators[0].key in ones
         assert len(evaluations) == 1
 
 

@@ -1,7 +1,11 @@
 """Byte-identity of the CLI against the recorded golden outputs.
 
 ``perfbench/golden.json`` holds, for a fixed grid of commands, the exit code
-and the sha256 of stdout recorded from the original code.  Each command runs
+and the sha256 of stdout recorded from the original code.
+``tests/cli_grid_large.json`` extends it past ``tests/cli_grid.json``
+(n <= 6, cutoff <= 4): ``ktheory`` for both fields and formats at n 7-10,
+cutoff 5-8, and ``kmap --n 10 --cutoff 10`` in both formats, recorded before
+K-group presentations stopped building their components.  Each command runs
 in-process through ``cli.main``; any change to the bytes printed fails here.
 """
 
@@ -13,13 +17,12 @@ import pytest
 
 from temperedk import cli
 
-GOLDEN = json.loads(
-    (Path(__file__).resolve().parents[1] / "perfbench" / "golden.json").read_text("utf-8")
-)["commands"]
+TESTS = Path(__file__).resolve().parent
+GOLDEN = json.loads((TESTS.parent / "perfbench" / "golden.json").read_text("utf-8"))["commands"]
+LARGE = json.loads((TESTS / "cli_grid_large.json").read_text("utf-8"))["commands"]
 
 
-@pytest.mark.parametrize("entry", GOLDEN, ids=[" ".join(e["argv"]) for e in GOLDEN])
-def test_output_matches_golden(entry, capsys):
+def check(entry, capsys):
     try:
         code = cli.main(list(entry["argv"]))
     except SystemExit as exc:
@@ -27,3 +30,13 @@ def test_output_matches_golden(entry, capsys):
     out = capsys.readouterr().out
     assert code == entry["exit"]
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == entry["sha256"]
+
+
+@pytest.mark.parametrize("entry", GOLDEN, ids=[" ".join(e["argv"]) for e in GOLDEN])
+def test_output_matches_golden(entry, capsys):
+    check(entry, capsys)
+
+
+@pytest.mark.parametrize("entry", LARGE, ids=[" ".join(e["argv"]) for e in LARGE])
+def test_output_matches_large_grid(entry, capsys):
+    check(entry, capsys)

@@ -23,6 +23,7 @@ from temperedk import (
     kclass,
     kclass_add,
     kclass_scale,
+    ktheory,
     real_components,
 )
 
@@ -30,23 +31,30 @@ from oracles import (
     combination_add,
     combination_scale,
     complex_components_bruteforce,
+    complex_key_bruteforce,
     k_complex_rank_bruteforce,
     k_real_ranks_bruteforce,
     real_components_bruteforce,
+    real_key_bruteforce,
 )
 
 
 def accepted_degrees(component):
-    """Degrees whose presentation takes the component as a generator: K of
-    R^d is Z in degree d mod 2, and a cone contributes nothing."""
-    degrees = []
-    for degree in (0, 1):
-        try:
-            KGroupPresentation(degree, (component,), IndexFamily("rank", 1))
-        except ValueError:
-            continue
-        degrees.append(degree)
-    return tuple(degrees)
+    """Degrees whose presentation lists the component as a generator: K of
+    R^d is Z in degree d mod 2, and a cone contributes nothing.  The
+    presentation is that of the component's field and n, at the smallest
+    cutoff that covers its labels and offers enough distinct ones."""
+    if isinstance(component, Component):
+        field, n, labels = "real", component.shape.n, component.orbit.gl2_labels
+        cutoff = max(1, n // 2, *labels)
+    else:
+        field, n, labels = "complex", component.dimension, component.labels
+        cutoff = max(1, n // 2, *map(abs, labels))
+    return tuple(
+        degree
+        for degree in (0, 1)
+        if component.key in KGroupPresentation(field, n, cutoff, degree).generator_index
+    )
 
 
 def real_component(q, gl2, gl1):
@@ -257,13 +265,36 @@ class TestFreeEnumeration:
     def test_complex_builds_only_generators(self, monkeypatch):
         built = count_constructions(monkeypatch, ComplexComponent)
         k0, k1 = k_complex(8, 8)
+        kmap = induced_k_map(10, 10)
         assert k0.rank == comb(17, 8) == 24310
-        assert built[0] == 24310
+        assert kmap.source.rank == comb(21, 10) and kmap.is_zero
+        assert built[0] == 0
+        assert len(k0.generators) == k0.rank and built[0] == 24310
+        assert k0.generators is k0.generators and built[0] == 24310
+        assert k1.generators == () and built[0] == 24310
 
     def test_real_builds_only_generators(self, monkeypatch):
         built = count_constructions(monkeypatch, Component)
         k0, k1 = k_real(10, 5)
-        assert built[0] == k0.rank + k1.rank == comb(5, 5) + comb(5, 4)
+        assert built[0] == 0
+        assert len(k0.generators) + len(k1.generators) == comb(5, 5) + comb(5, 4)
+        assert k0.generators is k0.generators and k1.generators is k1.generators
+        assert built[0] == k0.rank + k1.rank
+
+    def test_keys_are_the_bruteforce_free_rows(self):
+        # Keys are listed before any component exists; the oracle formats
+        # its own rows.
+        for n in range(1, 9):
+            for cutoff in range(max(1, n // 2), 7):
+                rows = [row for row in real_components_bruteforce(n, cutoff) if row[5]]
+                for p in k_real(n, cutoff):
+                    want = [real_key_bruteforce(*row[:4]) for row in rows if row[4] % 2 == p.degree]
+                    assert list(p.generator_keys) == want, (n, cutoff, p.degree)
+                rows = [labels for labels, free in complex_components_bruteforce(n, cutoff) if free]
+                want = list(map(complex_key_bruteforce, rows))
+                for p in k_complex(n, cutoff):
+                    expected = want if n % 2 == p.degree else []
+                    assert list(p.generator_keys) == expected, (n, cutoff, p.degree)
 
 
 def count_constructions(monkeypatch, cls):
@@ -280,23 +311,113 @@ def count_constructions(monkeypatch, cls):
 
 
 class TestPresentationValidation:
-    def test_wrong_parity_rejected(self):
-        free_dim2 = ComplexComponent((0, 1))
-        with pytest.raises(ValueError):
-            KGroupPresentation(1, (free_dim2,), IndexFamily("rank", 1))
-
-    def test_cone_generator_rejected(self):
-        with pytest.raises(ValueError):
-            KGroupPresentation(0, (ComplexComponent((0, 0)),), IndexFamily("rank", 1))
-
-    def test_duplicate_generator_rejected(self):
-        c = ComplexComponent((0, 1))
-        with pytest.raises(ValueError):
-            KGroupPresentation(0, (c, c), IndexFamily("rank", 2))
+    """A presentation is defined by (field, n, cutoff, degree): construction
+    checks those, and the first read of ``generators`` checks each component
+    it builds against its key."""
 
     def test_bad_degree_rejected(self):
-        with pytest.raises(ValueError):
-            KGroupPresentation(2, (), IndexFamily("rank", 0))
+        for degree in (2, -1):
+            with pytest.raises(ValueError, match=f"^degree must be 0 or 1, got {degree}$"):
+                KGroupPresentation("complex", 2, 1, degree)
+        for degree in (True, 0.0, "0"):
+            with pytest.raises(TypeError, match="^degree must be an integer"):
+                KGroupPresentation("complex", 2, 1, degree)
+
+    @pytest.mark.parametrize("field", ["R", "Real", "", None])
+    def test_bad_field_rejected(self, field):
+        with pytest.raises(ValueError, match="^field must be 'real' or 'complex', got "):
+            KGroupPresentation(field, 2, 1, 0)
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_bad_n_and_cutoff_rejected(self, field):
+        with pytest.raises(ValueError, match="^n must be >= 1, got 0$"):
+            KGroupPresentation(field, 0, 0, 0)
+        with pytest.raises(ValueError, match="^cutoff must be >= 1, got 0$"):
+            KGroupPresentation(field, 9, 0, 0)
+        for n, cutoff in ((True, 1), (1, True), (1.0, 1), (1, 1.0)):
+            with pytest.raises(TypeError, match="must be an integer"):
+                KGroupPresentation(field, n, cutoff, 0)
+
+    def test_label_count_rejected(self):
+        with pytest.raises(ValueError, match="^cutoff 2 cannot host 3 distinct gl2 labels"):
+            KGroupPresentation("real", 6, 2, 1)
+        with pytest.raises(ValueError, match="^cutoff 1 offers only 3 labels for 4 distinct ones"):
+            KGroupPresentation("complex", 4, 1, 0)
+
+    def test_wrong_parity_rejected(self, monkeypatch):
+        p = KGroupPresentation("complex", 2, 1, 0)
+        monkeypatch.setattr(ComplexComponent, "dimension", property(lambda self: 3))
+        with pytest.raises(RuntimeError, match="wrong parity for degree 0"):
+            p.generators
+
+    # One presentation of each field with generators: K_0 of GL(3, R) and of
+    # GL(2, C) at cutoff 2.
+    FILLED = (("real", 3, 2, 0), ("complex", 2, 2, 0))
+
+    def test_cone_generator_rejected(self, monkeypatch):
+        presentations = [KGroupPresentation(*fields) for fields in self.FILLED]
+        for cls in (Component, ComplexComponent):
+            monkeypatch.setattr(cls, "multiplicities", property(lambda self: (2,)))
+        for p in presentations:
+            assert p.rank > 0
+            with pytest.raises(RuntimeError, match="cannot generate K-theory"):
+                p.generators
+
+    def test_wrong_key_rejected(self, monkeypatch):
+        presentations = [KGroupPresentation(*fields) for fields in self.FILLED]
+        for cls in (Component, ComplexComponent):
+            monkeypatch.setattr(cls, "key", property(lambda self: "labels:x"))
+        for p in presentations:
+            with pytest.raises(RuntimeError, match="does not match its key"):
+                p.generators
+
+    def test_missing_generator_rejected(self, monkeypatch):
+        presentations = [KGroupPresentation(*fields) for fields in self.FILLED]
+        monkeypatch.setattr(ktheory, "combinations", lambda pool, k: iter(()))
+        for p in presentations:
+            with pytest.raises(RuntimeError, match=f"^built 0 generators for {p.rank} keys$"):
+                p.generators
+
+    def test_duplicate_generator_rejected(self, monkeypatch):
+        monkeypatch.setattr(ktheory, "_complex_key", lambda labels: "labels:x")
+        with pytest.raises(RuntimeError, match="duplicate generator key"):
+            KGroupPresentation("complex", 2, 1, 0)
+
+    def test_generators_stay_out_of_equality_and_hash(self):
+        p, p_again = KGroupPresentation("real", 4, 3, 1), KGroupPresentation("real", 4, 3, 1)
+        p.generators
+        assert "generators" in vars(p) and "generators" not in vars(p_again)
+        assert p == p_again and hash(p) == hash(p_again)
+
+
+class TestPresentationIdentity:
+    """Presentations of different (field, n, cutoff) never compare equal,
+    even when both are empty with a rank-0 closed form, so no class
+    arithmetic mixes them."""
+
+    PAIRS = [
+        (k_complex(2, 2)[1], k_complex(4, 3)[1]),
+        (k_complex(2, 2)[1], k_complex(2, 3)[1]),
+        (k_real(1, 1)[0], k_complex(1, 1)[0]),
+        (k_real(1, 1)[0], k_real(1, 2)[0]),
+        (k_real(3, 3)[1], k_real(7, 3)[1]),
+    ]
+
+    @pytest.mark.parametrize("a, b", PAIRS)
+    def test_never_equal(self, a, b):
+        assert a.rank == b.rank == 0 and a.closed_form == b.closed_form
+        assert a != b
+        with pytest.raises(ValueError, match="different presentations"):
+            kclass_add(kclass(a), kclass(b))
+
+    def test_distinct_across_a_grid(self):
+        built = {}
+        for field, k in (("real", k_real), ("complex", k_complex)):
+            for n in range(1, 6):
+                for cutoff in range(max(1, n // 2), 4):
+                    for p in k(n, cutoff):
+                        built.setdefault(p, []).append((field, n, cutoff, p.degree))
+        assert all(len(where) == 1 for where in built.values())
 
 
 class TestKClasses:
@@ -371,7 +492,7 @@ BOOL_INPUTS = {
     "SigmaOrbit-gl1": lambda: SigmaOrbit((), (True,)),
     "ComplexComponent": lambda: ComplexComponent((True, 0)),
     "IndexFamily-size": lambda: IndexFamily("rank", True),
-    "KGroupPresentation-degree": lambda: KGroupPresentation(True, (), IndexFamily("rank", 0)),
+    "KGroupPresentation-degree": lambda: KGroupPresentation("complex", 1, 1, True),
     "rank_at-cutoff": lambda: closed_form_real(4)[0].rank_at(True),
 }
 
@@ -429,7 +550,7 @@ class TestCatalogInputTypes:
         with pytest.raises(TypeError):
             IndexFamily("rank", 1.0)
         with pytest.raises(TypeError):
-            KGroupPresentation(0.0, (), IndexFamily("rank", 0))
+            KGroupPresentation("complex", 1, 1, 0.0)
 
     @pytest.mark.parametrize("kind", ["rank", "nat_subsets", "nat_subsets_x_z2", "int_subsets"])
     def test_rank_at_checks_the_cutoff(self, kind):
