@@ -341,9 +341,8 @@ def _bc_table(write: _Write, maps: list[ParameterMap], args: Namespace) -> None:
     rows = []
     for m in maps:
         matrix = "[" + ",".join("[" + ",".join(map(repr, row)) + "]" for row in m.matrix) + "]"
-        kind = _component(m.target)[2]
         proper = "yes" if m.is_proper else "no"
-        rows.append((m.source.key, m.target.key, kind, matrix, str(m.column_rank), proper))
+        rows.append((m.source.key, m.target.key, m.target.kind, matrix, str(m.column_rank), proper))
     proper_maps = sum(m.is_proper for m in maps)
     write(
         f"Base change on components, GL({args.n}, R) -> GL({args.n}, C) "

@@ -79,10 +79,6 @@ class ComplexCharacter:
         modulus = abs(z)
         return (z / modulus) ** self.ell * cmath.exp(1j * self.t * cmath.log(modulus).real)
 
-    def conjugate(self) -> "ComplexCharacter":
-        """Precomposition with complex conjugation: the winding flips."""
-        return ComplexCharacter(-self.ell, self.t)
-
 
 @dataclass(frozen=True)
 class OneDim:

@@ -86,12 +86,6 @@ class TestCharacters:
         for z in (0.5 + 0.1j, -1.2 + 2j):
             assert cmath.isclose(chi.value(z), chi_value(3, -0.75, z))
 
-    def test_conjugate_flips_winding(self):
-        assert ComplexCharacter(3, 1.5).conjugate() == ComplexCharacter(-3, 1.5)
-        chi = ComplexCharacter(2, 0.5)
-        for z in (0.3 + 1j, -2 - 0.25j):
-            assert cmath.isclose(chi.conjugate().value(z), chi.value(z.conjugate()))
-
     def test_induced_summand_needs_positive_winding(self):
         with pytest.raises(ValueError):
             TwoDimInduced(ComplexCharacter(0, 1.0))
