@@ -18,9 +18,10 @@ dimension larger than its source, and the induced map vanishes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import combinations
 
 from .ktheory import KClass, KGroupPresentation, kclass
-from .levi import _require_int
+from .levi import LeviShape, SigmaOrbit, _require_int
 from .param_space import (
     ComplexComponent,
     ComplexTemperedPoint,
@@ -141,10 +142,10 @@ class InducedKMap:
     def __post_init__(self) -> None:
         ordered = tuple(sorted(self.assignments, key=lambda kv: kv[0]))
         object.__setattr__(self, "assignments", ordered)
-        known = self.source.generator_index
         images: dict[str, KClass] = {}
         for key, cls in ordered:
-            if key not in known:
+            # Read inside the loop, so a map with no assignment lists no key.
+            if key not in self.source.generator_index:
                 raise ValueError(f"assignment for {key!r}, which is not a source generator")
             if key in images:
                 raise ValueError(f"generator {key!r} assigned twice")
@@ -177,18 +178,19 @@ def induced_k_map(n: int, cutoff: int) -> InducedKMap:
     generator pulls back to a real generator X with coefficient 1 exactly
     when the parameter map of X lands on it with degree-one affine
     geometry: proper, q = 0, equal dimensions, free target, so only the (at
-    most two) q = 0 generators are examined.  Coordinate doubling is ignored
-    because t -> 2t can be deformed to the identity through proper maps.
-    For n = 1 this matches both character lines onto the winding-0
+    most two) q = 0 generators are examined.  They are built directly, an
+    n-subset of the gl1 labels {0, 1} each, so none exists for n >= 3 and
+    neither presentation lists its generators.  Coordinate doubling is
+    ignored because t -> 2t can be deformed to the identity through proper
+    maps.  For n = 1 this matches both character lines onto the winding-0
     generator; for n >= 2 no component qualifies and the map is zero.
     """
     degree = n % 2
     source = KGroupPresentation("complex", n, cutoff, degree)
     target = KGroupPresentation("real", n, cutoff, degree)
     images: dict[str, dict[str, int]] = {}
-    for generator in target.generators:
-        if generator.shape.q != 0:
-            continue
+    for gl1 in combinations((0, 1), n):
+        generator = Component(LeviShape(0, n), SigmaOrbit((), gl1))
         pmap = bc_component(generator)
         if pmap.is_proper and pmap.target.is_free and pmap.target.dimension == generator.dimension:
             images.setdefault(pmap.target.key, {})[generator.key] = 1

@@ -11,8 +11,9 @@ Nothing is printed until every check has passed.  ``main`` first predicts
 the command's size from closed forms (``predicted_size``) and rejects it
 over ``MAX_CELLS``; then it builds the shapes, catalog, presentations,
 parameter maps or induced map, which raises every other ``ValueError`` and
-the complex parity ``RuntimeError``; only then does it write.  A
-``ValueError`` exits 1 with an empty stdout.
+the complex parity ``RuntimeError``, and lists the ktheory keys against
+their closed-form ranks; only then does it write.  A ``ValueError`` exits
+1 with an empty stdout.
 
 Each kind has one record function, shared by both formats.  JSON is the
 bytes of ``json.dumps(document, sort_keys=True, indent=2)``, written record
@@ -46,9 +47,11 @@ from .param_space import (
 )
 
 # Largest output a command may build, in cells: n labels per entry, n^2 per
-# bc record for its n-row matrix, plus the label pool.  kmap and ktheory
-# --field complex at n = cutoff = 10 need 3.5e6; a complex components export
-# at the limit peaks near 1 GB (CPython 3.11, about 250 bytes per cell).
+# bc record for its n-row matrix, plus the label pool.  ktheory --field
+# complex at n = cutoff = 10 needs 3.5e6; kmap lists keys only for n = 1, so
+# for n >= 2 it counts just the pool (kmap 30/30: 61 cells).  A complex
+# components export at the limit peaks near 1 GB (CPython 3.11, about 250
+# bytes per cell).
 MAX_CELLS = 4_000_000
 
 
@@ -93,7 +96,8 @@ def _binomial(a: int, k: int) -> int | float:
 def predicted_size(command: str, n: int, cutoff: int, field: str) -> int | float:
     """Entries the command would enumerate, from closed forms alone:
     Levi shapes (partitions), catalog components (components, bc),
-    generators of both degrees (ktheory) or of both presentations (kmap).
+    generators of both degrees (ktheory), or the keys of both presentations
+    when n = 1 and none for n >= 2 (kmap).
 
     0 when n < 1, which every command rejects before enumerating; ``inf``
     for counts above 10^37 (see ``_binomial``)."""
@@ -119,7 +123,14 @@ def predicted_size(command: str, n: int, cutoff: int, field: str) -> int | float
         real_rank = _binomial(cutoff, q) + _binomial(cutoff, q - 1)
     if command == "ktheory":
         return real_rank if field == "real" else complex_rank
-    return complex_rank + real_rank
+    # kmap lists keys only to check its one assignment when n = 1: the
+    # 2 * cutoff + 1 source keys and the two target keys.  For n >= 2 the
+    # map is zero and nothing is listed.  It prints both ranks exactly, so
+    # an infinite one refuses it, and the pool term of _check_size bounds
+    # the digits of a finite one.
+    if complex_rank == inf or real_rank == inf:
+        return inf
+    return complex_rank + real_rank if n == 1 else 0
 
 
 def _check_size(command: str, n: int, cutoff: int, field: str) -> None:
@@ -150,12 +161,15 @@ def _collect(command: str, n: int, cutoff: int, field: str) -> tuple[str, object
         return "complex_components", complex_components(n, cutoff)
     if command == "ktheory":
         if field == "real":
-            return "k_real", k_real(n, cutoff)
-        degrees = k_complex(n, cutoff)
-        live, dead = degrees[n % 2], degrees[1 - n % 2]
-        if dead.rank != 0 or live.rank < 1:
-            raise RuntimeError("complex K-theory parity self-check failed")
-        return "k_complex", degrees
+            degrees = k_real(n, cutoff)
+        else:
+            degrees = k_complex(n, cutoff)
+            live, dead = degrees[n % 2], degrees[1 - n % 2]
+            if dead.rank != 0 or live.rank < 1:
+                raise RuntimeError("complex K-theory parity self-check failed")
+        for p in degrees:
+            p.generator_index  # lists the keys, checked against the rank, before a byte
+        return f"k_{field}", degrees
     if command == "bc":
         return "bc", [bc_component(c) for c in real_components(n, cutoff)]
     return "kmap", induced_k_map(n, cutoff)
@@ -331,7 +345,7 @@ def _ktheory_table(write: _Write, degrees: _Degrees, args: Namespace) -> None:
     write(f"K-theory of C*_r GL({args.n}, {_FIELD_NAMES[args.field]}) at cutoff {args.cutoff}\n")
     write(_aligned(("degree", "rank", "predicted", "closed form"), rows))
     for d, p in enumerate(degrees):
-        if p.generator_keys:
+        if p.rank:
             write(f"K{d} generators:\n")
             for key in p.generator_keys:
                 write("  " + key + "\n")

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from dataclasses import field as dataclass_field
 from functools import cached_property
-from itertools import combinations
+from itertools import combinations, count
 from math import comb
 from types import MappingProxyType
 from typing import Callable, Iterator, Mapping, Union
@@ -71,10 +71,11 @@ class KGroupPresentation:
     Every generator is a free component whose dimension matches the degree
     mod 2, in the order of the full component catalog with its cones left
     out: over R a q-subset of gl2 labels {1..cutoff} with an r-subset of the
-    gl1 labels {0, 1}, over C an n-subset of {-cutoff..cutoff}.  The
-    generator keys and the key-to-position index are built at construction,
-    straight from those subsets, so classes and maps never rebuild a key;
-    treat both as read-only.  The component records are built only when
+    gl1 labels {0, 1}, over C an n-subset of {-cutoff..cutoff}.  Construction
+    checks the four fields and lists nothing: the rank comes from the closed
+    form, and the keys and the key-to-position index are listed on first
+    read, straight from those subsets, and checked against that rank; treat
+    both as read-only.  The component records are built only when
     ``generators`` is first read.
     """
 
@@ -83,8 +84,6 @@ class KGroupPresentation:
     cutoff: int
     degree: int
     closed_form: IndexFamily = dataclass_field(init=False, repr=False, compare=False)
-    generator_keys: tuple[str, ...] = dataclass_field(init=False, repr=False, compare=False)
-    generator_index: dict[str, int] = dataclass_field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.field not in ("real", "complex"):
@@ -103,7 +102,6 @@ class KGroupPresentation:
                     f"need cutoff >= {n // 2}"
                 )
             closed_form = closed_form_real(n)[self.degree]
-            keys = tuple(_real_key(s.q, s.r, gl2, gl1) for s, gl2, gl1 in self._label_sets(str))
         else:
             if 2 * cutoff + 1 < n:
                 raise ValueError(
@@ -111,13 +109,36 @@ class KGroupPresentation:
                     f"need 2*cutoff + 1 >= n"
                 )
             closed_form = closed_form_complex(n)[self.degree]
-            keys = tuple(map(_complex_key, self._label_sets(str)))
-        index = {key: i for i, key in enumerate(keys)}
-        if len(index) != len(keys):
-            raise RuntimeError("duplicate generator key in presentation")
         object.__setattr__(self, "closed_form", closed_form)
-        object.__setattr__(self, "generator_keys", keys)
-        object.__setattr__(self, "generator_index", index)
+
+    @property
+    def rank(self) -> int:
+        """Generator count, from the closed form alone."""
+        return self.closed_form.rank_at(self.cutoff)
+
+    @cached_property
+    def generator_index(self) -> dict[str, int]:
+        """Key -> position, listed on first read in one pass over the label
+        sets and checked against the closed-form rank."""
+        if self.field == "real":
+            keys = (_real_key(s.q, s.r, gl2, gl1) for s, gl2, gl1 in self._label_sets(str))
+        else:
+            keys = map(_complex_key, self._label_sets(str))
+        # zip stops on the first key that is missing without drawing a
+        # position, so the next position is the number of keys listed.
+        positions = count()
+        index = dict(zip(keys, positions))
+        listed = next(positions)
+        if len(index) != listed:
+            raise RuntimeError("duplicate generator key in presentation")
+        if listed != self.rank:
+            raise RuntimeError(f"listed {listed} generator keys for a closed-form rank of {self.rank}")
+        return index
+
+    @cached_property
+    def generator_keys(self) -> tuple[str, ...]:
+        """The keys in catalog order, the order the index was listed in."""
+        return tuple(self.generator_index)
 
     def _label_sets(self, label: Callable[[int], object]) -> Iterator[tuple]:
         """Label sets of the generators in catalog order, each label passed
@@ -155,10 +176,6 @@ class KGroupPresentation:
             if c.key != key:
                 raise RuntimeError(f"generator {c.key} does not match its key {key}")
         return built
-
-    @property
-    def rank(self) -> int:
-        return len(self.generator_keys)
 
 
 @dataclass(frozen=True)

@@ -20,6 +20,7 @@ from temperedk import (
     enumerate_levi_shapes,
     k_complex,
     k_real,
+    ktheory,
     param_space,
     real_components,
 )
@@ -294,8 +295,13 @@ class TestSizePredictor:
             return  # so do k_real and kmap here
         real_rank = sum(p.rank for p in k_real(n, cutoff))
         assert predicted("ktheory", n, cutoff, "real") == real_rank
+        # kmap weighs the keys it lists: both presentations' for n = 1, to
+        # check its one assignment, and none for the zero map of n >= 2.
+        kmap = base_change.induced_k_map(n, cutoff)
+        listed = sum(len(vars(p).get("generator_index", ())) for p in (kmap.source, kmap.target))
+        assert listed == (2 * cutoff + 1 + 2 if n == 1 else 0)
         for field in ("real", "complex"):
-            assert predicted("kmap", n, cutoff, field) == complex_rank + real_rank
+            assert predicted("kmap", n, cutoff, field) == listed
 
     def test_invalid_n_predicts_nothing(self):
         for command in ("partitions", "components", "ktheory", "bc", "kmap"):
@@ -328,6 +334,31 @@ class TestSizePredictor:
                 assert out == ""
                 assert err.startswith(f"error: {args[0]} would enumerate {size} entries")
                 assert err.rstrip().endswith("more than the limit of 100 cells")
+
+    def test_kmap_exact_ranks_are_bounded(self):
+        # A zero map lists nothing, but its ranks are printed exactly, so a
+        # rank too large for _binomial still refuses the command.
+        predicted = cli.predicted_size
+        assert predicted("kmap", 30, 30, "real") == 0
+        assert predicted("kmap", 1, 10**9, "real") == 2 * 10**9 + 3
+        assert predicted("kmap", 10**9, 10**9, "real") == inf
+        assert predicted("kmap", 150, 150, "real") == inf
+
+    @pytest.mark.parametrize("n", [12, 16, 30])
+    def test_large_zero_maps_fit(self, capsys, n):
+        doc, _ = run_json(capsys, "kmap", "--n", str(n), "--cutoff", str(n))
+        payload = doc["payload"]
+        assert payload["zero_map"] is True and payload["assignments"] == []
+        assert payload["source_rank"] == comb(2 * n + 1, n)
+        # Degree 0 of GL(n, R), n = 2q: q-subsets of the gl2 labels for
+        # even q, (q - 1)-subsets for odd q.
+        q = n // 2
+        assert payload["target_rank"] == comb(n, q - q % 2)
+
+    def test_huge_kmap_refused(self, capsys):
+        code, out, err = run(capsys, "kmap", "--n", "1000000000", "--cutoff", "1000000000")
+        assert (code, out) == (1, "")
+        assert err.startswith("error: kmap would enumerate inf entries")
 
     def test_cap_counts_the_label_pool(self, capsys, monkeypatch):
         monkeypatch.setattr(cli, "MAX_CELLS", 100)
@@ -471,6 +502,18 @@ class TestNoByteBeforeChecks:
             ["components", "--n", "1", "--cutoff", "50"],
         ):
             assert self.writes(argv + ["--format", fmt]) == (1, 0), argv
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    @pytest.mark.parametrize("fmt", ["json", "table"])
+    def test_listing_failure_writes_nothing(self, monkeypatch, capsys, field, fmt):
+        # Keys are listed on first read; the ktheory command reads them
+        # before its first byte, so a failed listing check writes nothing.
+        monkeypatch.setattr(ktheory, "combinations", lambda pool, k: iter(()))
+        stdout = _CountingStdout()
+        monkeypatch.setattr(sys, "stdout", stdout)
+        with pytest.raises(RuntimeError, match="^listed 0 generator keys"):
+            main(["ktheory", "--n", "3", "--cutoff", "2", "--field", field, "--format", fmt])
+        assert stdout.writes == 0
 
     @pytest.mark.parametrize("fmt", ["json", "table"])
     def test_parity_failure_writes_nothing(self, monkeypatch, capsys, fmt):

@@ -273,6 +273,32 @@ class TestFreeEnumeration:
         assert k0.generators is k0.generators and built[0] == 24310
         assert k1.generators == () and built[0] == 24310
 
+    def test_construction_lists_nothing(self, monkeypatch):
+        built = [count_constructions(monkeypatch, cls) for cls in (Component, ComplexComponent)]
+        k0, k1 = k_complex(8, 8)
+        kmap = induced_k_map(16, 16)
+        assert kmap.is_zero and kmap.support == ()
+        assert kmap.source.rank == comb(33, 16) and kmap.target.rank == comb(16, 8)
+        for p in (k0, k1, kmap.source, kmap.target):
+            assert "generator_keys" not in vars(p) and "generator_index" not in vars(p)
+        assert [count[0] for count in built] == [0, 0]
+
+    def test_first_key_read_lists_once(self, monkeypatch):
+        listed = [0]
+        complex_key = ktheory._complex_key
+
+        def counting(labels):
+            listed[0] += 1
+            return complex_key(labels)
+
+        monkeypatch.setattr(ktheory, "_complex_key", counting)
+        p = k_complex(8, 8)[0]
+        assert listed[0] == 0
+        assert p.generator_keys[0] == "labels:-8,-7,-6,-5,-4,-3,-2,-1"
+        assert listed[0] == 24310
+        assert len(p.generator_index) == len(p.generator_keys) == 24310
+        assert listed[0] == 24310
+
     def test_real_builds_only_generators(self, monkeypatch):
         built = count_constructions(monkeypatch, Component)
         k0, k1 = k_real(10, 5)
@@ -379,9 +405,20 @@ class TestPresentationValidation:
                 p.generators
 
     def test_duplicate_generator_rejected(self, monkeypatch):
+        # Construction lists nothing, so the first read of the index raises.
         monkeypatch.setattr(ktheory, "_complex_key", lambda labels: "labels:x")
+        p = KGroupPresentation("complex", 2, 1, 0)
         with pytest.raises(RuntimeError, match="duplicate generator key"):
-            KGroupPresentation("complex", 2, 1, 0)
+            p.generator_index
+
+    def test_listing_must_match_the_closed_form(self, monkeypatch):
+        presentations = [KGroupPresentation(*fields) for fields in self.FILLED]
+        # Subsets one label short: a listing of the wrong length, without duplicates.
+        combinations = ktheory.combinations
+        monkeypatch.setattr(ktheory, "combinations", lambda pool, k: combinations(pool, k - 1))
+        for p in presentations:
+            with pytest.raises(RuntimeError, match=f"^listed .* keys for a closed-form rank of {p.rank}$"):
+                p.generator_index
 
     def test_generators_stay_out_of_equality_and_hash(self):
         p, p_again = KGroupPresentation("real", 4, 3, 1), KGroupPresentation("real", 4, 3, 1)
@@ -578,6 +615,16 @@ class TestIndexOnce:
         assert p.generator_keys is p.generator_keys
         assert p.generator_keys == tuple(c.key for c in p.generators)
         assert p.generator_index == {key: i for i, key in enumerate(p.generator_keys)}
+
+    def test_rank_keys_and_index_agree(self):
+        for n in range(1, 9):
+            for cutoff in range(max(1, n // 2), 7):
+                for field in ("real", "complex"):
+                    for degree in (0, 1):
+                        p = KGroupPresentation(field, n, cutoff, degree)
+                        keys, index = p.generator_keys, p.generator_index
+                        assert p.rank == len(keys) == len(index) == p.closed_form.rank_at(cutoff)
+                        assert all(index[key] == i for i, key in enumerate(keys))
 
     def test_index_fields_stay_out_of_equality_and_repr(self):
         p = k_complex(2, 1)[0]
