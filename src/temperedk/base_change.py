@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from itertools import combinations
 
 from .ktheory import KClass, KGroupPresentation, kclass
-from .levi import LeviShape, SigmaOrbit, _require_int
+from .levi import SigmaOrbit, _require_int
 from .param_space import (
     ComplexComponent,
     ComplexTemperedPoint,
@@ -190,7 +190,7 @@ def induced_k_map(n: int, cutoff: int) -> InducedKMap:
     target = KGroupPresentation("real", n, cutoff, degree)
     images: dict[str, dict[str, int]] = {}
     for gl1 in combinations((0, 1), n):
-        generator = Component(LeviShape(0, n), SigmaOrbit((), gl1))
+        generator = Component(SigmaOrbit((), gl1))
         pmap = bc_component(generator)
         if pmap.is_proper and pmap.target.is_free and pmap.target.dimension == generator.dimension:
             images.setdefault(pmap.target.key, {})[generator.key] = 1

@@ -195,9 +195,9 @@ def _component(c: Component | ComplexComponent) -> tuple[str, int, str, Optional
     return c.key, c.dimension, KIND_FREE, None
 
 
-def _degree(p: KGroupPresentation, cutoff: int) -> tuple[str, str, str]:
+def _degree(p: KGroupPresentation) -> tuple[str, str, str]:
     """Rank, predicted rank and closed form of one K-degree."""
-    return str(p.rank), str(p.closed_form.rank_at(cutoff)), p.closed_form.describe()
+    return str(p.rank), str(p.closed_form.rank_at(p.cutoff)), p.closed_form.describe()
 
 
 # JSON: the bytes of json.dumps(document, sort_keys=True, indent=2), written
@@ -269,7 +269,7 @@ def _ktheory_json(write: _Write, degrees: _Degrees, args: Namespace) -> None:
     # Generator lists are streamed too: k_complex(10, 10) has 352,716 in degree 0.
     encode = encode_basestring_ascii
     for d, p in enumerate(degrees):
-        rank, predicted, closed_form = _degree(p, args.cutoff)
+        rank, predicted, closed_form = _degree(p)
         head = ",\n" if d else "{\n"
         write(f'{head}    "deg{d}": {{\n      "closed_form": {encode(closed_form)},\n')
         write('      "generators": ')
@@ -304,7 +304,8 @@ def _kmap_json(write: _Write, kmap: InducedKMap, args: Namespace) -> None:
     keys = ("assignments", "degree", "source_rank", "support_size", "target_rank", "zero_map")
     zero = "true" if kmap.is_zero else "false"
     assignments = _join(map(assignment, support), "    ")
-    fields = (assignments, args.n % 2, kmap.source.rank, len(support), kmap.target.rank, zero)
+    source = kmap.source
+    fields = (assignments, source.degree, source.rank, len(support), kmap.target.rank, zero)
     write(_object("  ", keys) % fields)
 
 
@@ -341,7 +342,7 @@ def _components_table(write: _Write, catalog: list, args: Namespace) -> None:
 
 
 def _ktheory_table(write: _Write, degrees: _Degrees, args: Namespace) -> None:
-    rows = [(f"K{d}", *_degree(p, args.cutoff)) for d, p in enumerate(degrees)]
+    rows = [(f"K{d}", *_degree(p)) for d, p in enumerate(degrees)]
     write(f"K-theory of C*_r GL({args.n}, {_FIELD_NAMES[args.field]}) at cutoff {args.cutoff}\n")
     write(_aligned(("degree", "rank", "predicted", "closed form"), rows))
     for d, p in enumerate(degrees):
@@ -373,7 +374,7 @@ def _kmap_table(write: _Write, kmap: InducedKMap, args: Namespace) -> None:
     )
     write(
         f"Induced K-theory map of base change for GL({args.n}) at cutoff {args.cutoff}, "
-        f"degree {args.n % 2}\n"
+        f"degree {kmap.source.degree}\n"
     )
     if kmap.is_zero:
         write(f"zero map: {summary}\n")

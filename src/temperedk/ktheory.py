@@ -35,7 +35,7 @@ class IndexFamily:
     """
 
     kind: str
-    size: int = 0
+    size: int
 
     def __post_init__(self) -> None:
         if self.kind not in _FAMILY_KINDS:
@@ -163,7 +163,7 @@ class KGroupPresentation:
         label sets as the keys, and checked against them."""
         if self.field == "real":
             sets = self._label_sets(int)
-            built = tuple(Component(shape, SigmaOrbit(gl2, gl1)) for shape, gl2, gl1 in sets)
+            built = tuple(Component(SigmaOrbit(gl2, gl1)) for _, gl2, gl1 in sets)
         else:
             built = tuple(map(ComplexComponent, self._label_sets(int)))
         if len(built) != self.rank:

@@ -1,15 +1,16 @@
 """Connected components of the tempered duals of GL(n, R) and GL(n, C).
 
-A real component pairs a Levi shape with a discrete-series orbit; its
-continuous parameters sweep R^(q+r) modulo the orbit's isotropy.  Components
-with trivial isotropy are honest Euclidean spaces ("free"); the others are
-closed cones R^d / prod S_m.  The complex side is simpler: one maximal
-torus, components indexed by multisets of n circle exponents.
+A real component is a discrete-series orbit, whose label counts give its Levi
+shape (q, r); its continuous parameters sweep R^(q+r) modulo the orbit's
+isotropy.  Components with trivial isotropy are honest Euclidean spaces
+("free"); the others are closed cones R^d / prod S_m.  The complex side is
+simpler: one maximal torus, components indexed by multisets of n circle
+exponents.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations_with_replacement
 from math import isfinite
 from typing import Iterable
@@ -55,17 +56,14 @@ class _FreeOrCone:
 
 @dataclass(frozen=True)
 class Component(_FreeOrCone):
-    """One connected piece of the real tempered dual."""
+    """One connected piece of the real tempered dual: an orbit; its label counts give the shape."""
 
-    shape: LeviShape
     orbit: SigmaOrbit
+    shape: LeviShape = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if len(self.orbit.gl2_labels) != self.shape.q or len(self.orbit.gl1_labels) != self.shape.r:
-            raise ValueError(
-                f"orbit sizes {len(self.orbit.gl2_labels)}+{len(self.orbit.gl1_labels)} "
-                f"do not fit shape (q={self.shape.q}, r={self.shape.r})"
-            )
+        shape = LeviShape(len(self.orbit.gl2_labels), len(self.orbit.gl1_labels))
+        object.__setattr__(self, "shape", shape)
 
     @property
     def dimension(self) -> int:
@@ -143,6 +141,9 @@ class TemperedPoint:
     params: tuple[float, ...]
 
     def __post_init__(self) -> None:
+        expected = Component if isinstance(self, RealTemperedPoint) else ComplexComponent
+        if not isinstance(self.component, expected):
+            raise TypeError(f"a {type(self).__name__} needs a {expected.__name__}")
         params = tuple(self.params)
         object.__setattr__(self, "params", params)
         if len(params) != self.component.dimension:
@@ -151,9 +152,11 @@ class TemperedPoint:
             raise ValueError(f"twists must be finite, got {params}")
 
 
-# Subclasses rather than aliases: the class records the field of a point, the
-# dataclass __eq__ compares classes, so a real and a complex point never
-# compare equal, and canonicalize_point keeps the kind through type(point).
+# Subclasses rather than aliases: the class records the field of a point and
+# must agree with its component (a Component for a real point, a
+# ComplexComponent otherwise), the dataclass __eq__ compares classes, so a
+# real and a complex point never compare equal, and canonicalize_point keeps
+# the kind through type(point).
 class RealTemperedPoint(TemperedPoint):
     """A point on a real component: the continuous twists, one per block."""
 
@@ -177,11 +180,7 @@ def real_components(n: int, cutoff: int) -> list[Component]:
     Order is deterministic: shape-major (descending q), orbit-minor
     lexicographic, so identical inputs always serialize identically.
     """
-    out = []
-    for shape in enumerate_levi_shapes(n):
-        for orbit in enumerate_orbits(shape, cutoff):
-            out.append(Component(shape, orbit))
-    return out
+    return [Component(o) for s in enumerate_levi_shapes(n) for o in enumerate_orbits(s, cutoff)]
 
 
 def complex_components(n: int, cutoff: int) -> list[ComplexComponent]:

@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass
 from typing import Union
 
-from .levi import LeviShape, SigmaOrbit, _require_int
+from .levi import SigmaOrbit, _require_int
 from .param_space import (
     ComplexComponent,
     ComplexTemperedPoint,
@@ -176,13 +176,12 @@ def langlands_real(parameter: LParameterR) -> RealTemperedPoint:
     """
     gl2 = [s for s in parameter.summands if isinstance(s, TwoDimInduced)]
     gl1 = [s for s in parameter.summands if isinstance(s, OneDim)]
-    shape = LeviShape(len(gl2), len(gl1))
     orbit = SigmaOrbit(
         tuple(s.chi.ell for s in gl2),
         tuple(s.chi.epsilon for s in gl1),
     )
     params = tuple(s.chi.t for s in gl2) + tuple(s.chi.t for s in gl1)
-    return RealTemperedPoint(Component(shape, orbit), params)
+    return RealTemperedPoint(Component(orbit), params)
 
 
 def langlands_real_inverse(point: RealTemperedPoint) -> LParameterR:

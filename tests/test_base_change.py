@@ -9,7 +9,6 @@ from temperedk import (
     ComplexComponent,
     Component,
     InducedKMap,
-    LeviShape,
     ParameterMap,
     RealTemperedPoint,
     SigmaOrbit,
@@ -39,24 +38,24 @@ from oracles import (
 from test_weil import random_real_parameter
 
 
-def component(q, r, gl2, gl1):
-    return Component(LeviShape(q, r), SigmaOrbit(tuple(gl2), tuple(gl1)))
+def component(gl2, gl1):
+    return Component(SigmaOrbit(tuple(gl2), tuple(gl1)))
 
 
 class TestBcComponent:
     def test_two_characters(self):
-        pmap = bc_component(component(0, 2, (), (0, 1)))
+        pmap = bc_component(component((), (0, 1)))
         assert pmap.target.labels == (0, 0)
         assert pmap.target.kind == "cone"
         assert pmap.matrix == ((2, 0), (0, 2))
 
     def test_single_character(self):
-        pmap = bc_component(component(0, 1, (), (1,)))
+        pmap = bc_component(component((), (1,)))
         assert pmap.target.labels == (0,)
         assert pmap.matrix == ((2,),)
 
     def test_mixed_blocks(self):
-        pmap = bc_component(component(1, 1, (1,), (0,)))
+        pmap = bc_component(component((1,), (0,)))
         assert pmap.target.labels == (-1, 0, 1)
         assert pmap.matrix == ((1, 0), (1, 0), (0, 2))
 
@@ -75,13 +74,13 @@ class TestBcComponent:
                         assert 2 in column
 
     def test_target_label_multiset(self):
-        pmap = bc_component(component(2, 1, (2, 5), (1,)))
+        pmap = bc_component(component((2, 5), (1,)))
         assert pmap.target.labels == (-5, -2, 0, 2, 5)
 
 
 class TestParameterMap:
     def test_shape_validation(self):
-        source = component(0, 1, (), (0,))
+        source = component((), (0,))
         target = ComplexComponent((0,))
         with pytest.raises(ValueError):
             ParameterMap(source, target, ((2, 1),))
@@ -89,15 +88,15 @@ class TestParameterMap:
             ParameterMap(source, target, ((2,), (0,)))
 
     def test_full_rank_mixed_map_is_proper(self):
-        pmap = bc_component(component(1, 1, (1,), (0,)))
+        pmap = bc_component(component((1,), (0,)))
         assert pmap.column_rank == 2
         assert pmap.is_proper
 
     def test_doubling_is_proper(self):
-        assert bc_component(component(0, 1, (), (0,))).is_proper
+        assert bc_component(component((), (0,))).is_proper
 
     def test_zero_column_is_not_proper(self):
-        source = component(0, 1, (), (0,))
+        source = component((), (0,))
         target = ComplexComponent((0, 0))
         pmap = ParameterMap(source, target, ((0,), (0,)))
         assert pmap.column_rank == 0
@@ -105,7 +104,7 @@ class TestParameterMap:
 
     def test_rank_matches_bruteforce_on_random_matrices(self):
         rng = random.Random(11)
-        source = component(1, 1, (1,), (0,))
+        source = component((1,), (0,))
         target = ComplexComponent((-1, 0, 1))
         for _ in range(200):
             matrix = tuple(
@@ -130,18 +129,18 @@ class TestParameterMap:
                     tuple(rng.choice((0, rng.randint(-50, 50))) for _ in range(cols))
                     for _ in range(rows)
                 )
-            source = Component(LeviShape(0, cols), SigmaOrbit((), (0,) * cols))
+            source = Component(SigmaOrbit((), (0,) * cols))
             pmap = ParameterMap(source, ComplexComponent((0,) * rows), matrix)
             assert pmap.column_rank == column_rank_bruteforce(matrix)
 
     @pytest.mark.parametrize("bad", [0.5, True], ids=["float", "bool"])
     def test_non_int_entry_rejected(self, bad):
-        source = component(0, 1, (), (0,))
+        source = component((), (0,))
         with pytest.raises(TypeError):
             ParameterMap(source, ComplexComponent((0,)), ((bad,),))
 
     def test_rank_stored_once_outside_equality_and_repr(self):
-        pmap = bc_component(component(1, 1, (1,), (0,)))
+        pmap = bc_component(component((1,), (0,)))
         assert vars(pmap)["column_rank"] == 2
         assert "column_rank" not in repr(pmap)
         assert pmap == ParameterMap(pmap.source, pmap.target, pmap.matrix)
@@ -156,32 +155,32 @@ class TestParameterMap:
 
 class TestBcPointReal:
     def test_sign_character(self):
-        point = RealTemperedPoint(component(0, 1, (), (1,)), (3.0,))
+        point = RealTemperedPoint(component((), (1,)), (3.0,))
         image = bc_point_real(point)
         assert image.component.labels == (0,)
         assert image.params == (6.0,)
 
     def test_two_characters(self):
-        point = RealTemperedPoint(component(0, 2, (), (0, 1)), (0.3, -1.0))
+        point = RealTemperedPoint(component((), (0, 1)), (0.3, -1.0))
         image = bc_point_real(point)
         assert image.component.labels == (0, 0)
         assert image.params == (-2.0, 0.6)
 
     def test_gl2_block(self):
-        point = RealTemperedPoint(component(1, 0, (2,), ()), (0.5,))
+        point = RealTemperedPoint(component((2,), ()), (0.5,))
         image = bc_point_real(point)
         assert image.component.labels == (-2, 2)
         assert image.params == (0.5, 0.5)
 
     @given(st.permutations([0.5, -1.5, 2.0]), st.permutations([1.0, -0.25]))
     def test_twist_order_within_runs_is_irrelevant(self, gl2, gl1):
-        point = RealTemperedPoint(component(3, 2, (1, 1, 1), (0, 0)), tuple(gl2 + gl1))
+        point = RealTemperedPoint(component((1, 1, 1), (0, 0)), tuple(gl2 + gl1))
         canonical = canonicalize_point(point)
         assert bc_point_real(point) == bc_point_real(canonical)
         assert langlands_real_inverse(point) == langlands_real_inverse(canonical)
 
     def test_doubling_overflow_names_the_input_twist(self):
-        c = component(0, 1, (), (0,))
+        c = component((), (0,))
         assert bc_point_real(RealTemperedPoint(c, (8e307,))).params == (1.6e308,)
         with pytest.raises(ValueError, match=r"twist 1e\+308 overflows when doubled"):
             bc_point_real(RealTemperedPoint(c, (1e308,)))

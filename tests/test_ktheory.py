@@ -57,24 +57,24 @@ def accepted_degrees(component):
     )
 
 
-def real_component(q, gl2, gl1):
-    return Component(LeviShape(q, len(gl1)), SigmaOrbit(gl2, gl1))
+def real_component(gl2, gl1):
+    return Component(SigmaOrbit(gl2, gl1))
 
 
 class TestKOfEuclidean:
     def test_point(self):
         # No component is a point; the even-dimensional free ones, from the
         # smallest up, sit in degree 0 as R^0 does.
-        assert accepted_degrees(real_component(0, (), (0, 1))) == (0,)
-        assert accepted_degrees(real_component(2, (1, 2), (0, 1))) == (0,)
+        assert accepted_degrees(real_component((), (0, 1))) == (0,)
+        assert accepted_degrees(real_component((1, 2), (0, 1))) == (0,)
 
     def test_line(self):
         assert accepted_degrees(ComplexComponent((0,))) == (1,)
-        assert accepted_degrees(real_component(1, (3,), ())) == (1,)
+        assert accepted_degrees(real_component((3,), ())) == (1,)
 
     def test_plane(self):
         assert accepted_degrees(ComplexComponent((-2, 5))) == (0,)
-        assert accepted_degrees(real_component(1, (1,), (0,))) == (0,)
+        assert accepted_degrees(real_component((1,), (0,))) == (0,)
 
     def test_parity_table(self):
         for d in range(1, 12):
@@ -131,6 +131,10 @@ class TestClosedForms:
         assert deg0 == IndexFamily("rank", 0)
         assert deg1 == IndexFamily("int_subsets", 3)
         assert deg1.describe() == "3-subsets of Z"
+
+    def test_family_size_has_no_default(self):
+        with pytest.raises(TypeError):
+            IndexFamily("rank")
 
     def test_rank_at_cutoff(self):
         assert IndexFamily("rank", 2).rank_at(7) == 2

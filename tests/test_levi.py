@@ -106,11 +106,6 @@ def orbit_multiplicities(orbit):
     return run_multiplicities(orbit.gl2_labels, orbit.gl1_labels)
 
 
-def component_of(orbit):
-    shape = LeviShape(len(orbit.gl2_labels), len(orbit.gl1_labels))
-    return Component(shape, orbit)
-
-
 class TestIsotropy:
     def test_one_repeat_in_gl2(self):
         assert orbit_multiplicities(SigmaOrbit((1, 1, 4), (0,))) == (2,)
@@ -118,7 +113,7 @@ class TestIsotropy:
     def test_distinct_gl1_pair_is_free(self):
         orbit = SigmaOrbit((), (0, 1))
         assert orbit_multiplicities(orbit) == ()
-        assert component_of(orbit).is_free
+        assert Component(orbit).is_free
 
     def test_repeated_gl1(self):
         assert orbit_multiplicities(SigmaOrbit((), (0, 0, 1))) == (2,)
@@ -129,7 +124,7 @@ class TestIsotropy:
     def test_same_label_across_blocks_does_not_mix(self):
         orbit = SigmaOrbit((1,), (1,))
         assert orbit_multiplicities(orbit) == ()
-        assert component_of(orbit).is_free
+        assert Component(orbit).is_free
 
     def test_multiplicities_match_label_counts(self):
         for shape in enumerate_levi_shapes(6):
@@ -140,7 +135,7 @@ class TestIsotropy:
                     + [count for _label, group in itertools.groupby(orbit.gl1_labels)
                        if (count := len(list(group))) > 1]
                 )
-                component = Component(shape, orbit)
+                component = Component(orbit)
                 assert sorted(component.multiplicities) == expected
                 assert component.is_free == (expected == [])
 
@@ -214,7 +209,7 @@ class TestEnumerateOrbits:
     def test_three_gl1_blocks_always_have_isotropy(self):
         for shape in (LeviShape(0, 3), LeviShape(1, 3), LeviShape(0, 5)):
             for orbit in enumerate_orbits(shape, 2):
-                assert not Component(shape, orbit).is_free
+                assert not Component(orbit).is_free
 
     def test_invalid_cutoff(self):
         with pytest.raises(ValueError):

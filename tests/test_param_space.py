@@ -15,6 +15,8 @@ from temperedk import (
     canonicalize_point,
     complex_components,
     cone_chart,
+    enumerate_levi_shapes,
+    enumerate_orbits,
     real_components,
 )
 
@@ -27,8 +29,8 @@ from oracles import (
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
 
 
-def component(q, r, gl2, gl1):
-    return Component(LeviShape(q, r), SigmaOrbit(tuple(gl2), tuple(gl1)))
+def component(gl2, gl1):
+    return Component(SigmaOrbit(tuple(gl2), tuple(gl1)))
 
 
 def by_label(pairs):
@@ -39,7 +41,7 @@ def by_label(pairs):
 
 def real_point(gl2_pairs, gl1_pairs):
     gl2, gl1 = by_label(gl2_pairs), by_label(gl1_pairs)
-    c = component(len(gl2), len(gl1), (ell for ell, _ in gl2), (eps for eps, _ in gl1))
+    c = component((ell for ell, _ in gl2), (eps for eps, _ in gl1))
     return RealTemperedPoint(c, tuple(t for _, t in gl2 + gl1))
 
 
@@ -50,24 +52,32 @@ def complex_point(pairs):
 
 class TestComponent:
     def test_dimension_is_block_count(self):
-        assert component(2, 1, (1, 3), (0,)).dimension == 3
+        assert component((1, 3), (0,)).dimension == 3
 
-    def test_orbit_must_fit_shape(self):
-        with pytest.raises(ValueError):
-            Component(LeviShape(1, 0), SigmaOrbit((1, 2), ()))
-        with pytest.raises(ValueError):
-            Component(LeviShape(0, 2), SigmaOrbit((), (0,)))
+    def test_shape_is_read_off_the_orbit(self):
+        for n in range(1, 7):
+            for shape in enumerate_levi_shapes(n):
+                for cutoff in range(1, 4):
+                    for orbit in enumerate_orbits(shape, cutoff):
+                        assert Component(orbit).shape == shape
+        with pytest.raises(ValueError, match="empty shape"):
+            Component(SigmaOrbit((), ()))
+        with pytest.raises(TypeError):
+            Component(LeviShape(1, 0), SigmaOrbit((1,), ()))
+        a, b = Component(SigmaOrbit((3, 1), (1, 0))), Component(SigmaOrbit((1, 3), (0, 1)))
+        assert a == b and hash(a) == hash(b)
+        assert a != Component(SigmaOrbit((1, 3), (0, 0)))
 
     def test_free_iff_trivial_isotropy(self):
-        assert component(0, 2, (), (0, 1)).is_free
-        assert not component(0, 2, (), (0, 0)).is_free
-        assert component(2, 0, (1, 2), ()).kind == "free"
-        assert component(2, 0, (2, 2), ()).kind == "cone"
+        assert component((), (0, 1)).is_free
+        assert not component((), (0, 0)).is_free
+        assert component((1, 2), ()).kind == "free"
+        assert component((2, 2), ()).kind == "cone"
 
     def test_key_format(self):
-        assert component(1, 1, (2,), (0,)).key == "shape:1,1|gl2:2|gl1:0"
-        assert component(2, 0, (1, 3), ()).key == "shape:2,0|gl2:1,3|gl1:"
-        assert component(0, 1, (), (1,)).key == "shape:0,1|gl2:|gl1:1"
+        assert component((2,), (0,)).key == "shape:1,1|gl2:2|gl1:0"
+        assert component((1, 3), ()).key == "shape:2,0|gl2:1,3|gl1:"
+        assert component((), (1,)).key == "shape:0,1|gl2:|gl1:1"
 
 
 class TestRealCatalog:
@@ -166,11 +176,11 @@ class TestComplexCatalog:
 
 class TestConeChart:
     def test_fully_repeated_triple(self):
-        chart = cone_chart(component(0, 3, (), (0, 0, 0)))
+        chart = cone_chart(component((), (0, 0, 0)))
         assert (chart.num_lines, chart.num_rays) == (1, 2)
 
     def test_free_component_has_no_rays(self):
-        chart = cone_chart(component(0, 2, (), (0, 1)))
+        chart = cone_chart(component((), (0, 1)))
         assert (chart.num_lines, chart.num_rays) == (2, 0)
 
     def test_two_pairs(self):
@@ -187,7 +197,7 @@ class TestConeChart:
 class TestPoints:
     def test_length_validation(self):
         with pytest.raises(ValueError):
-            RealTemperedPoint(component(1, 1, (2,), (0,)), (0.5,))
+            RealTemperedPoint(component((2,), (0,)), (0.5,))
         with pytest.raises(ValueError):
             ComplexTemperedPoint(ComplexComponent((0, 1)), (1.0, 2.0, 3.0))
 
@@ -204,12 +214,12 @@ class TestPoints:
         assert canonicalize_point(point).params == (0.0, 1.0, 7.0)
 
     def test_canonicalize_real_point_blockwise(self):
-        c = component(2, 2, (1, 1), (0, 0))
+        c = component((1, 1), (0, 0))
         point = RealTemperedPoint(c, (4.0, -2.0, 9.0, 5.0))
         assert canonicalize_point(point).params == (-2.0, 4.0, 5.0, 9.0)
 
     def test_gl2_and_gl1_blocks_do_not_mix(self):
-        c = component(1, 1, (1,), (0,))
+        c = component((1,), (0,))
         point = RealTemperedPoint(c, (4.0, -2.0))
         assert canonicalize_point(point).params == (4.0, -2.0)
 
@@ -255,16 +265,25 @@ class TestPoints:
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
     def test_non_finite_twists_rejected(self, bad):
         with pytest.raises(ValueError):
-            RealTemperedPoint(component(0, 3, (), (0, 0, 0)), (1.0, bad, 0.5))
+            RealTemperedPoint(component((), (0, 0, 0)), (1.0, bad, 0.5))
         with pytest.raises(ValueError):
             ComplexTemperedPoint(ComplexComponent((0, 0)), (bad, 0.0))
 
+    def test_point_kind_must_match_component(self):
+        real_c, complex_c = component((), (0,)), ComplexComponent((0,))
+        with pytest.raises(TypeError, match="a RealTemperedPoint needs a Component$"):
+            RealTemperedPoint(complex_c, (1.0,))
+        with pytest.raises(TypeError, match="a ComplexTemperedPoint needs a ComplexComponent$"):
+            ComplexTemperedPoint(real_c, (1.0,))
+        with pytest.raises(TypeError, match="a ComplexTemperedPoint needs a ComplexComponent$"):
+            ComplexTemperedPoint(None, ())
+
     def test_point_kinds_never_equal(self):
-        c = ComplexComponent((0,))
-        real, cplx = RealTemperedPoint(c, (1.0,)), ComplexTemperedPoint(c, (1.0,))
+        real = RealTemperedPoint(component((), (0,)), (1.0,))
+        cplx = ComplexTemperedPoint(ComplexComponent((0,)), (1.0,))
         assert isinstance(real, TemperedPoint) and isinstance(cplx, TemperedPoint)
         assert real != cplx
 
     def test_label_blocks(self):
-        assert component(2, 1, (1, 3), (1,)).label_blocks == ((1, 3), (1,))
+        assert component((1, 3), (1,)).label_blocks == ((1, 3), (1,))
         assert ComplexComponent((2, -1)).label_blocks == ((-1, 2),)

@@ -195,7 +195,7 @@ class TestLanglandsReal:
     def test_round_trip_from_points(self):
         rng = random.Random(10)
         for _ in range(50):
-            c = Component(LeviShape(2, 1), SigmaOrbit((3, 3), (0,)))
+            c = Component(SigmaOrbit((3, 3), (0,)))
             point = RealTemperedPoint(c, tuple(rng.uniform(-2, 2) for _ in range(3)))
             back = langlands_real(langlands_real_inverse(point))
             assert back == canonicalize_point(point)
