@@ -17,11 +17,10 @@ dimension larger than its source, and the induced map vanishes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import combinations
 
 from .ktheory import KClass, KGroupPresentation, kclass
-from .levi import SigmaOrbit, _require_int
+from .levi import SigmaOrbit, _require_int, _Value
 from .param_space import (
     ComplexComponent,
     ComplexTemperedPoint,
@@ -31,28 +30,29 @@ from .param_space import (
 )
 
 
-@dataclass(frozen=True)
-class ParameterMap:
+class ParameterMap(_Value):
     """Integer linear map between component parameter spaces, rows = target
     coordinates, columns = source coordinates."""
 
-    source: Component
-    target: ComplexComponent
-    matrix: tuple[tuple[int, ...], ...]
-    column_rank: int = field(init=False, repr=False, compare=False)
+    __slots__ = ("source", "target", "matrix", "column_rank")
+    _fields = ("source", "target", "matrix")
 
-    def __post_init__(self) -> None:
-        rows = tuple(tuple(row) for row in self.matrix)
-        object.__setattr__(self, "matrix", rows)
-        if len(rows) != self.target.dimension:
+    def __init__(
+        self, source: Component, target: ComplexComponent, matrix: tuple[tuple[int, ...], ...]
+    ) -> None:
+        rows = tuple(tuple(row) for row in matrix)
+        if len(rows) != target.dimension:
             raise ValueError("matrix row count must equal the target dimension")
         for row in rows:
-            if len(row) != self.source.dimension:
+            if len(row) != source.dimension:
                 raise ValueError("matrix column count must equal the source dimension")
             for x in row:
                 # Inline test first: the rank's exact division needs plain ints.
                 if type(x) is not int:
                     _require_int("matrix entry", x)
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "matrix", rows)
         object.__setattr__(self, "column_rank", _column_rank(rows))
 
     @property
@@ -129,29 +129,33 @@ def bc_point_real(point: RealTemperedPoint) -> ComplexTemperedPoint:
     return ComplexTemperedPoint(target, params)
 
 
-@dataclass(frozen=True)
-class InducedKMap:
+class InducedKMap(_Value):
     """Induced map on K-theory in one degree, as images of the source
     generators.  Generators absent from ``assignments`` map to zero."""
 
-    source: KGroupPresentation
-    target: KGroupPresentation
-    assignments: tuple[tuple[str, KClass], ...]
-    _images: dict[str, KClass] = field(init=False, repr=False, compare=False)
+    __slots__ = ("source", "target", "assignments", "_images")
+    _fields = ("source", "target", "assignments")
 
-    def __post_init__(self) -> None:
-        ordered = tuple(sorted(self.assignments, key=lambda kv: kv[0]))
-        object.__setattr__(self, "assignments", ordered)
+    def __init__(
+        self,
+        source: KGroupPresentation,
+        target: KGroupPresentation,
+        assignments: tuple[tuple[str, KClass], ...],
+    ) -> None:
+        ordered = tuple(sorted(assignments, key=lambda kv: kv[0]))
         images: dict[str, KClass] = {}
         for key, cls in ordered:
             # Read inside the loop, so a map with no assignment lists no key.
-            if key not in self.source.generator_index:
+            if key not in source.generator_index:
                 raise ValueError(f"assignment for {key!r}, which is not a source generator")
             if key in images:
                 raise ValueError(f"generator {key!r} assigned twice")
-            if cls.presentation != self.target:
+            if cls.presentation != target:
                 raise ValueError(f"image of {key!r} lives in the wrong presentation")
             images[key] = cls
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "assignments", ordered)
         object.__setattr__(self, "_images", images)
 
     @property

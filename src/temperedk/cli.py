@@ -196,8 +196,8 @@ def _component(c: Component | ComplexComponent) -> tuple[str, int, str, Optional
 
 
 def _degree(p: KGroupPresentation) -> tuple[str, str, str]:
-    """Rank, predicted rank and closed form of one K-degree."""
-    return str(p.rank), str(p.closed_form.rank_at(p.cutoff)), p.closed_form.describe()
+    """Rank (keys listed), predicted rank (closed form) and closed form of one K-degree."""
+    return str(len(p.generator_keys)), str(p.rank), p.closed_form.describe()
 
 
 # JSON: the bytes of json.dumps(document, sort_keys=True, indent=2), written

@@ -10,22 +10,19 @@ family and predicts the truncated rank at any cutoff.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from dataclasses import field as dataclass_field
 from functools import cached_property
 from itertools import combinations, count
 from math import comb
 from types import MappingProxyType
 from typing import Callable, Iterator, Mapping, Union
 
-from .levi import SigmaOrbit, _require_at_least, _require_int, enumerate_levi_shapes
+from .levi import SigmaOrbit, _require_at_least, _require_int, _Value, enumerate_levi_shapes
 from .param_space import Component, ComplexComponent, _complex_key, _real_key
 
 _FAMILY_KINDS = ("rank", "nat_subsets", "nat_subsets_x_z2", "int_subsets")
 
 
-@dataclass(frozen=True)
-class IndexFamily:
+class IndexFamily(_Value):
     """Closed-form description of one K-degree's generator family.
 
     kind "rank": constant rank ``size`` at every cutoff.
@@ -34,13 +31,14 @@ class IndexFamily:
     kind "int_subsets": ``size``-element subsets of Z.
     """
 
-    kind: str
-    size: int
+    __slots__ = _fields = ("kind", "size")
 
-    def __post_init__(self) -> None:
-        if self.kind not in _FAMILY_KINDS:
-            raise ValueError(f"unknown family kind: {self.kind!r}")
-        _require_at_least("size", self.size, 0)
+    def __init__(self, kind: str, size: int) -> None:
+        if kind not in _FAMILY_KINDS:
+            raise ValueError(f"unknown family kind: {kind!r}")
+        _require_at_least("size", size, 0)
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "size", size)
 
     def rank_at(self, cutoff: int) -> int:
         """Generator count once labels are truncated at the given cutoff."""
@@ -63,8 +61,7 @@ class IndexFamily:
         return f"{self.size}-subsets of Z"
 
 
-@dataclass(frozen=True)
-class KGroupPresentation:
+class KGroupPresentation(_Value):
     """One K-degree of C*_r GL(n, field), its generators truncated at a label
     cutoff; the four fields define it, and equality and hash are theirs.
 
@@ -76,39 +73,36 @@ class KGroupPresentation:
     form, and the keys and the key-to-position index are listed on first
     read, straight from those subsets, and checked against that rank; treat
     both as read-only.  The component records are built only when
-    ``generators`` is first read.
+    ``generators`` is first read.  No slots: cached reads need a ``__dict__``.
     """
 
-    field: str
-    n: int
-    cutoff: int
-    degree: int
-    closed_form: IndexFamily = dataclass_field(init=False, repr=False, compare=False)
+    _fields = ("field", "n", "cutoff", "degree")
 
-    def __post_init__(self) -> None:
-        if self.field not in ("real", "complex"):
-            raise ValueError(f"field must be 'real' or 'complex', got {self.field!r}")
-        if type(self.degree) is not int:
-            _require_int("degree", self.degree)
-        if self.degree not in (0, 1):
-            raise ValueError(f"degree must be 0 or 1, got {self.degree}")
-        n, cutoff = self.n, self.cutoff
+    def __init__(self, field: str, n: int, cutoff: int, degree: int) -> None:
+        if field not in ("real", "complex"):
+            raise ValueError(f"field must be 'real' or 'complex', got {field!r}")
+        if type(degree) is not int:
+            _require_int("degree", degree)
+        if degree not in (0, 1):
+            raise ValueError(f"degree must be 0 or 1, got {degree}")
         _require_at_least("n", n, 1)
         _require_at_least("cutoff", cutoff, 1)
-        if self.field == "real":
+        if field == "real":
             if cutoff < n // 2:
                 raise ValueError(
                     f"cutoff {cutoff} cannot host {n // 2} distinct gl2 labels; "
                     f"need cutoff >= {n // 2}"
                 )
-            closed_form = closed_form_real(n)[self.degree]
+            closed_form = closed_form_real(n)[degree]
         else:
             if 2 * cutoff + 1 < n:
                 raise ValueError(
                     f"cutoff {cutoff} offers only {2 * cutoff + 1} labels for {n} distinct ones; "
                     f"need 2*cutoff + 1 >= n"
                 )
-            closed_form = closed_form_complex(n)[self.degree]
+            closed_form = closed_form_complex(n)[degree]
+        for name, value in zip(self._fields, (field, n, cutoff, degree)):
+            object.__setattr__(self, name, value)
         object.__setattr__(self, "closed_form", closed_form)
 
     @property
@@ -178,8 +172,7 @@ class KGroupPresentation:
         return built
 
 
-@dataclass(frozen=True)
-class KClass:
+class KClass(_Value):
     """Integer combination of a presentation's generators.
 
     Zero coefficients are never stored; the empty combination is the zero
@@ -187,15 +180,15 @@ class KClass:
     equal structurally.
     """
 
-    presentation: KGroupPresentation
-    items: tuple[tuple[str, int], ...]
+    __slots__ = _fields = ("presentation", "items")
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self, presentation: KGroupPresentation, items: tuple[tuple[str, int], ...]
+    ) -> None:
         # Zeros of any type other than int are kept so the check below
         # rejects them; bool is an int subclass and is rejected too.
-        items = tuple(sorted((k, c) for k, c in self.items if c != 0 or type(c) is not int))
-        object.__setattr__(self, "items", items)
-        known = self.presentation.generator_index
+        items = tuple(sorted((k, c) for k, c in items if c != 0 or type(c) is not int))
+        known = presentation.generator_index
         seen = set()
         for key, coeff in items:
             if key in seen:
@@ -205,6 +198,8 @@ class KClass:
                 raise ValueError(f"generator {key!r} does not belong to this presentation")
             if type(coeff) is not int:
                 raise TypeError(f"coefficients must be integers, got {coeff!r}")
+        object.__setattr__(self, "presentation", presentation)
+        object.__setattr__(self, "items", items)
 
     @property
     def coefficients(self) -> dict[str, int]:

@@ -9,13 +9,14 @@ order-two component group (0 = trivial, 1 = sign), always kept in canonical
 sorted form so that each Weyl orbit has exactly one representative.
 
 It also owns the input checks of every catalog entry point: ``_require_int``
-and ``_require_at_least``, the one range check ("n must be >= 1").
+and ``_require_at_least``, the one range check ("n must be >= 1"), and
+``_Value``, the base of every value class in the package.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations_with_replacement
+from operator import attrgetter
 
 
 def _require_int(name: str, value: object) -> None:
@@ -34,20 +35,54 @@ def _require_at_least(name: str, value: object, least: int) -> None:
         raise ValueError(f"{name} must be >= {least}, got {value}")
 
 
-@dataclass(frozen=True)
-class LeviShape:
+class _Value:
+    """Immutable value whose ``__init__`` takes its ``_fields`` in order,
+    checks them and sets each once.  Equality, hash and repr are the fields'
+    alone, never a derived attribute's, and values of different classes are
+    never equal; copy and pickle rebuild through ``__init__``, checks and all."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls) -> None:
+        if "_fields" in vars(cls):
+            cls._values = attrgetter(*cls._fields)
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values(self) == other._values(other)
+
+    def __hash__(self) -> int:
+        return hash(self._values(self))
+
+    def __repr__(self) -> str:
+        fields = (f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({', '.join(fields)})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self) -> tuple:
+        return type(self), tuple(getattr(self, name) for name in self._fields)
+
+
+class LeviShape(_Value):
     """Partition n = 2q + r: q blocks of size 2 and r blocks of size 1."""
 
-    q: int
-    r: int
+    __slots__ = _fields = ("q", "r")
 
-    def __post_init__(self) -> None:
-        _require_int("q", self.q)
-        _require_int("r", self.r)
-        if self.q < 0 or self.r < 0:
-            raise ValueError(f"block counts must be non-negative, got q={self.q}, r={self.r}")
-        if self.n < 1:
+    def __init__(self, q: int, r: int) -> None:
+        _require_int("q", q)
+        _require_int("r", r)
+        if q < 0 or r < 0:
+            raise ValueError(f"block counts must be non-negative, got q={q}, r={r}")
+        if 2 * q + r < 1:
             raise ValueError("empty shape: need 2q + r >= 1")
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "r", r)
 
     @property
     def n(self) -> int:
@@ -57,8 +92,7 @@ class LeviShape:
         return "+".join(["2"] * self.q + ["1"] * self.r)
 
 
-@dataclass(frozen=True)
-class SigmaOrbit:
+class SigmaOrbit(_Value):
     """Canonical Weyl orbit of discrete-series data on a shape (q, r).
 
     ``gl2_labels`` holds the q discrete-series indices (>= 1) and
@@ -66,14 +100,11 @@ class SigmaOrbit:
     ascending, so two orbits are equal iff they are the same multisets.
     """
 
-    gl2_labels: tuple[int, ...]
-    gl1_labels: tuple[int, ...]
+    __slots__ = _fields = ("gl2_labels", "gl1_labels")
 
-    def __post_init__(self) -> None:
-        gl2 = tuple(sorted(self.gl2_labels))
-        gl1 = tuple(sorted(self.gl1_labels))
-        object.__setattr__(self, "gl2_labels", gl2)
-        object.__setattr__(self, "gl1_labels", gl1)
+    def __init__(self, gl2_labels: tuple[int, ...], gl1_labels: tuple[int, ...]) -> None:
+        gl2 = tuple(sorted(gl2_labels))
+        gl1 = tuple(sorted(gl1_labels))
         for label in gl2 + gl1:
             _require_int("label", label)
         # The labels are sorted integers, so the end labels bound the rest.
@@ -81,6 +112,8 @@ class SigmaOrbit:
             raise ValueError(f"gl2 labels index discrete series and must be >= 1: {gl2}")
         if gl1 and (gl1[0] < 0 or gl1[-1] > 1):
             raise ValueError(f"gl1 labels must be 0 (trivial) or 1 (sign): {gl1}")
+        object.__setattr__(self, "gl2_labels", gl2)
+        object.__setattr__(self, "gl1_labels", gl1)
 
 
 def enumerate_levi_shapes(n: int) -> list[LeviShape]:
@@ -120,8 +153,10 @@ def enumerate_orbits(shape: LeviShape, cutoff: int) -> list[SigmaOrbit]:
     lexicographic, gl2-major; the count is C(cutoff + q - 1, q) * (r + 1).
     """
     _require_at_least("cutoff", cutoff, 1)
+    # itertools lists its pool first, so q = 0 gets none: a huge cutoff is free.
+    pool = range(1, cutoff + 1) if shape.q else ()
     out = []
-    for gl2 in combinations_with_replacement(range(1, cutoff + 1), shape.q):
+    for gl2 in combinations_with_replacement(pool, shape.q):
         for gl1 in combinations_with_replacement((0, 1), shape.r):
             out.append(SigmaOrbit(gl2, gl1))
     return out

@@ -10,7 +10,6 @@ exponents.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import combinations_with_replacement
 from math import isfinite
 from typing import Iterable
@@ -20,6 +19,7 @@ from .levi import (
     SigmaOrbit,
     _require_at_least,
     _require_int,
+    _Value,
     enumerate_levi_shapes,
     enumerate_orbits,
     run_multiplicities,
@@ -41,9 +41,11 @@ def _complex_key(labels: Iterable[str]) -> str:
     return "labels:" + ",".join(labels)
 
 
-class _FreeOrCone:
+class _FreeOrCone(_Value):
     """Free (and so a K-theory generator) exactly when no label repeats
     within a block: each component class supplies its ``multiplicities``."""
+
+    __slots__ = ()
 
     @property
     def is_free(self) -> bool:
@@ -54,15 +56,15 @@ class _FreeOrCone:
         return KIND_FREE if self.is_free else KIND_CONE
 
 
-@dataclass(frozen=True)
 class Component(_FreeOrCone):
     """One connected piece of the real tempered dual: an orbit; its label counts give the shape."""
 
-    orbit: SigmaOrbit
-    shape: LeviShape = field(init=False, repr=False, compare=False)
+    __slots__ = ("orbit", "shape")
+    _fields = ("orbit",)
 
-    def __post_init__(self) -> None:
-        shape = LeviShape(len(self.orbit.gl2_labels), len(self.orbit.gl1_labels))
+    def __init__(self, orbit: SigmaOrbit) -> None:
+        shape = LeviShape(len(orbit.gl2_labels), len(orbit.gl1_labels))
+        object.__setattr__(self, "orbit", orbit)
         object.__setattr__(self, "shape", shape)
 
     @property
@@ -87,21 +89,20 @@ class Component(_FreeOrCone):
         return (self.orbit.gl2_labels, self.orbit.gl1_labels)
 
 
-@dataclass(frozen=True)
 class ComplexComponent(_FreeOrCone):
     """One connected piece of the complex tempered dual: n circle exponents."""
 
-    labels: tuple[int, ...]
+    __slots__ = _fields = ("labels",)
 
-    def __post_init__(self) -> None:
-        labels = tuple(sorted(self.labels))
-        object.__setattr__(self, "labels", labels)
+    def __init__(self, labels: tuple[int, ...]) -> None:
+        labels = tuple(sorted(labels))
         if not labels:
             raise ValueError("a complex component needs at least one label")
         for label in labels:
             # Inline test first: k_complex builds one component per generator.
             if type(label) is not int:
                 _require_int("label", label)
+        object.__setattr__(self, "labels", labels)
 
     @property
     def dimension(self) -> int:
@@ -120,8 +121,7 @@ class ComplexComponent(_FreeOrCone):
         return (self.labels,)
 
 
-@dataclass(frozen=True)
-class ConeChart:
+class ConeChart(_Value):
     """Chart R^d / prod S_m  ~=  R^num_lines x [0, oo)^num_rays.
 
     Each block of m equal labels is charted by its mean (one full line) and
@@ -129,40 +129,46 @@ class ConeChart:
     labels keep their lines untouched.
     """
 
-    num_lines: int
-    num_rays: int
+    __slots__ = _fields = ("num_lines", "num_rays")
+
+    def __init__(self, num_lines: int, num_rays: int) -> None:
+        object.__setattr__(self, "num_lines", num_lines)
+        object.__setattr__(self, "num_rays", num_rays)
 
 
-@dataclass(frozen=True)
-class TemperedPoint:
+class TemperedPoint(_Value):
     """A point on a component: one finite continuous twist per coordinate."""
 
-    component: Component | ComplexComponent
-    params: tuple[float, ...]
+    __slots__ = _fields = ("component", "params")
 
-    def __post_init__(self) -> None:
+    def __init__(self, component: Component | ComplexComponent, params: tuple[float, ...]) -> None:
         expected = Component if isinstance(self, RealTemperedPoint) else ComplexComponent
-        if not isinstance(self.component, expected):
+        if not isinstance(component, expected):
             raise TypeError(f"a {type(self).__name__} needs a {expected.__name__}")
-        params = tuple(self.params)
-        object.__setattr__(self, "params", params)
-        if len(params) != self.component.dimension:
-            raise ValueError(f"expected {self.component.dimension} parameters, got {len(params)}")
+        params = tuple(params)
+        if len(params) != component.dimension:
+            raise ValueError(f"expected {component.dimension} parameters, got {len(params)}")
         if not all(map(isfinite, params)):
             raise ValueError(f"twists must be finite, got {params}")
+        object.__setattr__(self, "component", component)
+        object.__setattr__(self, "params", params)
 
 
 # Subclasses rather than aliases: the class records the field of a point and
 # must agree with its component (a Component for a real point, a
-# ComplexComponent otherwise), the dataclass __eq__ compares classes, so a
-# real and a complex point never compare equal, and canonicalize_point keeps
+# ComplexComponent otherwise), values of different classes never compare
+# equal, so a real and a complex point never do, and canonicalize_point keeps
 # the kind through type(point).
 class RealTemperedPoint(TemperedPoint):
     """A point on a real component: the continuous twists, one per block."""
 
+    __slots__ = ()
+
 
 class ComplexTemperedPoint(TemperedPoint):
     """A point on a complex component: n continuous twists."""
+
+    __slots__ = ()
 
 
 def _doubled_twist(t: float) -> float:

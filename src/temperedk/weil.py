@@ -20,10 +20,9 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from typing import Union
 
-from .levi import SigmaOrbit, _require_int
+from .levi import SigmaOrbit, _require_int, _Value
 from .param_space import (
     ComplexComponent,
     ComplexTemperedPoint,
@@ -40,19 +39,18 @@ def _finite_twist(t: float) -> float:
     return float(t)
 
 
-@dataclass(frozen=True)
-class RealCharacter:
+class RealCharacter(_Value):
     """Unitary character sgn^epsilon |.|^(i t) of R^*."""
 
-    epsilon: int
-    t: float
+    __slots__ = _fields = ("epsilon", "t")
 
-    def __post_init__(self) -> None:
-        if type(self.epsilon) is not int:
-            _require_int("epsilon", self.epsilon)
-        if self.epsilon not in (0, 1):
-            raise ValueError(f"epsilon must be 0 or 1, got {self.epsilon}")
-        object.__setattr__(self, "t", _finite_twist(self.t))
+    def __init__(self, epsilon: int, t: float) -> None:
+        if type(epsilon) is not int:
+            _require_int("epsilon", epsilon)
+        if epsilon not in (0, 1):
+            raise ValueError(f"epsilon must be 0 or 1, got {epsilon}")
+        object.__setattr__(self, "epsilon", epsilon)
+        object.__setattr__(self, "t", _finite_twist(t))
 
     def value(self, x: float) -> complex:
         if x == 0:
@@ -61,17 +59,16 @@ class RealCharacter:
         return sign * cmath.exp(1j * self.t * cmath.log(abs(x)).real)
 
 
-@dataclass(frozen=True)
-class ComplexCharacter:
+class ComplexCharacter(_Value):
     """Unitary character (z/|z|)^ell |z|^(i t) of C^*, |z| the usual modulus."""
 
-    ell: int
-    t: float
+    __slots__ = _fields = ("ell", "t")
 
-    def __post_init__(self) -> None:
-        if type(self.ell) is not int:
-            _require_int("ell", self.ell)
-        object.__setattr__(self, "t", _finite_twist(self.t))
+    def __init__(self, ell: int, t: float) -> None:
+        if type(ell) is not int:
+            _require_int("ell", ell)
+        object.__setattr__(self, "ell", ell)
+        object.__setattr__(self, "t", _finite_twist(t))
 
     def value(self, z: complex) -> complex:
         if z == 0:
@@ -80,25 +77,26 @@ class ComplexCharacter:
         return (z / modulus) ** self.ell * cmath.exp(1j * self.t * cmath.log(modulus).real)
 
 
-@dataclass(frozen=True)
-class OneDim:
+class OneDim(_Value):
     """One-dimensional summand of a W_R parameter."""
 
-    chi: RealCharacter
+    __slots__ = _fields = ("chi",)
+
+    def __init__(self, chi: RealCharacter) -> None:
+        object.__setattr__(self, "chi", chi)
 
 
-@dataclass(frozen=True)
-class TwoDimInduced:
+class TwoDimInduced(_Value):
     """Two-dimensional summand induced from a C^* character with ell >= 1."""
 
-    chi: ComplexCharacter
+    __slots__ = _fields = ("chi",)
 
-    def __post_init__(self) -> None:
-        if self.chi.ell < 1:
+    def __init__(self, chi: ComplexCharacter) -> None:
+        if chi.ell < 1:
             raise ValueError(
-                f"induced summands need winding >= 1, got {self.chi.ell}; "
-                "winding 0 induces reducibly"
+                f"induced summands need winding >= 1, got {chi.ell}; winding 0 induces reducibly"
             )
+        object.__setattr__(self, "chi", chi)
 
 
 Summand = Union[OneDim, TwoDimInduced]
@@ -110,38 +108,36 @@ def _summand_key(s: Summand) -> tuple:
     return (1, s.chi.epsilon, s.chi.t)
 
 
-@dataclass(frozen=True)
-class LParameterR:
+class LParameterR(_Value):
     """Tempered L-parameter of GL(n, R): a multiset of summands.
 
     Summands are kept sorted (two-dimensional first, then by label and
     twist) so equal parameters compare equal.
     """
 
-    summands: tuple[Summand, ...]
+    __slots__ = _fields = ("summands",)
 
-    def __post_init__(self) -> None:
-        ordered = tuple(sorted(self.summands, key=_summand_key))
-        object.__setattr__(self, "summands", ordered)
-        if not self.summands:
+    def __init__(self, summands: tuple[Summand, ...]) -> None:
+        ordered = tuple(sorted(summands, key=_summand_key))
+        if not ordered:
             raise ValueError("a parameter needs at least one summand")
+        object.__setattr__(self, "summands", ordered)
 
     @property
     def n(self) -> int:
         return sum(2 if isinstance(s, TwoDimInduced) else 1 for s in self.summands)
 
 
-@dataclass(frozen=True)
-class LParameterC:
+class LParameterC(_Value):
     """Tempered L-parameter of GL(n, C): a multiset of C^* characters."""
 
-    summands: tuple[ComplexCharacter, ...]
+    __slots__ = _fields = ("summands",)
 
-    def __post_init__(self) -> None:
-        ordered = tuple(sorted(self.summands, key=lambda c: (c.ell, c.t)))
-        object.__setattr__(self, "summands", ordered)
-        if not self.summands:
+    def __init__(self, summands: tuple[ComplexCharacter, ...]) -> None:
+        ordered = tuple(sorted(summands, key=lambda c: (c.ell, c.t)))
+        if not ordered:
             raise ValueError("a parameter needs at least one summand")
+        object.__setattr__(self, "summands", ordered)
 
     @property
     def n(self) -> int:

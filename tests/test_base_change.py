@@ -141,7 +141,7 @@ class TestParameterMap:
 
     def test_rank_stored_once_outside_equality_and_repr(self):
         pmap = bc_component(component((1,), (0,)))
-        assert vars(pmap)["column_rank"] == 2
+        assert pmap.column_rank == 2
         assert "column_rank" not in repr(pmap)
         assert pmap == ParameterMap(pmap.source, pmap.target, pmap.matrix)
         assert hash(pmap) == hash(ParameterMap(pmap.source, pmap.target, pmap.matrix))

@@ -79,6 +79,12 @@ class TestKtheoryCommand:
             entry = doc["payload"][degree]
             assert entry["rank"] == entry["predicted_rank"]
 
+    def test_rank_column_counts_the_listed_keys(self, monkeypatch):
+        p = k_real(3, 2)[0]
+        p.generator_index  # listed and checked before the closed form is broken
+        monkeypatch.setattr(ktheory.IndexFamily, "rank_at", lambda self, cutoff: 0)
+        assert cli._degree(p) == ("4", "0", "1-subsets of N x Z/2")
+
 
 class TestKmapCommand:
     def test_zero_map_table(self, capsys):

@@ -116,6 +116,15 @@ class TestLayersLoadedOnUse:
         )
         assert _run(probe) == ["False", "True"]
 
+    def test_cli_import_skips_dataclasses_and_inspect(self):
+        # Compared with what the interpreter loaded before the import, so a
+        # module that start-up itself loads is not counted against the CLI.
+        probe = (
+            "import sys; before = set(sys.modules); import temperedk.cli; "
+            "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))"
+        )
+        assert _run(probe) == ["[]"]
+
     def test_package_import_loads_no_layer(self):
         probe = (
             "import sys, temperedk; "

@@ -328,15 +328,15 @@ class TestFreeEnumeration:
 
 
 def count_constructions(monkeypatch, cls):
-    """One-cell counter of the instances of a dataclass built from now on."""
+    """One-cell counter of the instances of a value class built from now on."""
     built = [0]
-    post_init = cls.__post_init__
+    init = cls.__init__
 
-    def counting(self):
+    def counting(self, *args):
         built[0] += 1
-        post_init(self)
+        init(self, *args)
 
-    monkeypatch.setattr(cls, "__post_init__", counting)
+    monkeypatch.setattr(cls, "__init__", counting)
     return built
 
 

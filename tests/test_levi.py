@@ -211,6 +211,11 @@ class TestEnumerateOrbits:
             for orbit in enumerate_orbits(shape, 2):
                 assert not Component(orbit).is_free
 
+    def test_no_gl2_block_needs_no_label_pool(self):
+        # A pool of 10**15 gl2 labels would never fit in memory.
+        orbits = enumerate_orbits(LeviShape(0, 3), 10**15)
+        assert [o.gl1_labels for o in orbits] == [(0, 0, 0), (0, 0, 1), (0, 1, 1), (1, 1, 1)]
+
     def test_invalid_cutoff(self):
         with pytest.raises(ValueError):
             enumerate_orbits(LeviShape(1, 0), 0)

@@ -96,6 +96,10 @@ class TestRealCatalog:
         catalog = real_components(1, 1)
         assert [(c.kind, c.dimension) for c in catalog] == [("free", 1), ("free", 1)]
 
+    def test_gl1_catalog_at_a_huge_cutoff(self):
+        # GL(1, R) has no gl2 block, so its catalog ignores the cutoff.
+        assert real_components(1, 10**12) == real_components(1, 1)
+
     def test_gl3_catalog_at_cutoff_two(self):
         catalog = real_components(3, 2)
         free = [c for c in catalog if c.is_free]
