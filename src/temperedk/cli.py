@@ -41,17 +41,19 @@ from .param_space import (
     ComplexComponent,
     Component,
     ConeChart,
+    _complex_key,
+    _real_key,
     complex_components,
     cone_chart,
     real_components,
 )
 
 # Largest output a command may build, in cells: n labels per entry, n^2 per
-# bc record for its n-row matrix, plus the label pool.  ktheory --field
-# complex at n = cutoff = 10 needs 3.5e6; kmap lists keys only for n = 1, so
-# for n >= 2 it counts just the pool (kmap 30/30: 61 cells).  A complex
-# components export at the limit peaks near 1 GB (CPython 3.11, about 250
-# bytes per cell).
+# bc record for its n-row matrix, plus the label pool if one is built.
+# ktheory --field complex at n = cutoff = 10 needs 3.5e6; kmap lists keys
+# only for n = 1, so for n >= 2 it counts just the pool (kmap 30/30: 61
+# cells).  A complex components export at the limit peaks near 1 GB
+# (CPython 3.11, about 250 bytes per cell).
 MAX_CELLS = 4_000_000
 
 
@@ -136,11 +138,16 @@ def predicted_size(command: str, n: int, cutoff: int, field: str) -> int | float
 def _check_size(command: str, n: int, cutoff: int, field: str) -> None:
     """Raise ValueError when the command's predicted output exceeds
     ``MAX_CELLS``: up to n labels per entry (n^2 per bc record, for its
-    matrix), plus the pool of up to 2 * cutoff + 1 labels that the
-    enumerators materialize."""
+    matrix), plus, for a command that builds one, the pool of up to
+    2 * cutoff + 1 labels that the enumerators materialize."""
     size = predicted_size(command, n, cutoff, field)
     cells = size * (n * n if command == "bc" else n)
-    if command != "partitions":
+    # The real catalog (real components, bc) draws gl2 labels only for
+    # shapes with q >= 1, so at n = 1 it builds no pool.  Every other
+    # command but partitions builds one at every n: ktheory --field real
+    # lists its gl2 pool even when no shape uses it.
+    real_catalog = command == "bc" or (command == "components" and field == "real")
+    if command != "partitions" and (n > 1 or not real_catalog):
         cells += 2 * max(cutoff, 0) + 1
     if cells > MAX_CELLS:
         raise ValueError(
@@ -184,15 +191,25 @@ def _partition(shape: LeviShape) -> tuple[str, str, str, str]:
     return str(shape.q), str(shape.r), str(shape), weyl
 
 
-def _component(c: Component | ComplexComponent) -> tuple[str, int, str, Optional[ConeChart]]:
-    """Key, dimension, kind and, for a cone, chart of one component.
+def _component(
+    c: Component | ComplexComponent,
+) -> tuple[str, int, str, Optional[ConeChart], tuple[list[str], ...]]:
+    """Key, dimension, kind, chart (None when free) and labels of one
+    component, the labels written as strings once, block by block.
 
-    One chart per record: a component is free exactly when its chart has no
-    rays, so its label runs are scanned once."""
+    The key is joined from those strings and the JSON label lists reuse
+    them.  One chart per record, and no run scan: a component is free
+    exactly when its chart has no rays."""
+    if isinstance(c, Component):
+        gl2, gl1 = blocks = [*map(str, c.orbit.gl2_labels)], [*map(str, c.orbit.gl1_labels)]
+        key = _real_key(len(gl2), len(gl1), gl2, gl1)
+    else:
+        blocks = ([*map(str, c.labels)],)
+        key = _complex_key(blocks[0])
     chart = cone_chart(c)
     if chart.num_rays:
-        return c.key, c.dimension, KIND_CONE, chart
-    return c.key, c.dimension, KIND_FREE, None
+        return key, c.dimension, KIND_CONE, chart, blocks
+    return key, c.dimension, KIND_FREE, None, blocks
 
 
 def _degree(p: KGroupPresentation) -> tuple[str, str, str]:
@@ -231,15 +248,18 @@ def _component_json(pad: str, field: str) -> Callable[[Component | ComplexCompon
         free = _object(pad, ("dimension", "key", "kind", "labels"))
     inner = pad + "  "
     cone = "{\n" + inner + '"chart": ' + _object(inner, ("num_lines", "num_rays")) + "," + free[1:]
+    encode = encode_basestring_ascii
+    kinds = {kind: encode(kind) for kind in (KIND_FREE, KIND_CONE)}
 
     def record(c: Component | ComplexComponent) -> str:
-        key, dimension, kind, chart = _component(c)
-        key, kind = encode_basestring_ascii(key), encode_basestring_ascii(kind)
+        key, dimension, kind, chart, blocks = _component(c)
+        key, kind = encode(key), kinds[kind]
         if field == "real":
-            gl2, gl1 = (_join(map(repr, labels), inner) for labels in c.label_blocks)
-            fields = (dimension, gl1, gl2, key, kind, c.shape.q, c.shape.r)
+            gl2, gl1 = blocks
+            labels = _join(gl1, inner), _join(gl2, inner)
+            fields = (dimension, *labels, key, kind, len(gl2), len(gl1))
         else:
-            fields = (dimension, key, kind, _join(map(repr, c.labels), inner))
+            fields = (dimension, key, kind, _join(blocks[0], inner))
         return free % fields if chart is None else cone % (chart.num_lines, chart.num_rays, *fields)
 
     return record
@@ -330,7 +350,7 @@ def _partitions_table(write: _Write, shapes: list[LeviShape], args: Namespace) -
 def _components_table(write: _Write, catalog: list, args: Namespace) -> None:
     rows = []
     for c in catalog:
-        key, dimension, kind, chart = _component(c)
+        key, dimension, kind, chart, _ = _component(c)
         cell = "-" if chart is None else f"lines={chart.num_lines},rays={chart.num_rays}"
         rows.append((key, str(dimension), kind, cell))
     free = [row[2] for row in rows].count(KIND_FREE)
@@ -357,7 +377,8 @@ def _bc_table(write: _Write, maps: list[ParameterMap], args: Namespace) -> None:
     for m in maps:
         matrix = "[" + ",".join("[" + ",".join(map(repr, row)) + "]" for row in m.matrix) + "]"
         proper = "yes" if m.is_proper else "no"
-        rows.append((m.source.key, m.target.key, m.target.kind, matrix, str(m.column_rank), proper))
+        target, _, kind, _, _ = _component(m.target)
+        rows.append((m.source.key, target, kind, matrix, str(m.column_rank), proper))
     proper_maps = sum(m.is_proper for m in maps)
     write(
         f"Base change on components, GL({args.n}, R) -> GL({args.n}, C) "

@@ -200,9 +200,19 @@ def complex_components(n: int, cutoff: int) -> list[ComplexComponent]:
 
 
 def cone_chart(component: Component | ComplexComponent) -> ConeChart:
-    """Mean-and-gaps chart of the component's orbit space."""
-    rays = sum(m - 1 for m in component.multiplicities)
-    return ConeChart(component.dimension - rays, rays)
+    """Mean-and-gaps chart of the component's orbit space.
+
+    A sorted block has one run per distinct label, and a run of m equal
+    labels gives one line and m - 1 rays.  So the lines are the distinct
+    labels, counted block by block, and the rays are the rest:
+    num_rays = dimension - num_lines = sum(m - 1 for m in multiplicities),
+    which is 0 exactly when the component is free.  Counting distinct
+    labels needs no run scan.
+    """
+    lines = 0
+    for block in component.label_blocks:
+        lines += len(set(block))
+    return ConeChart(lines, component.dimension - lines)
 
 
 def canonicalize_point(point: TemperedPoint) -> TemperedPoint:

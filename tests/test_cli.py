@@ -368,31 +368,63 @@ class TestSizePredictor:
 
     def test_cap_counts_the_label_pool(self, capsys, monkeypatch):
         monkeypatch.setattr(cli, "MAX_CELLS", 100)
-        # Two entries, but a pool of 101 labels to draw them from.
-        code, out, err = run(capsys, "components", "--n", "1", "--cutoff", "50")
+        # Two entries, but a pool of 101 labels to list them from: real
+        # presentations build their gl2 pool at every n.
+        code, out, err = run(capsys, "ktheory", "--n", "1", "--cutoff", "50")
         assert (code, out) == (1, "")
         assert "2 entries (103 cells" in err
 
+    @pytest.mark.parametrize("command", ["components", "bc"])
+    def test_cap_skips_the_pool_the_real_catalog_never_builds(self, capsys, monkeypatch, command):
+        # At n = 1 the only shape has q = 0, so no gl2 label is drawn.
+        monkeypatch.setattr(cli, "MAX_CELLS", 100)
+        code, out, _ = run(capsys, command, "--n", "1", "--cutoff", "50")
+        assert code == 0 and out
+        code, out, _ = run(capsys, command, "--n", "2", "--cutoff", "50")
+        assert (code, out) == (1, "")
 
-class TestRunScanOnce:
+    def test_huge_cutoff_at_n_one(self, capsys):
+        doc, _ = run_json(capsys, "components", "--n", "1", "--cutoff", str(10**12))
+        keys = [record["key"] for record in doc["payload"]]
+        assert keys == ["shape:0,1|gl2:|gl1:0", "shape:0,1|gl2:|gl1:1"]
+        doc, _ = run_json(capsys, "bc", "--n", "1", "--cutoff", str(10**12))
+        assert [m["target"]["key"] for m in doc["payload"]] == ["labels:0", "labels:0"]
+        for args in (
+            ("ktheory",),
+            ("ktheory", "--field", "complex"),
+            ("kmap",),
+            ("components", "--field", "complex"),
+        ):
+            code, out, err = run(capsys, *args, "--n", "1", "--cutoff", str(10**12))
+            assert (code, out) == (1, ""), args
+            assert "more than the limit" in err
+
+
+class TestChartOnce:
     @pytest.mark.parametrize("field", ["complex", "real"])
-    def test_one_scan_per_record(self, field, monkeypatch, capsys):
-        calls = []
-        scan = param_space.run_multiplicities
-
-        def counted(*blocks):
-            calls.append(blocks)
-            return scan(*blocks)
-
-        monkeypatch.setattr(param_space, "run_multiplicities", counted)
+    @pytest.mark.parametrize("fmt", ["json", "table"])
+    def test_one_chart_and_no_run_scan_per_record(self, field, fmt, monkeypatch, capsys):
+        # A record reads its kind off its one chart, which counts distinct
+        # labels, so no writer scans label runs.
+        scans, charts = [], []
+        scan, chart = param_space.run_multiplicities, cli.cone_chart
+        monkeypatch.setattr(param_space, "run_multiplicities", lambda *b: scans.append(b) or scan(*b))
+        monkeypatch.setattr(cli, "cone_chart", lambda c: charts.append(c) or chart(c))
         records = cli.predicted_size("components", 6, 4, field)
         if field == "complex":
             assert records == comb(14, 6)
-        for fmt in ("json", "table"):
-            calls.clear()
-            args = ["components", "--n", "6", "--cutoff", "4", "--field", field, "--format", fmt]
-            assert main(args) == 0
-            assert len(calls) == records
+        args = ["components", "--n", "6", "--cutoff", "4", "--field", field, "--format", fmt]
+        assert main(args) == 0
+        assert scans == []
+        assert len(charts) == len(set(charts)) == records
+
+    @pytest.mark.parametrize("fmt", ["json", "table"])
+    def test_bc_scans_no_runs(self, fmt, monkeypatch, capsys):
+        scans = []
+        scan = param_space.run_multiplicities
+        monkeypatch.setattr(param_space, "run_multiplicities", lambda *b: scans.append(b) or scan(*b))
+        assert main(["bc", "--n", "6", "--cutoff", "3", "--format", fmt]) == 0
+        assert scans == []
 
 
 _awkward = st.sampled_from('"\\/\x00\x1f\x7f\n\t\u2028\ud800')
@@ -505,7 +537,7 @@ class TestNoByteBeforeChecks:
             ["components", "--n", "4", "--cutoff", "4", "--field", "complex"],
             ["bc", "--n", "4", "--cutoff", "2"],
             ["partitions", "--n", "20"],
-            ["components", "--n", "1", "--cutoff", "50"],
+            ["ktheory", "--n", "1", "--cutoff", "50"],
         ):
             assert self.writes(argv + ["--format", fmt]) == (1, 0), argv
 

@@ -5,8 +5,13 @@ and the sha256 of stdout recorded from the original code.
 ``tests/cli_grid_large.json`` extends it past ``tests/cli_grid.json``
 (n <= 6, cutoff <= 4): ``ktheory`` for both fields and formats at n 7-10,
 cutoff 5-8, and ``kmap --n 10 --cutoff 10`` in both formats, recorded before
-K-group presentations stopped building their components.  Each command runs
-in-process through ``cli.main``; any change to the bytes printed fails here.
+K-group presentations stopped building their components; then, recorded
+before the catalog writers stopped scanning label runs, ``components`` and
+``bc`` in both formats at cutoffs 10-12 (real components and bc at n 3-4,
+complex components at n 2-3), so labels of two digits, negative ones
+included, are pinned, and ``components --n 6 --cutoff 8 --field complex
+--format json``.  Each command runs in-process through ``cli.main``; any
+change to the bytes printed fails here.
 """
 
 import hashlib

@@ -192,8 +192,13 @@ class TestConeChart:
         assert (chart.num_lines, chart.num_rays) == (2, 2)
 
     def test_chart_dimensions_add_up(self):
-        for c in real_components(5, 3) + complex_components(3, 2):
+        # The chart counts distinct labels; the rays it leaves are the
+        # isotropy's sum of (m - 1), read off the run scan.
+        catalogs = [real_components(n, L) for n in range(1, 9) for L in range(1, 5)]
+        catalogs += [complex_components(n, L) for n in range(1, 7) for L in range(1, 4)]
+        for c in (c for catalog in catalogs for c in catalog):
             chart = cone_chart(c)
+            assert chart.num_rays == sum(m - 1 for m in c.multiplicities)
             assert chart.num_lines + chart.num_rays == c.dimension
             assert (chart.num_rays == 0) == c.is_free
 
