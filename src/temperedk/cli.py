@@ -7,19 +7,15 @@ matrices), and ``kmap`` (the induced map on K-theory).  Output is either a
 deterministic JSON document or an aligned text table; identical inputs give
 byte-identical output.
 
-Nothing is printed until every check has passed.  ``main`` first predicts
-the command's size from closed forms (``predicted_size``) and rejects it
-over ``MAX_CELLS``; then it builds the shapes, catalog, presentations,
-parameter maps or induced map, which raises every other ``ValueError`` and
-the complex parity ``RuntimeError``, and lists the ktheory keys against
-their closed-form ranks; only then does it write.  A ``ValueError`` exits
-1 with an empty stdout.
-
-Each kind has one record function, shared by both formats.  JSON is the
-bytes of ``json.dumps(document, sort_keys=True, indent=2)``, written record
-by record from templates whose keys are already sorted: strings go through
-``encode_basestring_ascii`` and ints through ``repr``.  A table collects its
-rows of strings and aligns them once.
+Nothing is printed until every check has passed.  ``main`` first prices
+the command (``predicted_size``) from the counts the library owns: the
+catalog counts next to the enumerators in ``param_space`` and the ranks of
+``ktheory.IndexFamily``.  It rejects a command over ``MAX_CELLS``; then it
+builds the shapes, catalog, presentations, parameter maps or induced map,
+which raises every other ``ValueError`` and the complex parity
+``RuntimeError``, and lists the ktheory keys against their closed-form
+ranks; only then does it write, in JSON or as a table (see the sections
+below).  A ``ValueError`` exits 1 with an empty stdout.
 """
 
 from __future__ import annotations
@@ -28,12 +24,12 @@ import argparse
 import sys
 from argparse import Namespace
 from json.encoder import encode_basestring_ascii
-from math import comb, inf
+from math import inf
 from typing import Callable, Iterable, Optional, Sequence
 
 from . import __version__
 from .base_change import InducedKMap, ParameterMap, bc_component, induced_k_map
-from .ktheory import KGroupPresentation, k_complex, k_real
+from .ktheory import KGroupPresentation, closed_form_complex, closed_form_real, k_complex, k_real
 from .levi import LeviShape, enumerate_levi_shapes, weyl_group
 from .param_space import (
     KIND_CONE,
@@ -41,7 +37,9 @@ from .param_space import (
     ComplexComponent,
     Component,
     ConeChart,
+    _complex_catalog_size,
     _complex_key,
+    _real_catalog_size,
     _real_key,
     complex_components,
     cone_chart,
@@ -52,8 +50,10 @@ from .param_space import (
 # bc record for its n-row matrix, plus the label pool if one is built.
 # ktheory --field complex at n = cutoff = 10 needs 3.5e6; kmap lists keys
 # only for n = 1, so for n >= 2 it counts just the pool (kmap 30/30: 61
-# cells).  A complex components export at the limit peaks near 1 GB
-# (CPython 3.11, about 250 bytes per cell).
+# cells).  The largest complex catalog under the limit, components --n 6
+# --cutoff 12 --field complex (593,775 records, 3.56e6 cells), peaks at
+# 359 MB as a table and 100 MB as JSON (whole process, child max RSS from
+# os.wait4, median of three; CPython 3.11.7, output to /dev/null).
 MAX_CELLS = 4_000_000
 
 
@@ -83,46 +83,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _binomial(a: int, k: int) -> int | float:
-    """C(a, k), and 0 outside 0 <= k <= a.  When k and a - k both exceed 64
-    the value is above C(128, 64) > 10^37, far past any limit; ``inf``
-    stands for it, so no --n or --cutoff, however large, costs more than a
-    product of 64 terms."""
-    if k < 0 or k > a:
-        return 0
-    if min(k, a - k) > 64:
-        return inf
-    return comb(a, k)
-
-
 def predicted_size(command: str, n: int, cutoff: int, field: str) -> int | float:
-    """Entries the command would enumerate, from closed forms alone:
-    Levi shapes (partitions), catalog components (components, bc),
-    generators of both degrees (ktheory), or the keys of both presentations
-    when n = 1 and none for n >= 2 (kmap).
-
-    0 when n < 1, which every command rejects before enumerating; ``inf``
-    for counts above 10^37 (see ``_binomial``)."""
+    """Entries the command would enumerate, from closed forms alone: n // 2 + 1
+    Levi shapes (partitions), ``param_space``'s catalog counts (components,
+    bc), the bounded ranks of ``ktheory``'s closed forms, both degrees
+    (ktheory), or the keys of both presentations when n = 1 and none for
+    n >= 2 (kmap).  0 when n < 1, which every command rejects before
+    enumerating; ``inf`` for counts above 10^37 (see ``levi._binomial``)."""
     if n < 1:
         return 0
-    q, odd = divmod(n, 2)
     if command == "partitions":
-        return q + 1
+        return n // 2 + 1
     if command == "bc" or (command == "components" and field == "real"):
-        # The sum over shapes of C(L + q' - 1, q')(r + 1), in closed form by
-        # the hockey-stick identity.  real_components builds its shapes
-        # before it checks the cutoff, so a cutoff below 1 counts as 1.
-        top = max(cutoff, 1) + q + 1
-        return _binomial(top, q) + (_binomial(top, q) if odd else _binomial(top - 1, q - 1))
+        # real_components builds its shapes before it checks the cutoff, so
+        # a cutoff below 1 counts as 1.
+        return _real_catalog_size(n, max(cutoff, 1))
     if command == "components":
-        return _binomial(2 * cutoff + n, n)
-    complex_rank = _binomial(2 * cutoff + 1, n)
-    # k_real's free orbits: a q-subset of {1..cutoff} times an r-subset of
-    # {0, 1}, so r = 1 for odd n and r in (0, 2) for even n.
-    if odd:
-        real_rank = 2 * _binomial(cutoff, q)
-    else:
-        real_rank = _binomial(cutoff, q) + _binomial(cutoff, q - 1)
+        return _complex_catalog_size(n, cutoff)
+    real_rank, complex_rank = (
+        sum(family._bounded_rank_at(cutoff) for family in closed_forms(n))
+        for closed_forms in (closed_form_real, closed_form_complex)
+    )
     if command == "ktheory":
         return real_rank if field == "real" else complex_rank
     # kmap lists keys only to check its one assignment when n = 1: the
@@ -130,24 +111,19 @@ def predicted_size(command: str, n: int, cutoff: int, field: str) -> int | float
     # map is zero and nothing is listed.  It prints both ranks exactly, so
     # an infinite one refuses it, and the pool term of _check_size bounds
     # the digits of a finite one.
-    if complex_rank == inf or real_rank == inf:
-        return inf
-    return complex_rank + real_rank if n == 1 else 0
+    both = real_rank + complex_rank
+    return both if n == 1 or both == inf else 0
 
 
 def _check_size(command: str, n: int, cutoff: int, field: str) -> None:
-    """Raise ValueError when the command's predicted output exceeds
-    ``MAX_CELLS``: up to n labels per entry (n^2 per bc record, for its
-    matrix), plus, for a command that builds one, the pool of up to
-    2 * cutoff + 1 labels that the enumerators materialize."""
+    """Raise ValueError when the command's cells (see ``MAX_CELLS``) exceed the limit."""
     size = predicted_size(command, n, cutoff, field)
     cells = size * (n * n if command == "bc" else n)
-    # The real catalog (real components, bc) draws gl2 labels only for
-    # shapes with q >= 1, so at n = 1 it builds no pool.  Every other
-    # command but partitions builds one at every n: ktheory --field real
-    # lists its gl2 pool even when no shape uses it.
-    real_catalog = command == "bc" or (command == "components" and field == "real")
-    if command != "partitions" and (n > 1 or not real_catalog):
+    # Real shapes draw gl2 labels only when q >= 1, so at n = 1 a real-only
+    # command (real components and ktheory, bc) builds no pool.  kmap's
+    # source at n = 1 is complex and lists its pool.
+    real_only = command == "bc" or (command in ("components", "ktheory") and field == "real")
+    if command != "partitions" and (n > 1 or not real_only):
         cells += 2 * max(cutoff, 0) + 1
     if cells > MAX_CELLS:
         raise ValueError(

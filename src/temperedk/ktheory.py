@@ -16,25 +16,33 @@ from math import comb
 from types import MappingProxyType
 from typing import Callable, Iterator, Mapping, Union
 
-from .levi import SigmaOrbit, _require_at_least, _require_int, _Value, enumerate_levi_shapes
+from .levi import SigmaOrbit, _binomial, _require_at_least, _require_int, _Value, enumerate_levi_shapes
 from .param_space import Component, ComplexComponent, _complex_key, _real_key
 
-_FAMILY_KINDS = ("rank", "nat_subsets", "nat_subsets_x_z2", "int_subsets")
+# kind -> (description, generator count at a cutoff over a binomial ``choose``)
+_FAMILIES = {
+    "rank": ("rank {}", lambda choose, k, cutoff: k),
+    "nat_subsets": ("{}-subsets of N", lambda choose, k, cutoff: choose(cutoff, k)),
+    "nat_subsets_x_z2": ("{}-subsets of N x Z/2", lambda choose, k, cutoff: 2 * choose(cutoff, k)),
+    "int_subsets": ("{}-subsets of Z", lambda choose, k, cutoff: choose(2 * cutoff + 1, k)),
+}
 
 
 class IndexFamily(_Value):
-    """Closed-form description of one K-degree's generator family.
+    """Closed-form description of one K-degree's generator family: the
+    constant rank ``size`` (kind "rank"), or the ``size``-subsets of N
+    ("nat_subsets"), of N paired with a two-valued character
+    ("nat_subsets_x_z2") or of Z ("int_subsets").
 
-    kind "rank": constant rank ``size`` at every cutoff.
-    kind "nat_subsets": ``size``-element subsets of {1, 2, ...}.
-    kind "nat_subsets_x_z2": such subsets paired with a two-valued character.
-    kind "int_subsets": ``size``-element subsets of Z.
+    ``_FAMILIES`` maps each kind to its description and its one count
+    formula over a binomial ``choose``: ``rank_at`` reads the formula with
+    ``math.comb`` (exact), ``_bounded_rank_at`` with ``levi._binomial``.
     """
 
     __slots__ = _fields = ("kind", "size")
 
     def __init__(self, kind: str, size: int) -> None:
-        if kind not in _FAMILY_KINDS:
+        if kind not in _FAMILIES:
             raise ValueError(f"unknown family kind: {kind!r}")
         _require_at_least("size", size, 0)
         object.__setattr__(self, "kind", kind)
@@ -42,23 +50,17 @@ class IndexFamily(_Value):
 
     def rank_at(self, cutoff: int) -> int:
         """Generator count once labels are truncated at the given cutoff."""
-        _require_at_least("cutoff", cutoff, 0)
-        if self.kind == "rank":
-            return self.size
-        if self.kind == "nat_subsets":
-            return comb(cutoff, self.size)
-        if self.kind == "nat_subsets_x_z2":
-            return 2 * comb(cutoff, self.size)
-        return comb(2 * cutoff + 1, self.size)
+        # Inline test first: a closed-form grid reads thousands of ranks.
+        if type(cutoff) is not int or cutoff < 0:
+            _require_at_least("cutoff", cutoff, 0)
+        return _FAMILIES[self.kind][1](comb, self.size, cutoff)
+
+    def _bounded_rank_at(self, cutoff: int) -> int | float:
+        """``rank_at`` unchecked and bounded: ``inf`` past 10^37, 0 subsets below cutoff 0."""
+        return _FAMILIES[self.kind][1](_binomial, self.size, cutoff)
 
     def describe(self) -> str:
-        if self.kind == "rank":
-            return f"rank {self.size}"
-        if self.kind == "nat_subsets":
-            return f"{self.size}-subsets of N"
-        if self.kind == "nat_subsets_x_z2":
-            return f"{self.size}-subsets of N x Z/2"
-        return f"{self.size}-subsets of Z"
+        return _FAMILIES[self.kind][0].format(self.size)
 
 
 class KGroupPresentation(_Value):
@@ -143,7 +145,8 @@ class KGroupPresentation(_Value):
             if n % 2 == self.degree:
                 yield from combinations(map(label, range(-cutoff, cutoff + 1)), n)
             return
-        gl2_pool = tuple(map(label, range(1, cutoff + 1)))
+        # At n = 1 the only shape has q = 0, so no gl2 label is drawn.
+        gl2_pool = tuple(map(label, range(1, cutoff + 1))) if n > 1 else ()
         gl1_pool = tuple(map(label, (0, 1)))
         for shape in enumerate_levi_shapes(n):
             if (shape.q + shape.r) % 2 == self.degree:
@@ -246,13 +249,11 @@ def closed_form_real(n: int) -> tuple[IndexFamily, IndexFamily]:
     if odd:
         main = IndexFamily("nat_subsets_x_z2", q) if q >= 1 else IndexFamily("rank", 2)
         other = IndexFamily("rank", 0)
-        main_degree = (q + 1) % 2
     else:
         main = IndexFamily("nat_subsets", q)
         other = IndexFamily("nat_subsets", q - 1) if q >= 2 else IndexFamily("rank", 1)
-        main_degree = q % 2
-    families = {main_degree: main, 1 - main_degree: other}
-    return families[0], families[1]
+    # The main family's shape has q + odd blocks, its dimension and degree.
+    return (other, main) if (q + odd) % 2 else (main, other)
 
 
 def closed_form_complex(n: int) -> tuple[IndexFamily, IndexFamily]:

@@ -8,14 +8,15 @@ discrete-series datum on such a Levi is a multiset of q GL(2)-indices
 order-two component group (0 = trivial, 1 = sign), always kept in canonical
 sorted form so that each Weyl orbit has exactly one representative.
 
-It also owns the input checks of every catalog entry point: ``_require_int``
-and ``_require_at_least``, the one range check ("n must be >= 1"), and
-``_Value``, the base of every value class in the package.
+It also owns ``_require_int`` and ``_require_at_least``, the input checks of
+every catalog entry point ("n must be >= 1"), ``_Value``, the base of every
+value class in the package, and ``_binomial``, the one bounded binomial.
 """
 
 from __future__ import annotations
 
 from itertools import combinations_with_replacement
+from math import comb, inf
 from operator import attrgetter
 
 
@@ -28,11 +29,22 @@ def _require_int(name: str, value: object) -> None:
 
 def _require_at_least(name: str, value: object, least: int) -> None:
     """The one range check: an int, not a bool, and at least ``least``."""
-    # Inline test first: rank_at runs this check on every call.
+    # Inline test first: every presentation and catalog runs this check.
     if type(value) is not int:
         _require_int(name, value)
     if value < least:
         raise ValueError(f"{name} must be >= {least}, got {value}")
+
+
+def _binomial(a: int, k: int) -> int | float:
+    """C(a, k), 0 outside 0 <= k <= a, and ``inf`` once k and a - k both
+    exceed 64, where it is above C(128, 64) > 10^37: no n or cutoff, however
+    large, costs more than a product of 64 terms."""
+    if k < 0 or k > a:
+        return 0
+    if min(k, a - k) > 64:
+        return inf
+    return comb(a, k)
 
 
 class _Value:

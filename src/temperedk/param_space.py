@@ -17,6 +17,7 @@ from typing import Iterable
 from .levi import (
     LeviShape,
     SigmaOrbit,
+    _binomial,
     _require_at_least,
     _require_int,
     _Value,
@@ -197,6 +198,19 @@ def complex_components(n: int, cutoff: int) -> list[ComplexComponent]:
         ComplexComponent(labels)
         for labels in combinations_with_replacement(range(-cutoff, cutoff + 1), n)
     ]
+
+
+def _real_catalog_size(n: int, cutoff: int) -> int | float:
+    """len(real_components(n, cutoff)), unchecked and bounded: the sum over
+    shapes of C(cutoff + q - 1, q)(r + 1), by the hockey-stick identity."""
+    q, odd = divmod(n, 2)
+    top = cutoff + q + 1
+    return _binomial(top, q) + (_binomial(top, q) if odd else _binomial(top - 1, q - 1))
+
+
+def _complex_catalog_size(n: int, cutoff: int) -> int | float:
+    """len(complex_components(n, cutoff)), unchecked and bounded."""
+    return _binomial(2 * cutoff + n, n)
 
 
 def cone_chart(component: Component | ComplexComponent) -> ConeChart:

@@ -343,7 +343,7 @@ class TestSizePredictor:
 
     def test_kmap_exact_ranks_are_bounded(self):
         # A zero map lists nothing, but its ranks are printed exactly, so a
-        # rank too large for _binomial still refuses the command.
+        # rank too large for levi._binomial still refuses the command.
         predicted = cli.predicted_size
         assert predicted("kmap", 30, 30, "real") == 0
         assert predicted("kmap", 1, 10**9, "real") == 2 * 10**9 + 3
@@ -368,13 +368,12 @@ class TestSizePredictor:
 
     def test_cap_counts_the_label_pool(self, capsys, monkeypatch):
         monkeypatch.setattr(cli, "MAX_CELLS", 100)
-        # Two entries, but a pool of 101 labels to list them from: real
-        # presentations build their gl2 pool at every n.
-        code, out, err = run(capsys, "ktheory", "--n", "1", "--cutoff", "50")
+        # 103 one-label keys, listed from a complex source pool of 101 labels.
+        code, out, err = run(capsys, "kmap", "--n", "1", "--cutoff", "50")
         assert (code, out) == (1, "")
-        assert "2 entries (103 cells" in err
+        assert "103 entries (204 cells" in err
 
-    @pytest.mark.parametrize("command", ["components", "bc"])
+    @pytest.mark.parametrize("command", ["components", "bc", "ktheory"])
     def test_cap_skips_the_pool_the_real_catalog_never_builds(self, capsys, monkeypatch, command):
         # At n = 1 the only shape has q = 0, so no gl2 label is drawn.
         monkeypatch.setattr(cli, "MAX_CELLS", 100)
@@ -389,8 +388,11 @@ class TestSizePredictor:
         assert keys == ["shape:0,1|gl2:|gl1:0", "shape:0,1|gl2:|gl1:1"]
         doc, _ = run_json(capsys, "bc", "--n", "1", "--cutoff", str(10**12))
         assert [m["target"]["key"] for m in doc["payload"]] == ["labels:0", "labels:0"]
+        doc, _ = run_json(capsys, "ktheory", "--n", "1", "--cutoff", str(10**12))
+        degrees = doc["payload"]
+        assert degrees["deg0"]["generators"] == []
+        assert degrees["deg1"]["generators"] == keys
         for args in (
-            ("ktheory",),
             ("ktheory", "--field", "complex"),
             ("kmap",),
             ("components", "--field", "complex"),
@@ -398,6 +400,18 @@ class TestSizePredictor:
             code, out, err = run(capsys, *args, "--n", "1", "--cutoff", str(10**12))
             assert (code, out) == (1, ""), args
             assert "more than the limit" in err
+
+
+class TestOneOwnerOfEachCount:
+    def test_ranks_descriptions_and_prices_read_one_formula(self, monkeypatch):
+        # GL(4, R): 2-subsets of N in degree 0 and 1-subsets in degree 1.
+        p = k_real(4, 5)[0]
+        assert (p.rank, p.closed_form.describe()) == (comb(5, 2), "2-subsets of N")
+        assert cli.predicted_size("ktheory", 4, 5, "real") == comb(5, 2) + comb(5, 1)
+        formula = lambda choose, k, cutoff: 100 * choose(cutoff, k)
+        monkeypatch.setitem(ktheory._FAMILIES, "nat_subsets", ("{}-sets of N", formula))
+        assert (p.rank, p.closed_form.describe()) == (100 * comb(5, 2), "2-sets of N")
+        assert cli.predicted_size("ktheory", 4, 5, "real") == 100 * (comb(5, 2) + comb(5, 1))
 
 
 class TestChartOnce:
@@ -537,7 +551,7 @@ class TestNoByteBeforeChecks:
             ["components", "--n", "4", "--cutoff", "4", "--field", "complex"],
             ["bc", "--n", "4", "--cutoff", "2"],
             ["partitions", "--n", "20"],
-            ["ktheory", "--n", "1", "--cutoff", "50"],
+            ["kmap", "--n", "1", "--cutoff", "50"],
         ):
             assert self.writes(argv + ["--format", fmt]) == (1, 0), argv
 

@@ -1,4 +1,4 @@
-from math import comb
+from math import comb, inf
 
 import pytest
 from hypothesis import given
@@ -145,6 +145,18 @@ class TestClosedForms:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
             IndexFamily("lists", 2)
+
+    def test_bounded_read_is_exact_below_its_bound(self):
+        for n in range(1, 41):
+            for family in closed_form_real(n) + closed_form_complex(n):
+                for cutoff in range(13):
+                    assert family._bounded_rank_at(cutoff) == family.rank_at(cutoff), (n, cutoff)
+
+    def test_bounded_read_is_infinite_past_its_bound(self):
+        # Both degrees are q-subsets (or (q - 1)-subsets) of 2 * 10^9 labels,
+        # q = 5 * 10^8: far past C(128, 64), and never computed.
+        for family in closed_form_real(10**9):
+            assert family._bounded_rank_at(2 * 10**9) == inf
 
     def test_invalid_n(self):
         with pytest.raises(ValueError):
