@@ -98,14 +98,11 @@ def bc_component(component: Component) -> ParameterMap:
     labels.extend(0 for _ in range(r))
     target = ComplexComponent(tuple(labels))
 
-    dim_source = component.dimension
+    d = component.dimension
     matrix: list[tuple[int, ...]] = []
-    for i in range(q):
-        row = tuple(1 if j == i else 0 for j in range(dim_source))
-        matrix.append(row)
-        matrix.append(row)
-    for i in range(r):
-        matrix.append(tuple(2 if j == q + i else 0 for j in range(dim_source)))
+    for i in range(d):
+        row = (0,) * i + (1 if i < q else 2,) + (0,) * (d - i - 1)
+        matrix += (row, row) if i < q else (row,)
     return ParameterMap(component, target, tuple(matrix))
 
 

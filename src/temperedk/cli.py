@@ -1,6 +1,6 @@
 """Command-line front end emitting reproducible catalogs.
 
-Five subcommands cover the engine surface: ``partitions`` (Levi shapes),
+Five commands cover the engine surface: ``partitions`` (Levi shapes),
 ``components`` (tempered-dual catalog, real or complex), ``ktheory``
 (K-group presentations), ``bc`` (base change on components, with parameter
 matrices), and ``kmap`` (the induced map on K-theory).  Output is either a
@@ -58,28 +58,29 @@ MAX_CELLS = 4_000_000
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # One parser, not a subparser per command: the five commands take the
+    # same options, and each ArgumentParser costs tens of microseconds.
     parser = argparse.ArgumentParser(
         prog="temperedk",
         description="Catalogs of tempered duals of GL(n) over R and C, "
         "their K-theory, and archimedean base change.",
     )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--n", type=int, required=True, help="rank n of GL(n)")
-    common.add_argument(
+    parser.add_argument(
+        "command",
+        choices=("partitions", "components", "ktheory", "bc", "kmap"),
+        help="partitions: Levi shapes; components: tempered-dual catalog; ktheory: "
+        "K-group presentations; bc: base change on components; kmap: induced K-map",
+    )
+    parser.add_argument("--n", type=int, required=True, help="rank n of GL(n)")
+    parser.add_argument(
         "--cutoff", type=int, default=4, help="largest discrete-series label enumerated (default 4)"
     )
-    common.add_argument(
+    parser.add_argument(
         "--field", choices=("real", "complex"), default="real", help="base field (default real)"
     )
-    common.add_argument(
+    parser.add_argument(
         "--format", choices=("json", "table"), default="table", help="output format (default table)"
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("partitions", parents=[common], help="Levi shapes n = 2q + r")
-    sub.add_parser("components", parents=[common], help="tempered-dual component catalog")
-    sub.add_parser("ktheory", parents=[common], help="K-group presentations")
-    sub.add_parser("bc", parents=[common], help="base change on components")
-    sub.add_parser("kmap", parents=[common], help="induced map on K-theory")
     return parser
 
 
@@ -118,18 +119,18 @@ def predicted_size(command: str, n: int, cutoff: int, field: str) -> int | float
 def _check_size(command: str, n: int, cutoff: int, field: str) -> None:
     """Raise ValueError when the command's cells (see ``MAX_CELLS``) exceed the limit."""
     size = predicted_size(command, n, cutoff, field)
-    cells = size * (n * n if command == "bc" else n)
     # Real shapes draw gl2 labels only when q >= 1, so at n = 1 a real-only
     # command (real components and ktheory, bc) builds no pool.  kmap's
     # source at n = 1 is complex and lists its pool.
     real_only = command == "bc" or (command in ("components", "ktheory") and field == "real")
-    if command != "partitions" and (n > 1 or not real_only):
-        cells += 2 * max(cutoff, 0) + 1
+    pool = 2 * max(cutoff, 0) + 1 if command != "partitions" and (n > 1 or not real_only) else 0
+    cells = size * (n * n if command == "bc" else n) + pool
     if cells > MAX_CELLS:
-        raise ValueError(
-            f"{command} would enumerate {size} entries ({cells} cells with their labels), "
-            f"more than the limit of {MAX_CELLS} cells"
-        )
+        if cells - pool <= MAX_CELLS < pool:
+            what = f"build a label pool of {pool} labels"
+        else:
+            what = f"enumerate {size} entries ({cells} cells with their labels)"
+        raise ValueError(f"{command} would {what}, more than the limit of {MAX_CELLS} cells")
 
 
 def _collect(command: str, n: int, cutoff: int, field: str) -> tuple[str, object]:

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import os
@@ -265,20 +266,58 @@ class TestExitCodes:
         assert code == 1
         assert out == ""
 
-    def test_usage_error_is_two(self, capsys):
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["catalog", "--n", "2"],
+            ["--n", "2"],
+            ["ktheory"],
+            ["ktheory", "--n", "not-a-number"],
+            ["ktheory", "--n", "2", "--field", "p-adic"],
+            ["bc", "--n", "2", "--format", "xml"],
+        ],
+    )
+    def test_usage_error_is_two(self, capsys, argv):
         with pytest.raises(SystemExit) as excinfo:
-            main(["ktheory", "--n", "not-a-number"])
-        assert excinfo.value.code == 2
+            main(argv)
+        out, err = capsys.readouterr()
+        assert (excinfo.value.code, out) == (2, "")
+        assert err.splitlines()[-1].startswith("temperedk: error: ")
 
-    def test_unknown_command_is_two(self, capsys):
-        with pytest.raises(SystemExit) as excinfo:
-            main(["catalog", "--n", "2"])
-        assert excinfo.value.code == 2
 
-    def test_missing_n_is_two(self, capsys):
-        with pytest.raises(SystemExit) as excinfo:
-            main(["ktheory"])
-        assert excinfo.value.code == 2
+class TestParser:
+    def test_main_builds_one_parser(self, monkeypatch, capsys):
+        # Each ArgumentParser costs tens of microseconds on every command.
+        # __init__ is wrapped in place: argparse names ArgumentParser in its
+        # own super() call, so a subclass bound over it would recurse.
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+        assert run(capsys, "partitions", "--n", "2")[0] == 0
+        assert len(built) == 1
+
+    def test_help_names_every_command_and_option(self, capsys):
+        pages = []
+        for argv in (["--help"], ["bc", "--help"]):
+            with pytest.raises(SystemExit) as excinfo:
+                main(argv)
+            assert excinfo.value.code == 0
+            pages.append(capsys.readouterr().out)
+        assert pages[0] == pages[1]
+        for word in ("partitions", "components", "ktheory", "bc", "kmap"):
+            assert word in pages[0]
+        for option in ("--n", "--cutoff", "--field", "--format"):
+            assert option in pages[0]
+
+    def test_options_may_come_before_the_command(self, capsys):
+        before = run(capsys, "--n", "3", "--cutoff", "2", "bc")
+        after = run(capsys, "bc", "--n", "3", "--cutoff", "2")
+        assert before == after and before[0] == 0 and before[1]
 
 
 class TestSizePredictor:
@@ -365,6 +404,25 @@ class TestSizePredictor:
         code, out, err = run(capsys, "kmap", "--n", "1000000000", "--cutoff", "1000000000")
         assert (code, out) == (1, "")
         assert err.startswith("error: kmap would enumerate inf entries")
+
+    def test_pool_over_the_limit_is_named(self, capsys):
+        # kmap at n = 2 lists no key, so only its label pool can be too large.
+        pool = 2 * 10**39 + 1
+        code, out, err = run(capsys, "kmap", "--n", "2", "--cutoff", str(10**39))
+        assert (code, out) == (1, "")
+        assert err == (
+            f"error: kmap would build a label pool of {pool} labels, "
+            "more than the limit of 4000000 cells\n"
+        )
+
+    def test_entries_over_the_limit_are_named(self, capsys):
+        size, pool = 2 * 10**57, 2 * 10**57 + 1
+        code, out, err = run(capsys, "ktheory", "--n", "3", "--cutoff", str(10**57))
+        assert (code, out) == (1, "")
+        assert err == (
+            f"error: ktheory would enumerate {size} entries ({3 * size + pool} cells "
+            "with their labels), more than the limit of 4000000 cells\n"
+        )
 
     def test_cap_counts_the_label_pool(self, capsys, monkeypatch):
         monkeypatch.setattr(cli, "MAX_CELLS", 100)
@@ -482,7 +540,7 @@ def _sha256(text):
 
 
 class TestJsonGrid:
-    """Every subcommand, field and format for n 0-6 and cutoff 0-4, against
+    """Every command, field and format for n 0-6 and cutoff 0-4, against
     ``tests/cli_grid.json``: exit code and stdout sha256, recorded from the
     dict-document writer that preceded the per-kind writers.  A mismatch is
     a change of output to explain, not a file to re-record.  Every JSON
