@@ -18,6 +18,7 @@ dimension larger than its source, and the induced map vanishes.
 from __future__ import annotations
 
 from itertools import combinations
+from math import gcd
 
 from .ktheory import KClass, KGroupPresentation, kclass
 from .levi import SigmaOrbit, _require_int, _Value
@@ -47,7 +48,7 @@ class ParameterMap(_Value):
             if len(row) != source.dimension:
                 raise ValueError("matrix column count must equal the source dimension")
             for x in row:
-                # Inline test first: the rank's exact division needs plain ints.
+                # Inline test first: the rank's gcd and exact division need plain ints.
                 if type(x) is not int:
                     _require_int("matrix entry", x)
         object.__setattr__(self, "source", source)
@@ -63,24 +64,26 @@ class ParameterMap(_Value):
 
 
 def _column_rank(matrix: tuple[tuple[int, ...], ...]) -> int:
-    """Rank by fraction-free integer elimination (Bareiss, Math. Comp. 22,
-    1968).  Each division by the previous pivot is exact only because every
-    row below the pivot is updated, even one already 0 in the pivot column."""
-    rows = [list(row) for row in matrix]
-    rank = 0
-    previous = 1
-    for col in range(len(rows[0])):
-        pivot = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
-        if pivot is None:
+    """Rank over Q by sparse fraction-free elimination with content removal
+    (Geddes, Czapor and Labahn, Algorithms for Computer Algebra, 1992, ch. 9):
+    each row is {column: entry}, nonzero entries only; a row's first entry is
+    its pivot, whose column is eliminated only from the later rows that have
+    it; each new row is divided by the gcd of its entries, so entries stay
+    small.  The rank is the number of nonzero rows left."""
+    rows = [{j: x for j, x in enumerate(row) if x} for row in matrix]
+    for i, pivot_row in enumerate(rows):
+        if not pivot_row:
             continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        p = rows[rank][col]
-        for i in range(rank + 1, len(rows)):
-            f = rows[i][col]
-            rows[i] = [(p * a - f * b) // previous for a, b in zip(rows[i], rows[rank])]
-        previous = p
-        rank += 1
-    return rank
+        col, p = next(iter(pivot_row.items()))
+        for k in range(i + 1, len(rows)):
+            f = rows[k].get(col)
+            if f:
+                new = {j: p * x for j, x in rows[k].items()}
+                for j, x in pivot_row.items():
+                    new[j] = new.get(j, 0) - f * x
+                g = gcd(*new.values())
+                rows[k] = {j: x // g for j, x in new.items() if x}
+    return sum(map(bool, rows))
 
 
 def bc_component(component: Component) -> ParameterMap:

@@ -30,7 +30,7 @@ from typing import Callable, Iterable, Optional, Sequence
 from . import __version__
 from .base_change import InducedKMap, ParameterMap, bc_component, induced_k_map
 from .ktheory import KGroupPresentation, closed_form_complex, closed_form_real, k_complex, k_real
-from .levi import LeviShape, enumerate_levi_shapes, weyl_group
+from .levi import LeviShape, _Memo, enumerate_levi_shapes, weyl_group
 from .param_space import (
     KIND_CONE,
     KIND_FREE,
@@ -159,7 +159,10 @@ def _collect(command: str, n: int, cutoff: int, field: str) -> tuple[str, object
     return "kmap", induced_k_map(n, cutoff)
 
 
-# Record functions, one per kind and shared by both formats.
+# Record functions, one per kind and shared by both formats.  A writer builds
+# one label -> str table per command and passes it to every record, so each
+# distinct label is written once; it holds only labels that were written, so
+# MAX_CELLS bounds it too.
 
 
 def _partition(shape: LeviShape) -> tuple[str, str, str, str]:
@@ -169,19 +172,20 @@ def _partition(shape: LeviShape) -> tuple[str, str, str, str]:
 
 
 def _component(
-    c: Component | ComplexComponent,
+    c: Component | ComplexComponent, strings: dict[int, str]
 ) -> tuple[str, int, str, Optional[ConeChart], tuple[list[str], ...]]:
     """Key, dimension, kind, chart (None when free) and labels of one
-    component, the labels written as strings once, block by block.
+    component, the labels looked up block by block in ``strings``.
 
     The key is joined from those strings and the JSON label lists reuse
     them.  One chart per record, and no run scan: a component is free
     exactly when its chart has no rays."""
+    text = strings.__getitem__
     if isinstance(c, Component):
-        gl2, gl1 = blocks = [*map(str, c.orbit.gl2_labels)], [*map(str, c.orbit.gl1_labels)]
+        gl2, gl1 = blocks = [*map(text, c.orbit.gl2_labels)], [*map(text, c.orbit.gl1_labels)]
         key = _real_key(len(gl2), len(gl1), gl2, gl1)
     else:
-        blocks = ([*map(str, c.labels)],)
+        blocks = ([*map(text, c.labels)],)
         key = _complex_key(blocks[0])
     chart = cone_chart(c)
     if chart.num_rays:
@@ -217,7 +221,9 @@ def _object(pad: str, keys: Sequence[str]) -> str:
     return _join((f'"{key}": %s' for key in keys), pad, "{}")
 
 
-def _component_json(pad: str, field: str) -> Callable[[Component | ComplexComponent], str]:
+def _component_json(
+    pad: str, field: str, strings: dict[int, str]
+) -> Callable[[Component | ComplexComponent], str]:
     """Writer of one component's JSON object; a cone puts "chart" first."""
     if field == "real":
         free = _object(pad, ("dimension", "gl1", "gl2", "key", "kind", "q", "r"))
@@ -229,7 +235,7 @@ def _component_json(pad: str, field: str) -> Callable[[Component | ComplexCompon
     kinds = {kind: encode(kind) for kind in (KIND_FREE, KIND_CONE)}
 
     def record(c: Component | ComplexComponent) -> str:
-        key, dimension, kind, chart, blocks = _component(c)
+        key, dimension, kind, chart, blocks = _component(c, strings)
         key, kind = encode(key), kinds[kind]
         if field == "real":
             gl2, gl1 = blocks
@@ -259,7 +265,7 @@ def _partitions_json(write: _Write, shapes: list[LeviShape], args: Namespace) ->
 
 
 def _components_json(write: _Write, catalog: list, args: Namespace) -> None:
-    _stream(write, map(_component_json("    ", args.field), catalog))
+    _stream(write, map(_component_json("    ", args.field, _Memo(str)), catalog))
 
 
 def _ktheory_json(write: _Write, degrees: _Degrees, args: Namespace) -> None:
@@ -278,7 +284,8 @@ def _ktheory_json(write: _Write, degrees: _Degrees, args: Namespace) -> None:
 def _bc_json(write: _Write, maps: list[ParameterMap], args: Namespace) -> None:
     template = _object("    ", ("column_rank", "matrix", "proper", "source", "target"))
     pad = "      "
-    source, target = _component_json(pad, "real"), _component_json(pad, "complex")
+    strings = _Memo(str)
+    source, target = _component_json(pad, "real", strings), _component_json(pad, "complex", strings)
 
     def record(m: ParameterMap) -> str:
         matrix = _join((_join(map(repr, row), pad + "  ") for row in m.matrix), pad)
@@ -325,9 +332,9 @@ def _partitions_table(write: _Write, shapes: list[LeviShape], args: Namespace) -
 
 
 def _components_table(write: _Write, catalog: list, args: Namespace) -> None:
-    rows = []
+    rows, strings = [], _Memo(str)
     for c in catalog:
-        key, dimension, kind, chart, _ = _component(c)
+        key, dimension, kind, chart, _ = _component(c, strings)
         cell = "-" if chart is None else f"lines={chart.num_lines},rays={chart.num_rays}"
         rows.append((key, str(dimension), kind, cell))
     free = [row[2] for row in rows].count(KIND_FREE)
@@ -350,11 +357,11 @@ def _ktheory_table(write: _Write, degrees: _Degrees, args: Namespace) -> None:
 
 
 def _bc_table(write: _Write, maps: list[ParameterMap], args: Namespace) -> None:
-    rows = []
+    rows, strings = [], _Memo(str)
     for m in maps:
         matrix = "[" + ",".join("[" + ",".join(map(repr, row)) + "]" for row in m.matrix) + "]"
         proper = "yes" if m.is_proper else "no"
-        target, _, kind, _, _ = _component(m.target)
+        target, _, kind, _, _ = _component(m.target, strings)
         rows.append((m.source.key, target, kind, matrix, str(m.column_rank), proper))
     proper_maps = sum(m.is_proper for m in maps)
     write(

@@ -10,7 +10,8 @@ sorted form so that each Weyl orbit has exactly one representative.
 
 It also owns ``_require_int`` and ``_require_at_least``, the input checks of
 every catalog entry point ("n must be >= 1"), ``_Value``, the base of every
-value class in the package, and ``_binomial``, the one bounded binomial.
+value class in the package, ``_binomial``, the one bounded binomial, and
+``_Memo``, the dict behind the shared cone charts and the CLI's label strings.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from __future__ import annotations
 from itertools import combinations_with_replacement
 from math import comb, inf
 from operator import attrgetter
+from typing import Callable
 
 
 def _require_int(name: str, value: object) -> None:
@@ -45,6 +47,17 @@ def _binomial(a: int, k: int) -> int | float:
     if min(k, a - k) > 64:
         return inf
     return comb(a, k)
+
+
+class _Memo(dict):
+    """Dict that fills a missing key once, with ``make(key)``."""
+
+    def __init__(self, make: Callable) -> None:
+        self.make = make
+
+    def __missing__(self, key: object) -> object:
+        value = self[key] = self.make(key)
+        return value
 
 
 class _Value:

@@ -18,6 +18,7 @@ from .levi import (
     LeviShape,
     SigmaOrbit,
     _binomial,
+    _Memo,
     _require_at_least,
     _require_int,
     _Value,
@@ -213,6 +214,10 @@ def _complex_catalog_size(n: int, cutoff: int) -> int | float:
     return _binomial(2 * cutoff + n, n)
 
 
+# (num_lines, num_rays) -> its one ConeChart.
+_CHARTS = _Memo(lambda counts: ConeChart(*counts))
+
+
 def cone_chart(component: Component | ComplexComponent) -> ConeChart:
     """Mean-and-gaps chart of the component's orbit space.
 
@@ -221,12 +226,13 @@ def cone_chart(component: Component | ComplexComponent) -> ConeChart:
     labels, counted block by block, and the rays are the rest:
     num_rays = dimension - num_lines = sum(m - 1 for m in multiplicities),
     which is 0 exactly when the component is free.  Counting distinct
-    labels needs no run scan.
+    labels needs no run scan.  Charts are immutable, so one is shared per
+    (lines, rays) pair: a catalog has at most d + 1 of dimension d.
     """
     lines = 0
     for block in component.label_blocks:
         lines += len(set(block))
-    return ConeChart(lines, component.dimension - lines)
+    return _CHARTS[lines, component.dimension - lines]
 
 
 def canonicalize_point(point: TemperedPoint) -> TemperedPoint:

@@ -153,6 +153,75 @@ class TestParameterMap:
                     assert bc_component(c).is_proper
 
 
+_SIZES = st.integers(1, 10)
+_SMALL = st.integers(-3, 3)
+_HUGE = st.integers(-(10**20), 10**20)
+
+
+def _grid(draw, rows, cols, entries):
+    return [[draw(entries) for _ in range(cols)] for _ in range(rows)]
+
+
+@st.composite
+def _dense(draw):
+    return _grid(draw, draw(_SIZES), draw(_SIZES), st.one_of(_SMALL, _HUGE))
+
+
+@st.composite
+def _low_rank(draw):
+    # A rows x k times k x cols product has rank at most k.
+    rows, cols = draw(_SIZES), draw(_SIZES)
+    k = draw(st.integers(0, min(rows, cols)))
+    factor = st.one_of(_SMALL, st.integers(-(10**10), 10**10))
+    a, b = _grid(draw, rows, k, factor), _grid(draw, k, cols, factor)
+    return [[sum(a[i][l] * b[l][j] for l in range(k)) for j in range(cols)] for i in range(rows)]
+
+
+@st.composite
+def _bc_like(draw):
+    # At most one nonzero per row, and some rows repeated, as a gl2
+    # coordinate feeds two equal rows.
+    cols = draw(_SIZES)
+    rows = draw(st.lists(st.tuples(st.integers(0, cols - 1), _SMALL), min_size=1, max_size=10))
+    rows += draw(st.lists(st.sampled_from(rows), max_size=10 - len(rows)))
+    rows = draw(st.permutations(rows))
+    return [[value if j == col else 0 for j in range(cols)] for col, value in rows]
+
+
+@st.composite
+def _with_zero_lines(draw):
+    matrix = draw(st.one_of(_dense(), _low_rank()))
+    zero_rows = draw(st.sets(st.integers(0, len(matrix) - 1)))
+    zero_cols = draw(st.sets(st.integers(0, len(matrix[0]) - 1)))
+    return [
+        [0 if i in zero_rows or j in zero_cols else x for j, x in enumerate(row)]
+        for i, row in enumerate(matrix)
+    ]
+
+
+class TestColumnRank:
+    """The sparse rank against the Fraction oracle, up to 10 x 10."""
+
+    @pytest.mark.parametrize(
+        "matrices",
+        [_dense(), _low_rank(), _bc_like(), _with_zero_lines()],
+        ids=["dense", "low_rank", "bc_like", "zero_lines"],
+    )
+    @given(data=st.data())
+    def test_matches_bruteforce_and_transpose(self, matrices, data):
+        matrix = tuple(map(tuple, data.draw(matrices)))
+        rank = base_change._column_rank(matrix)
+        assert rank == column_rank_bruteforce(matrix)
+        assert rank == base_change._column_rank(tuple(zip(*matrix)))
+
+    def test_exact_where_floats_are_not(self):
+        # Rows (10^20, 1) and (10^20 + 1, 1) are independent, though equal
+        # as floats.
+        big = 10**20
+        assert base_change._column_rank(((big, 1), (big + 1, 1))) == 2
+        assert base_change._column_rank(((big, big + 1), (2 * big, 2 * big + 2))) == 1
+
+
 class TestBcPointReal:
     def test_sign_character(self):
         point = RealTemperedPoint(component((), (1,)), (3.0,))
