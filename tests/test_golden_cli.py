@@ -10,9 +10,12 @@ before the catalog writers stopped scanning label runs, ``components`` and
 ``bc`` in both formats at cutoffs 10-12 (real components and bc at n 3-4,
 complex components at n 2-3), so labels of two digits, negative ones
 included, are pinned, and ``components --n 6 --cutoff 8 --field complex
---format json``; last, recorded before the column rank became sparse,
+--format json``; then, recorded before the column rank became sparse,
 ``bc --cutoff 5`` in both formats at n 7-10, so parameter matrices of 7 to
-10 rows are pinned.  Each command runs in-process through ``cli.main``; any
+10 rows are pinned; last, recorded before catalog records were written from
+per-(shape, chart) templates, ``components`` in both formats at n 7-10, real
+at cutoff 3 and complex at cutoff 2, so dimensions and chart counts of two
+digits are pinned.  Each command runs in-process through ``cli.main``; any
 change to the bytes printed fails here.
 """
 
