@@ -36,7 +36,6 @@ from .param_space import (
     KIND_FREE,
     ComplexComponent,
     Component,
-    ConeChart,
     _complex_catalog_size,
     _complex_key,
     _real_catalog_size,
@@ -160,9 +159,16 @@ def _collect(command: str, n: int, cutoff: int, field: str) -> tuple[str, object
 
 
 # Record functions, one per kind and shared by both formats.  A writer builds
-# one label -> str table per command and passes it to every record, so each
-# distinct label is written once; it holds only labels that were written, so
-# MAX_CELLS bounds it too.
+# one label -> str table per command and passes its lookup, ``text``, to every
+# record, so each distinct label is written once; it holds only labels that
+# were written, so MAX_CELLS bounds it too.  A component's shape is (q, r,
+# lines) when real and (dimension, lines) when complex, with lines from its
+# one chart.  It fixes the dimension, kind and chart counts (the rays are the
+# dimension less the lines), so a writer fills those in once per shape, in a
+# JSON template or a tuple of table cells, and a record adds only its key and
+# labels.  A bc writer also writes each distinct matrix once.  These memos
+# hold a few dozen strings a command; none is keyed on a ConeChart, whose
+# hash is Python code.
 
 
 def _partition(shape: LeviShape) -> tuple[str, str, str, str]:
@@ -171,26 +177,23 @@ def _partition(shape: LeviShape) -> tuple[str, str, str, str]:
     return str(shape.q), str(shape.r), str(shape), weyl
 
 
-def _component(
-    c: Component | ComplexComponent, strings: dict[int, str]
-) -> tuple[str, int, str, Optional[ConeChart], tuple[list[str], ...]]:
-    """Key, dimension, kind, chart (None when free) and labels of one
-    component, the labels looked up block by block in ``strings``.
-
-    The key is joined from those strings and the JSON label lists reuse
-    them.  One chart per record, and no run scan: a component is free
-    exactly when its chart has no rays."""
-    text = strings.__getitem__
+def _labels(
+    c: Component | ComplexComponent, text: Callable[[int], str]
+) -> tuple[str, tuple[int, ...], tuple[list[str], ...]]:
+    """Key, shape and label strings (looked up with ``text``) of one component."""
+    lines = cone_chart(c).num_lines
     if isinstance(c, Component):
         gl2, gl1 = blocks = [*map(text, c.orbit.gl2_labels)], [*map(text, c.orbit.gl1_labels)]
-        key = _real_key(len(gl2), len(gl1), gl2, gl1)
-    else:
-        blocks = ([*map(text, c.labels)],)
-        key = _complex_key(blocks[0])
-    chart = cone_chart(c)
-    if chart.num_rays:
-        return key, c.dimension, KIND_CONE, chart, blocks
-    return key, c.dimension, KIND_FREE, None, blocks
+        return _real_key(len(gl2), len(gl1), gl2, gl1), (len(gl2), len(gl1), lines), blocks
+    labels = [*map(text, c.labels)]
+    return _complex_key(labels), (len(labels), lines), (labels,)
+
+
+def _counts(shape: tuple[int, ...]) -> tuple[int, str, int, int]:
+    """Dimension, kind, lines and rays of a component of this shape."""
+    *parts, lines = shape
+    dimension = sum(parts)
+    return dimension, KIND_CONE if dimension > lines else KIND_FREE, lines, dimension - lines
 
 
 def _degree(p: KGroupPresentation) -> tuple[str, str, str]:
@@ -222,7 +225,7 @@ def _object(pad: str, keys: Sequence[str]) -> str:
 
 
 def _component_json(
-    pad: str, field: str, strings: dict[int, str]
+    pad: str, field: str, text: Callable[[int], str]
 ) -> Callable[[Component | ComplexComponent], str]:
     """Writer of one component's JSON object; a cone puts "chart" first."""
     if field == "real":
@@ -232,18 +235,28 @@ def _component_json(
     inner = pad + "  "
     cone = "{\n" + inner + '"chart": ' + _object(inner, ("num_lines", "num_rays")) + "," + free[1:]
     encode = encode_basestring_ascii
-    kinds = {kind: encode(kind) for kind in (KIND_FREE, KIND_CONE)}
+    sep, listed = ",\n  " + inner, _join(["%s"], inner)
+
+    # The shape's object, with %s left for the key and the labels of each
+    # list; a list of no labels is "[%s]", and its labels join to "".
+    def template(shape: tuple[int, ...]) -> str:
+        dimension, kind, lines, rays = _counts(shape)
+        if field == "real":
+            q, r = shape[:2]
+            gl1, gl2 = (listed if count else "[%s]" for count in (r, q))
+            fields = (dimension, gl1, gl2, "%s", encode(kind), q, r)
+        else:
+            fields = (dimension, "%s", encode(kind), listed)
+        return cone % (lines, rays, *fields) if rays else free % fields
+
+    templates = _Memo(template)
 
     def record(c: Component | ComplexComponent) -> str:
-        key, dimension, kind, chart, blocks = _component(c, strings)
-        key, kind = encode(key), kinds[kind]
+        key, shape, blocks = _labels(c, text)
         if field == "real":
             gl2, gl1 = blocks
-            labels = _join(gl1, inner), _join(gl2, inner)
-            fields = (dimension, *labels, key, kind, len(gl2), len(gl1))
-        else:
-            fields = (dimension, key, kind, _join(blocks[0], inner))
-        return free % fields if chart is None else cone % (chart.num_lines, chart.num_rays, *fields)
+            return templates[shape] % (sep.join(gl1), sep.join(gl2), encode(key))
+        return templates[shape] % (encode(key), sep.join(blocks[0]))
 
     return record
 
@@ -265,7 +278,7 @@ def _partitions_json(write: _Write, shapes: list[LeviShape], args: Namespace) ->
 
 
 def _components_json(write: _Write, catalog: list, args: Namespace) -> None:
-    _stream(write, map(_component_json("    ", args.field, _Memo(str)), catalog))
+    _stream(write, map(_component_json("    ", args.field, _Memo(str).__getitem__), catalog))
 
 
 def _ktheory_json(write: _Write, degrees: _Degrees, args: Namespace) -> None:
@@ -284,12 +297,13 @@ def _ktheory_json(write: _Write, degrees: _Degrees, args: Namespace) -> None:
 def _bc_json(write: _Write, maps: list[ParameterMap], args: Namespace) -> None:
     template = _object("    ", ("column_rank", "matrix", "proper", "source", "target"))
     pad = "      "
-    strings = _Memo(str)
-    source, target = _component_json(pad, "real", strings), _component_json(pad, "complex", strings)
+    text = _Memo(str).__getitem__
+    source, target = _component_json(pad, "real", text), _component_json(pad, "complex", text)
+    matrices = _Memo(lambda m: _join((_join(map(repr, row), pad + "  ") for row in m), pad))
 
     def record(m: ParameterMap) -> str:
-        matrix = _join((_join(map(repr, row), pad + "  ") for row in m.matrix), pad)
         proper = "true" if m.is_proper else "false"
+        matrix = matrices[m.matrix]
         return template % (m.column_rank, matrix, proper, source(m.source), target(m.target))
 
     _stream(write, map(record, maps))
@@ -331,12 +345,17 @@ def _partitions_table(write: _Write, shapes: list[LeviShape], args: Namespace) -
     write(_aligned(("q", "r", "blocks", "weyl"), rows))
 
 
+def _cells(shape: tuple[int, ...]) -> tuple[str, str, str]:
+    """Dimension, kind and chart cells of a table row for a component of this shape."""
+    dimension, kind, lines, rays = _counts(shape)
+    return str(dimension), kind, f"lines={lines},rays={rays}" if rays else "-"
+
+
 def _components_table(write: _Write, catalog: list, args: Namespace) -> None:
-    rows, strings = [], _Memo(str)
+    rows, text, cells = [], _Memo(str).__getitem__, _Memo(_cells)
     for c in catalog:
-        key, dimension, kind, chart, _ = _component(c, strings)
-        cell = "-" if chart is None else f"lines={chart.num_lines},rays={chart.num_rays}"
-        rows.append((key, str(dimension), kind, cell))
+        key, shape, _ = _labels(c, text)
+        rows.append((key, *cells[shape]))
     free = [row[2] for row in rows].count(KIND_FREE)
     write(
         f"Tempered-dual components for GL({args.n}, {_FIELD_NAMES[args.field]}) "
@@ -357,12 +376,13 @@ def _ktheory_table(write: _Write, degrees: _Degrees, args: Namespace) -> None:
 
 
 def _bc_table(write: _Write, maps: list[ParameterMap], args: Namespace) -> None:
-    rows, strings = [], _Memo(str)
+    rows, text, cells = [], _Memo(str).__getitem__, _Memo(_cells)
+    matrices = _Memo(lambda m: "[" + ",".join("[" + ",".join(map(repr, r)) + "]" for r in m) + "]")
     for m in maps:
-        matrix = "[" + ",".join("[" + ",".join(map(repr, row)) + "]" for row in m.matrix) + "]"
         proper = "yes" if m.is_proper else "no"
-        target, _, kind, _, _ = _component(m.target, strings)
-        rows.append((m.source.key, target, kind, matrix, str(m.column_rank), proper))
+        target, shape, _ = _labels(m.target, text)
+        kind = cells[shape][1]
+        rows.append((m.source.key, target, kind, matrices[m.matrix], str(m.column_rank), proper))
     proper_maps = sum(m.is_proper for m in maps)
     write(
         f"Base change on components, GL({args.n}, R) -> GL({args.n}, C) "
@@ -389,7 +409,6 @@ def _kmap_table(write: _Write, kmap: InducedKMap, args: Namespace) -> None:
         for key in support
     ]
     write(summary + "\n" + _aligned(("source", "", "image"), rows))
-
 
 
 # command -> (write its JSON payload, write its table)

@@ -11,7 +11,8 @@ sorted form so that each Weyl orbit has exactly one representative.
 It also owns ``_require_int`` and ``_require_at_least``, the input checks of
 every catalog entry point ("n must be >= 1"), ``_Value``, the base of every
 value class in the package, ``_binomial``, the one bounded binomial, and
-``_Memo``, the dict behind the shared cone charts and the CLI's label strings.
+``_Memo``, the dict behind the shared cone charts and the CLI's label
+strings, per-shape record templates and table cells, and matrix strings.
 """
 
 from __future__ import annotations

@@ -134,6 +134,8 @@ class ConeChart(_Value):
     __slots__ = _fields = ("num_lines", "num_rays")
 
     def __init__(self, num_lines: int, num_rays: int) -> None:
+        _require_at_least("num_lines", num_lines, 1)
+        _require_at_least("num_rays", num_rays, 0)
         object.__setattr__(self, "num_lines", num_lines)
         object.__setattr__(self, "num_rays", num_rays)
 

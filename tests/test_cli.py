@@ -14,10 +14,13 @@ from hypothesis import strategies as st
 
 from temperedk import (
     __version__,
+    Component,
     LeviShape,
     base_change,
+    bc_component,
     cli,
     complex_components,
+    cone_chart,
     enumerate_levi_shapes,
     k_complex,
     k_real,
@@ -189,6 +192,78 @@ class TestBcCommand:
         code, out, err = run(capsys, "bc", "--n", "2", "--cutoff", "1")
         assert code == 0
         assert "4 of 4 maps proper" in out
+
+
+def _expected_record(c):
+    """A component's JSON record, from its public attributes alone."""
+    record = {"dimension": c.dimension, "key": c.key, "kind": c.kind}
+    if not c.is_free:
+        chart = cone_chart(c)
+        record["chart"] = {"num_lines": chart.num_lines, "num_rays": chart.num_rays}
+    if isinstance(c, Component):
+        gl2, gl1 = map(list, c.label_blocks)
+        record.update(gl1=gl1, gl2=gl2, q=c.shape.q, r=c.shape.r)
+    else:
+        record["labels"] = list(c.labels)
+    return record
+
+
+def _expected_cells(c):
+    """A component's table cells: key, dimension, kind and chart."""
+    chart = cone_chart(c)
+    cell = "-" if c.is_free else f"lines={chart.num_lines},rays={chart.num_rays}"
+    return [c.key, str(c.dimension), c.kind, cell]
+
+
+class TestRecordsMatchLibrary:
+    """Every record agrees, field by field, with the component it stands
+    for, read through the library's public attributes: a record that took
+    its dimension, kind or chart from another component of the same
+    dimension or number of lines would differ here."""
+
+    @pytest.mark.parametrize("cutoff", range(1, 5))
+    @pytest.mark.parametrize("n", range(1, 7))
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_components(self, capsys, field, n, cutoff):
+        catalog = (real_components if field == "real" else complex_components)(n, cutoff)
+        argv = ("components", "--n", str(n), "--cutoff", str(cutoff), "--field", field)
+        doc, _ = run_json(capsys, *argv)
+        assert doc["payload"] == [_expected_record(c) for c in catalog]
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        rows = [line.split() for line in out.splitlines()[2:]]
+        assert rows == [_expected_cells(c) for c in catalog]
+
+    @pytest.mark.parametrize("cutoff", range(1, 4))
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_bc(self, capsys, n, cutoff):
+        maps = [bc_component(c) for c in real_components(n, cutoff)]
+        argv = ("bc", "--n", str(n), "--cutoff", str(cutoff))
+        doc, _ = run_json(capsys, *argv)
+        assert doc["payload"] == [
+            {
+                "column_rank": m.column_rank,
+                "matrix": [list(row) for row in m.matrix],
+                "proper": m.is_proper,
+                "source": _expected_record(m.source),
+                "target": _expected_record(m.target),
+            }
+            for m in maps
+        ]
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        rows = [line.split() for line in out.splitlines()[2:]]
+        assert rows == [
+            [
+                m.source.key,
+                m.target.key,
+                m.target.kind,
+                str([list(row) for row in m.matrix]).replace(" ", ""),
+                str(m.column_rank),
+                "yes" if m.is_proper else "no",
+            ]
+            for m in maps
+        ]
 
 
 class TestBcRankOnce:

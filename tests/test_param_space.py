@@ -8,6 +8,7 @@ from temperedk import (
     ComplexComponent,
     ComplexTemperedPoint,
     Component,
+    ConeChart,
     LeviShape,
     RealTemperedPoint,
     SigmaOrbit,
@@ -190,6 +191,25 @@ class TestConeChart:
     def test_two_pairs(self):
         chart = cone_chart(ComplexComponent((1, 1, 2, 2)))
         assert (chart.num_lines, chart.num_rays) == (2, 2)
+
+    @pytest.mark.parametrize(
+        "lines, rays, error",
+        [
+            (True, 0, TypeError),
+            (1, False, TypeError),
+            ("a", None, TypeError),
+            (1.0, 0, TypeError),
+            (1, None, TypeError),
+            (0, 0, ValueError),
+            (-1, 2, ValueError),
+            (1, -1, ValueError),
+        ],
+    )
+    def test_counts_are_checked(self, lines, rays, error):
+        # A chart has at least one line (the mean of a block) and no
+        # negative number of rays; bools and non-ints are not counts.
+        with pytest.raises(error, match="num_lines|num_rays"):
+            ConeChart(lines, rays)
 
     def test_chart_dimensions_add_up(self):
         # The chart counts distinct labels; the rays it leaves are the
