@@ -101,10 +101,8 @@ class LeviShape(_Value):
     __slots__ = _fields = ("q", "r")
 
     def __init__(self, q: int, r: int) -> None:
-        _require_int("q", q)
-        _require_int("r", r)
-        if q < 0 or r < 0:
-            raise ValueError(f"block counts must be non-negative, got q={q}, r={r}")
+        _require_at_least("q", q, 0)
+        _require_at_least("r", r, 0)
         if 2 * q + r < 1:
             raise ValueError("empty shape: need 2q + r >= 1")
         object.__setattr__(self, "q", q)

@@ -44,14 +44,20 @@ def _complex_key(labels: Iterable[str]) -> str:
 
 
 class _FreeOrCone(_Value):
-    """Free (and so a K-theory generator) exactly when no label repeats
-    within a block: each component class supplies its ``multiplicities``."""
+    """Free (and so a K-theory generator) exactly when its cone chart has no
+    ray; each component class supplies ``label_blocks`` and ``dimension``."""
 
     __slots__ = ()
 
     @property
     def is_free(self) -> bool:
-        return not self.multiplicities
+        return not cone_chart(self).num_rays
+
+    @property
+    def multiplicities(self) -> tuple[int, ...]:
+        """Degrees m of the S_m factors of the isotropy in the Weyl group:
+        one per label repeated m times within its block."""
+        return run_multiplicities(*self.label_blocks)
 
     @property
     def kind(self) -> str:
@@ -72,12 +78,6 @@ class Component(_FreeOrCone):
     @property
     def dimension(self) -> int:
         return self.shape.q + self.shape.r
-
-    @property
-    def multiplicities(self) -> tuple[int, ...]:
-        """Degrees m of the S_m factors of the orbit's isotropy in the Weyl
-        group: one per label repeated m times within its block."""
-        return run_multiplicities(self.orbit.gl2_labels, self.orbit.gl1_labels)
 
     @property
     def key(self) -> str:
@@ -101,7 +101,7 @@ class ComplexComponent(_FreeOrCone):
         if not labels:
             raise ValueError("a complex component needs at least one label")
         for label in labels:
-            # Inline test first: k_complex builds one component per generator.
+            # Inline test first: complex_components builds one component per record.
             if type(label) is not int:
                 _require_int("label", label)
         object.__setattr__(self, "labels", labels)
@@ -109,10 +109,6 @@ class ComplexComponent(_FreeOrCone):
     @property
     def dimension(self) -> int:
         return len(self.labels)
-
-    @property
-    def multiplicities(self) -> tuple[int, ...]:
-        return run_multiplicities(self.labels)
 
     @property
     def key(self) -> str:
@@ -226,10 +222,10 @@ def cone_chart(component: Component | ComplexComponent) -> ConeChart:
     A sorted block has one run per distinct label, and a run of m equal
     labels gives one line and m - 1 rays.  So the lines are the distinct
     labels, counted block by block, and the rays are the rest:
-    num_rays = dimension - num_lines = sum(m - 1 for m in multiplicities),
-    which is 0 exactly when the component is free.  Counting distinct
-    labels needs no run scan.  Charts are immutable, so one is shared per
-    (lines, rays) pair: a catalog has at most d + 1 of dimension d.
+    num_rays = dimension - num_lines = sum(m - 1 for m in multiplicities).
+    This is the one free-or-cone rule: a component is free exactly when its
+    chart has no ray, found with no run scan.  Charts are immutable, so one
+    is shared per (lines, rays): a catalog has at most d + 1 of dimension d.
     """
     lines = 0
     for block in component.label_blocks:

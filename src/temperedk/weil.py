@@ -18,7 +18,6 @@ block, and the twists become the continuous coordinates.
 
 from __future__ import annotations
 
-import cmath
 import math
 from typing import Union
 
@@ -52,12 +51,6 @@ class RealCharacter(_Value):
         object.__setattr__(self, "epsilon", epsilon)
         object.__setattr__(self, "t", _finite_twist(t))
 
-    def value(self, x: float) -> complex:
-        if x == 0:
-            raise ValueError("character is only defined on nonzero reals")
-        sign = -1.0 if (x < 0 and self.epsilon == 1) else 1.0
-        return sign * cmath.exp(1j * self.t * cmath.log(abs(x)).real)
-
 
 class ComplexCharacter(_Value):
     """Unitary character (z/|z|)^ell |z|^(i t) of C^*, |z| the usual modulus."""
@@ -70,12 +63,6 @@ class ComplexCharacter(_Value):
         object.__setattr__(self, "ell", ell)
         object.__setattr__(self, "t", _finite_twist(t))
 
-    def value(self, z: complex) -> complex:
-        if z == 0:
-            raise ValueError("character is only defined on nonzero complex numbers")
-        modulus = abs(z)
-        return (z / modulus) ** self.ell * cmath.exp(1j * self.t * cmath.log(modulus).real)
-
 
 class OneDim(_Value):
     """One-dimensional summand of a W_R parameter."""
@@ -83,6 +70,8 @@ class OneDim(_Value):
     __slots__ = _fields = ("chi",)
 
     def __init__(self, chi: RealCharacter) -> None:
+        if type(chi) is not RealCharacter:
+            raise TypeError(f"a OneDim summand wraps a RealCharacter, got {chi!r}")
         object.__setattr__(self, "chi", chi)
 
 
@@ -92,6 +81,8 @@ class TwoDimInduced(_Value):
     __slots__ = _fields = ("chi",)
 
     def __init__(self, chi: ComplexCharacter) -> None:
+        if type(chi) is not ComplexCharacter:
+            raise TypeError(f"a TwoDimInduced summand wraps a ComplexCharacter, got {chi!r}")
         if chi.ell < 1:
             raise ValueError(
                 f"induced summands need winding >= 1, got {chi.ell}; winding 0 induces reducibly"
@@ -103,9 +94,17 @@ Summand = Union[OneDim, TwoDimInduced]
 
 
 def _summand_key(s: Summand) -> tuple:
-    if isinstance(s, TwoDimInduced):
+    if type(s) is TwoDimInduced:
         return (0, s.chi.ell, s.chi.t)
-    return (1, s.chi.epsilon, s.chi.t)
+    if type(s) is OneDim:
+        return (1, s.chi.epsilon, s.chi.t)
+    raise TypeError(f"a W_R summand is a OneDim or a TwoDimInduced, got {s!r}")
+
+
+def _character_key(c: ComplexCharacter) -> tuple:
+    if type(c) is not ComplexCharacter:
+        raise TypeError(f"a W_C summand is a ComplexCharacter, got {c!r}")
+    return (c.ell, c.t)
 
 
 class LParameterR(_Value):
@@ -134,7 +133,7 @@ class LParameterC(_Value):
     __slots__ = _fields = ("summands",)
 
     def __init__(self, summands: tuple[ComplexCharacter, ...]) -> None:
-        ordered = tuple(sorted(summands, key=lambda c: (c.ell, c.t)))
+        ordered = tuple(sorted(summands, key=_character_key))
         if not ordered:
             raise ValueError("a parameter needs at least one summand")
         object.__setattr__(self, "summands", ordered)

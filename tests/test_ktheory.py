@@ -387,8 +387,11 @@ class TestPresentationValidation:
             KGroupPresentation("complex", 4, 1, 0)
 
     def test_wrong_parity_rejected(self, monkeypatch):
+        # The patched dimension also gives the chart a ray, so the component
+        # is kept free by patching the free-or-cone rule too.
         p = KGroupPresentation("complex", 2, 1, 0)
         monkeypatch.setattr(ComplexComponent, "dimension", property(lambda self: 3))
+        monkeypatch.setattr(ComplexComponent, "is_free", property(lambda self: True))
         with pytest.raises(RuntimeError, match="wrong parity for degree 0"):
             p.generators
 
@@ -399,7 +402,7 @@ class TestPresentationValidation:
     def test_cone_generator_rejected(self, monkeypatch):
         presentations = [KGroupPresentation(*fields) for fields in self.FILLED]
         for cls in (Component, ComplexComponent):
-            monkeypatch.setattr(cls, "multiplicities", property(lambda self: (2,)))
+            monkeypatch.setattr(cls, "is_free", property(lambda self: False))
         for p in presentations:
             assert p.rank > 0
             with pytest.raises(RuntimeError, match="cannot generate K-theory"):

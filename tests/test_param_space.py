@@ -20,6 +20,7 @@ from temperedk import (
     enumerate_orbits,
     real_components,
 )
+from temperedk import param_space
 
 from oracles import (
     canonical_twists_bruteforce,
@@ -221,6 +222,20 @@ class TestConeChart:
             assert chart.num_rays == sum(m - 1 for m in c.multiplicities)
             assert chart.num_lines + chart.num_rays == c.dimension
             assert (chart.num_rays == 0) == c.is_free
+
+    def test_free_or_cone_is_read_off_the_chart(self, monkeypatch):
+        # The chart is the one free-or-cone rule: with the run scan gone,
+        # is_free and kind still answer, and agree with the chart.
+        def no_scan(*blocks):
+            raise AssertionError("free or cone scanned label runs")
+
+        monkeypatch.setattr(param_space, "run_multiplicities", no_scan)
+        catalogs = [real_components(n, L) for n in range(1, 7) for L in range(1, 4)]
+        catalogs += [complex_components(n, L) for n in range(1, 6) for L in range(1, 3)]
+        for c in (c for catalog in catalogs for c in catalog):
+            free = not cone_chart(c).num_rays
+            assert c.is_free == free
+            assert c.kind == ("free" if free else "cone")
 
 
 class TestPoints:

@@ -1,4 +1,3 @@
-import cmath
 import random
 
 import pytest
@@ -23,7 +22,7 @@ from temperedk import (
     restrict,
 )
 
-from oracles import chi_value, restricted_labels_by_induction
+from oracles import restricted_labels_by_induction
 
 
 def random_real_parameter(rng, n):
@@ -41,18 +40,9 @@ def random_real_parameter(rng, n):
 
 
 class TestCharacters:
-    def test_real_character_values(self):
-        chi = RealCharacter(1, 0.0)
-        assert chi.value(-2.0) == -1
-        assert chi.value(2.0) == 1
-        chi = RealCharacter(0, 0.5)
-        assert cmath.isclose(chi.value(4.0), cmath.exp(0.5j * cmath.log(4).real))
-
     def test_real_character_validation(self):
         with pytest.raises(ValueError):
             RealCharacter(2, 0.0)
-        with pytest.raises(ValueError):
-            RealCharacter(0, 1.0).value(0.0)
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
     def test_non_finite_twists_rejected(self, bad):
@@ -75,22 +65,25 @@ class TestCharacters:
         with pytest.raises(TypeError):
             ComplexCharacter(bad, 0.0)
 
-    def test_complex_character_value(self):
-        chi = ComplexCharacter(2, 0.0)
-        assert cmath.isclose(chi.value(1j), -1)
-        chi = ComplexCharacter(0, 1.0)
-        assert cmath.isclose(chi.value(cmath.e + 0j), cmath.exp(1j))
-
-    def test_complex_character_matches_oracle_formula(self):
-        chi = ComplexCharacter(3, -0.75)
-        for z in (0.5 + 0.1j, -1.2 + 2j):
-            assert cmath.isclose(chi.value(z), chi_value(3, -0.75, z))
-
     def test_induced_summand_needs_positive_winding(self):
         with pytest.raises(ValueError):
             TwoDimInduced(ComplexCharacter(0, 1.0))
         with pytest.raises(ValueError):
             TwoDimInduced(ComplexCharacter(-2, 0.0))
+
+    @pytest.mark.parametrize(
+        "make, wrong",
+        [
+            (OneDim, ComplexCharacter(1, 0.0)),
+            (OneDim, (0, 0.0)),
+            (TwoDimInduced, RealCharacter(0, 0.0)),
+            (TwoDimInduced, 1),
+        ],
+    )
+    def test_summand_checks_the_character_it_wraps(self, make, wrong):
+        # A OneDim wraps a character of R^*, a TwoDimInduced one of C^*.
+        with pytest.raises(TypeError, match="wraps a"):
+            make(wrong)
 
 
 class TestParameters:
@@ -111,6 +104,20 @@ class TestParameters:
             LParameterR(())
         with pytest.raises(ValueError):
             LParameterC(())
+
+    @pytest.mark.parametrize(
+        "make, summands",
+        [
+            (LParameterR, (RealCharacter(0, 0.0),)),
+            (LParameterR, (OneDim(RealCharacter(0, 0.0)), ComplexCharacter(1, 0.0))),
+            (LParameterC, (1,)),
+            (LParameterC, (ComplexCharacter(1, 0.0), RealCharacter(0, 0.0))),
+            (LParameterC, (TwoDimInduced(ComplexCharacter(1, 0.0)),)),
+        ],
+    )
+    def test_wrong_summand_class_rejected(self, make, summands):
+        with pytest.raises(TypeError, match="summand is a"):
+            make(summands)
 
     def test_complex_parameter_sorted(self):
         p = LParameterC((ComplexCharacter(2, 0.0), ComplexCharacter(-1, 3.0)))
