@@ -159,6 +159,34 @@ class TestComponentsCommand:
             assert cells[1] == str(record["dimension"])
             assert cells[2] == record["kind"]
 
+    @pytest.mark.skipif(not hasattr(os, "wait4"), reason="needs os.wait4 for the child's max RSS")
+    def test_largest_complex_table_streams(self, tmp_path):
+        # components --n 6 --cutoff 12 --field complex: 593,775 records,
+        # the largest complex catalog under MAX_CELLS, in a process of its
+        # own.  Linux carries a process's peak RSS into a child it spawns,
+        # so a small launcher spawns the CLI and reports that child's peak.
+        launcher = (
+            "import os, subprocess, sys\n"
+            "with open(sys.argv[1], 'wb') as out:\n"
+            "    argv = [sys.executable, '-m', 'temperedk.cli', *sys.argv[2:]]\n"
+            "    _, status, usage = os.wait4(subprocess.Popen(argv, stdout=out).pid, 0)\n"
+            "print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)\n"
+        )
+        out = tmp_path / "c6_12.out"
+        argv = ["components", "--n", "6", "--cutoff", "12", "--field", "complex"]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        result = subprocess.run(
+            [sys.executable, "-c", launcher, str(out), *argv],
+            capture_output=True, text=True, env=env, check=True,
+        )
+        code, maxrss = map(int, result.stdout.split())
+        assert code == 0
+        digest = hashlib.sha256(out.read_bytes()).hexdigest()
+        assert digest == "27fe070eda7e7042fbab0f55fd5cb954a02beb6f387ba84ef3cb69b25fd0e435"
+        # ru_maxrss is in kilobytes, except on macOS, where it is in bytes.
+        megabytes = maxrss / 2**20 if sys.platform == "darwin" else maxrss / 2**10
+        assert megabytes < 40
+
 
 class TestPartitionsCommand:
     def test_table(self, capsys):
