@@ -9,13 +9,13 @@ byte-identical output.
 
 Nothing is printed until every check has passed.  ``main`` first prices
 the command (``predicted_size``) from the counts the library owns: the
-catalog counts next to the enumerators in ``param_space`` and the ranks of
+catalog counts next to the catalogs in ``param_space`` and the ranks of
 ``ktheory.IndexFamily``.  It rejects a command over ``MAX_CELLS``; then it
-builds the shapes, catalog, presentations, parameter maps or induced map,
-which raises every other ``ValueError`` and the complex parity
-``RuntimeError``, and lists the ktheory keys against their closed-form
-ranks; only then does it write, in JSON or as a table (see the sections
-below).  A ``ValueError`` exits 1 with an empty stdout.
+builds the shapes, presentations, maps or induced map, or checks a catalog's
+inputs and opens its label strings, which raises every other ``ValueError``
+and the complex parity ``RuntimeError``, and lists the ktheory keys against
+their closed-form ranks; only then does it write, in JSON or as a table
+(see the sections below).  A ``ValueError`` exits 1 with an empty stdout.
 """
 
 from __future__ import annotations
@@ -23,9 +23,10 @@ from __future__ import annotations
 import argparse
 import sys
 from argparse import Namespace
+from itertools import starmap
 from json.encoder import encode_basestring_ascii
 from math import inf
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from . import __version__
 from .base_change import InducedKMap, ParameterMap, bc_component, induced_k_map
@@ -34,14 +35,13 @@ from .levi import LeviShape, _Memo, enumerate_levi_shapes, weyl_group
 from .param_space import (
     KIND_CONE,
     KIND_FREE,
-    ComplexComponent,
-    Component,
+    _catalog,
     _complex_catalog_size,
     _complex_key,
+    _label_strings,
+    _num_lines,
     _real_catalog_size,
     _real_key,
-    complex_components,
-    cone_chart,
     real_components,
 )
 
@@ -50,9 +50,10 @@ from .param_space import (
 # ktheory --field complex at n = cutoff = 10 needs 3.5e6; kmap lists keys
 # only for n = 1, so for n >= 2 it counts just the pool (kmap 30/30: 61
 # cells).  The largest complex catalog under the limit, components --n 6
-# --cutoff 12 --field complex (593,775 records, 3.56e6 cells), peaks at
-# 359 MB as a table and 100 MB as JSON (whole process, child max RSS from
-# os.wait4, median of three; CPython 3.11.7, output to /dev/null).
+# --cutoff 12 --field complex (593,775 records, 3.56e6 cells), streams from
+# label strings: it peaks at 14 MB both as a table and as JSON, the
+# interpreter's own floor (whole process, child max RSS from os.wait4,
+# median of three; CPython 3.11.7, output to a file).
 MAX_CELLS = 4_000_000
 
 
@@ -133,15 +134,13 @@ def _check_size(command: str, n: int, cutoff: int, field: str) -> None:
 
 
 def _collect(command: str, n: int, cutoff: int, field: str) -> tuple[str, object]:
-    """Kind and contents of one command's output: Levi shapes, a catalog, two
-    presentations, parameter maps or the induced map.  Every input check and
-    the complex parity self-check run here, so nothing is written before."""
+    """Kind and contents of one command's output: Levi shapes, a catalog's
+    label strings, two presentations, parameter maps or the induced map.  Every
+    input check and the complex parity self-check run here, before a byte."""
     if command == "partitions":
         return "partitions", enumerate_levi_shapes(n)
     if command == "components":
-        if field == "real":
-            return "real_components", real_components(n, cutoff)
-        return "complex_components", complex_components(n, cutoff)
+        return f"{field}_components", _catalog(field, n, cutoff, str)
     if command == "ktheory":
         if field == "real":
             degrees = k_real(n, cutoff)
@@ -158,17 +157,16 @@ def _collect(command: str, n: int, cutoff: int, field: str) -> tuple[str, object
     return "kmap", induced_k_map(n, cutoff)
 
 
-# Record functions, one per kind and shared by both formats.  A writer builds
-# one label -> str table per command and passes its lookup, ``text``, to every
-# record, so each distinct label is written once; it holds only labels that
-# were written, so MAX_CELLS bounds it too.  A component's shape is (q, r,
-# lines) when real and (dimension, lines) when complex, with lines from its
-# one chart.  It fixes the dimension, kind and chart counts (the rays are the
-# dimension less the lines), so a writer fills those in once per shape, in a
-# JSON template or a tuple of table cells, and a record adds only its key and
-# labels.  A bc writer also writes each distinct matrix once.  These memos
-# hold a few dozen strings a command; none is keyed on a ConeChart, whose
-# hash is Python code.
+# Record functions, one per kind and shared by both formats.  A component
+# record is written from its label blocks, as strings: a catalog's come
+# straight from the enumerator, and a bc map's from its two components.  Its
+# shape is the size of each block, (q, r) when real and the dimension when
+# complex, then the lines of its chart.  It fixes the dimension, kind and
+# chart counts (the rays are the dimension less the lines), so a writer
+# fills those in once per shape, in a JSON template or the cells that end a
+# table row, and a record adds only its key and labels.  A bc writer also
+# writes each distinct matrix once.  These memos hold a few dozen strings a
+# command.
 
 
 def _partition(shape: LeviShape) -> tuple[str, str, str, str]:
@@ -177,16 +175,12 @@ def _partition(shape: LeviShape) -> tuple[str, str, str, str]:
     return str(shape.q), str(shape.r), str(shape), weyl
 
 
-def _labels(
-    c: Component | ComplexComponent, text: Callable[[int], str]
-) -> tuple[str, tuple[int, ...], tuple[list[str], ...]]:
-    """Key, shape and label strings (looked up with ``text``) of one component."""
-    lines = cone_chart(c).num_lines
-    if isinstance(c, Component):
-        gl2, gl1 = blocks = [*map(text, c.orbit.gl2_labels)], [*map(text, c.orbit.gl1_labels)]
-        return _real_key(len(gl2), len(gl1), gl2, gl1), (len(gl2), len(gl1), lines), blocks
-    labels = [*map(text, c.labels)]
-    return _complex_key(labels), (len(labels), lines), (labels,)
+_Blocks = tuple[Sequence[str], ...]
+
+
+def _shape(blocks: _Blocks) -> tuple[int, ...]:
+    """Size of each label block, then the lines of the component's one chart."""
+    return (*map(len, blocks), _num_lines(blocks))
 
 
 def _counts(shape: tuple[int, ...]) -> tuple[int, str, int, int]:
@@ -224,9 +218,7 @@ def _object(pad: str, keys: Sequence[str]) -> str:
     return _join((f'"{key}": %s' for key in keys), pad, "{}")
 
 
-def _component_json(
-    pad: str, field: str, text: Callable[[int], str]
-) -> Callable[[Component | ComplexComponent], str]:
+def _component_json(pad: str, field: str) -> Callable[[_Blocks], str]:
     """Writer of one component's JSON object; a cone puts "chart" first."""
     if field == "real":
         free = _object(pad, ("dimension", "gl1", "gl2", "key", "kind", "q", "r"))
@@ -251,12 +243,13 @@ def _component_json(
 
     templates = _Memo(template)
 
-    def record(c: Component | ComplexComponent) -> str:
-        key, shape, blocks = _labels(c, text)
+    def record(blocks: _Blocks) -> str:
+        template = templates[_shape(blocks)]
         if field == "real":
             gl2, gl1 = blocks
-            return templates[shape] % (sep.join(gl1), sep.join(gl2), encode(key))
-        return templates[shape] % (encode(key), sep.join(blocks[0]))
+            return template % (sep.join(gl1), sep.join(gl2), encode(_real_key(gl2, gl1)))
+        (labels,) = blocks
+        return template % (encode(_complex_key(labels)), sep.join(labels))
 
     return record
 
@@ -277,8 +270,8 @@ def _partitions_json(write: _Write, shapes: list[LeviShape], args: Namespace) ->
     _stream(write, (template % (encode(b), q, r, encode(w)) for q, r, b, w in records))
 
 
-def _components_json(write: _Write, catalog: list, args: Namespace) -> None:
-    _stream(write, map(_component_json("    ", args.field, _Memo(str).__getitem__), catalog))
+def _components_json(write: _Write, catalog: Iterator[_Blocks], args: Namespace) -> None:
+    _stream(write, map(_component_json("    ", args.field), catalog))
 
 
 def _ktheory_json(write: _Write, degrees: _Degrees, args: Namespace) -> None:
@@ -297,14 +290,14 @@ def _ktheory_json(write: _Write, degrees: _Degrees, args: Namespace) -> None:
 def _bc_json(write: _Write, maps: list[ParameterMap], args: Namespace) -> None:
     template = _object("    ", ("column_rank", "matrix", "proper", "source", "target"))
     pad = "      "
-    text = _Memo(str).__getitem__
-    source, target = _component_json(pad, "real", text), _component_json(pad, "complex", text)
+    source, target = _component_json(pad, "real"), _component_json(pad, "complex")
     matrices = _Memo(lambda m: _join((_join(map(repr, row), pad + "  ") for row in m), pad))
 
     def record(m: ParameterMap) -> str:
         proper = "true" if m.is_proper else "false"
         matrix = matrices[m.matrix]
-        return template % (m.column_rank, matrix, proper, source(m.source), target(m.target))
+        blocks = source(_label_strings(m.source)), target(_label_strings(m.target))
+        return template % (m.column_rank, matrix, proper, *blocks)
 
     _stream(write, map(record, maps))
 
@@ -345,23 +338,33 @@ def _partitions_table(write: _Write, shapes: list[LeviShape], args: Namespace) -
     write(_aligned(("q", "r", "blocks", "weyl"), rows))
 
 
-def _cells(shape: tuple[int, ...]) -> tuple[str, str, str]:
-    """Dimension, kind and chart cells of a table row for a component of this shape."""
-    dimension, kind, lines, rays = _counts(shape)
-    return str(dimension), kind, f"lines={lines},rays={rays}" if rays else "-"
-
-
-def _components_table(write: _Write, catalog: list, args: Namespace) -> None:
-    rows, text, cells = [], _Memo(str).__getitem__, _Memo(_cells)
-    for c in catalog:
-        key, shape, _ = _labels(c, text)
-        rows.append((key, *cells[shape]))
-    free = [row[2] for row in rows].count(KIND_FREE)
+def _components_table(write: _Write, catalog: Iterator[_Blocks], args: Namespace) -> None:
+    # Two passes over the catalog, and no row is held: the first finds the
+    # widest key, the second writes the rows.  No other column needs a pass:
+    # the widest dimension is n, which every catalog has (over R, on the
+    # shape of n 1-blocks), "free" and "cone" are as wide as "kind", and the
+    # chart ends the row.  The free components are the K-theory generators
+    # of both degrees, so the header counts them, and the whole catalog,
+    # with the closed forms that price ktheory and components commands:
+    # each record reads its chart's lines once.
+    key = _real_key if args.field == "real" else _complex_key
+    key_width = max(3, max(map(len, starmap(key, catalog))))
+    tail = "  %%-%ds  %%-4s  %%s\n" % max(3, len(str(args.n)))
+    free = predicted_size("ktheory", args.n, args.cutoff, args.field)
+    cone = predicted_size("components", args.n, args.cutoff, args.field) - free
     write(
         f"Tempered-dual components for GL({args.n}, {_FIELD_NAMES[args.field]}) "
-        f"at cutoff {args.cutoff}: {free} free, {len(rows) - free} cone\n"
+        f"at cutoff {args.cutoff}: {free} free, {cone} cone\n"
     )
-    write(_aligned(("key", "dim", "kind", "chart"), rows))
+    write("key".ljust(key_width) + tail % ("dim", "kind", "chart"))
+
+    def cells(shape: tuple[int, ...]) -> str:
+        dimension, kind, lines, rays = _counts(shape)
+        return tail % (dimension, kind, f"lines={lines},rays={rays}" if rays else "-")
+
+    tails = _Memo(cells)
+    for blocks in _catalog(args.field, args.n, args.cutoff, str):
+        write(key(*blocks).ljust(key_width) + tails[_shape(blocks)])
 
 
 def _ktheory_table(write: _Write, degrees: _Degrees, args: Namespace) -> None:
@@ -376,13 +379,13 @@ def _ktheory_table(write: _Write, degrees: _Degrees, args: Namespace) -> None:
 
 
 def _bc_table(write: _Write, maps: list[ParameterMap], args: Namespace) -> None:
-    rows, text, cells = [], _Memo(str).__getitem__, _Memo(_cells)
+    rows = []
     matrices = _Memo(lambda m: "[" + ",".join("[" + ",".join(map(repr, r)) + "]" for r in m) + "]")
     for m in maps:
-        proper = "yes" if m.is_proper else "no"
-        target, shape, _ = _labels(m.target, text)
-        kind = cells[shape][1]
-        rows.append((m.source.key, target, kind, matrices[m.matrix], str(m.column_rank), proper))
+        target = _label_strings(m.target)
+        kind = _counts(_shape(target))[1]
+        row = m.source.key, _complex_key(*target), kind, matrices[m.matrix], str(m.column_rank)
+        rows.append((*row, "yes" if m.is_proper else "no"))
     proper_maps = sum(m.is_proper for m in maps)
     write(
         f"Base change on components, GL({args.n}, R) -> GL({args.n}, C) "

@@ -11,13 +11,13 @@ family and predicts the truncated rank at any cutoff.
 from __future__ import annotations
 
 from functools import cached_property
-from itertools import combinations, count
+from itertools import combinations, count, starmap
 from math import comb
 from types import MappingProxyType
 from typing import Callable, Iterator, Mapping, Union
 
-from .levi import SigmaOrbit, _binomial, _require_at_least, _require_int, _Value, enumerate_levi_shapes
-from .param_space import Component, ComplexComponent, _complex_key, _real_key
+from .levi import SigmaOrbit, _binomial, _require_at_least, _require_int, _Value
+from .param_space import Component, ComplexComponent, _complex_key, _label_blocks, _real_key
 
 # kind -> (description, generator count at a cutoff over a binomial ``choose``)
 _FAMILIES = {
@@ -116,10 +116,7 @@ class KGroupPresentation(_Value):
     def generator_index(self) -> dict[str, int]:
         """Key -> position, listed on first read in one pass over the label
         sets and checked against the closed-form rank."""
-        if self.field == "real":
-            keys = (_real_key(s.q, s.r, gl2, gl1) for s, gl2, gl1 in self._label_sets(str))
-        else:
-            keys = map(_complex_key, self._label_sets(str))
+        keys = starmap(_real_key if self.field == "real" else _complex_key, self._label_sets(str))
         # zip stops on the first key that is missing without drawing a
         # position, so the next position is the number of keys listed.
         positions = count()
@@ -137,32 +134,18 @@ class KGroupPresentation(_Value):
         return tuple(self.generator_index)
 
     def _label_sets(self, label: Callable[[int], object]) -> Iterator[tuple]:
-        """Label sets of the generators in catalog order, each label passed
-        through ``label``: (shape, gl2 labels, gl1 labels) over R, the n
-        labels over C."""
-        n, cutoff = self.n, self.cutoff
-        if self.field == "complex":
-            if n % 2 == self.degree:
-                yield from combinations(map(label, range(-cutoff, cutoff + 1)), n)
-            return
-        # At n = 1 the only shape has q = 0, so no gl2 label is drawn.
-        gl2_pool = tuple(map(label, range(1, cutoff + 1))) if n > 1 else ()
-        gl1_pool = tuple(map(label, (0, 1)))
-        for shape in enumerate_levi_shapes(n):
-            if (shape.q + shape.r) % 2 == self.degree:
-                for gl2 in combinations(gl2_pool, shape.q):
-                    for gl1 in combinations(gl1_pool, shape.r):
-                        yield shape, gl2, gl1
+        """The catalog's label blocks without repeats, on the degree's shapes,
+        each label passed through ``label``: the generators' labels, in order."""
+        return _label_blocks(self.field, self.n, self.cutoff, label, combinations, (self.degree,))
 
     @cached_property
     def generators(self) -> tuple[Union[Component, ComplexComponent], ...]:
         """The generator components, built on first access from the same
         label sets as the keys, and checked against them."""
         if self.field == "real":
-            sets = self._label_sets(int)
-            built = tuple(Component(SigmaOrbit(gl2, gl1)) for _, gl2, gl1 in sets)
+            built = tuple(map(Component, starmap(SigmaOrbit, self._label_sets(int))))
         else:
-            built = tuple(map(ComplexComponent, self._label_sets(int)))
+            built = tuple(starmap(ComplexComponent, self._label_sets(int)))
         if len(built) != self.rank:
             raise RuntimeError(f"built {len(built)} generators for {self.rank} keys")
         for c, key in zip(built, self.generator_keys):

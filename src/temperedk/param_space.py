@@ -10,20 +10,21 @@ exponents.
 
 from __future__ import annotations
 
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, starmap
 from math import isfinite
-from typing import Iterable
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .levi import (
     LeviShape,
     SigmaOrbit,
     _binomial,
+    _complex_label_sets,
     _Memo,
+    _real_label_sets,
     _require_at_least,
     _require_int,
     _Value,
     enumerate_levi_shapes,
-    enumerate_orbits,
     run_multiplicities,
 )
 
@@ -32,11 +33,16 @@ KIND_CONE = "cone"
 
 
 # The one owner of the key format.  Labels arrive already written as strings,
-# so K-group presentations can key their generators without building them.
+# so K-group presentations and the CLI key label sets without building them.
 
 
-def _real_key(q: int, r: int, gl2: Iterable[str], gl1: Iterable[str]) -> str:
-    return f"shape:{q},{r}|gl2:{','.join(gl2)}|gl1:{','.join(gl1)}"
+def _label_strings(c: Component | ComplexComponent) -> tuple[list[str], ...]:
+    """Label blocks of a built component, written as strings."""
+    return tuple([*map(str, block)] for block in c.label_blocks)
+
+
+def _real_key(gl2: Sequence[str], gl1: Sequence[str]) -> str:
+    return f"shape:{len(gl2)},{len(gl1)}|gl2:{','.join(gl2)}|gl1:{','.join(gl1)}"
 
 
 def _complex_key(labels: Iterable[str]) -> str:
@@ -82,8 +88,7 @@ class Component(_FreeOrCone):
     @property
     def key(self) -> str:
         """Canonical reference string, stable across runs and serializations."""
-        gl2, gl1 = map(str, self.orbit.gl2_labels), map(str, self.orbit.gl1_labels)
-        return _real_key(self.shape.q, self.shape.r, gl2, gl1)
+        return _real_key(*_label_strings(self))
 
     @property
     def label_blocks(self) -> tuple[tuple[int, ...], ...]:
@@ -101,7 +106,7 @@ class ComplexComponent(_FreeOrCone):
         if not labels:
             raise ValueError("a complex component needs at least one label")
         for label in labels:
-            # Inline test first: complex_components builds one component per record.
+            # Inline test first: complex_components builds one component per label set.
             if type(label) is not int:
                 _require_int("label", label)
         object.__setattr__(self, "labels", labels)
@@ -112,7 +117,7 @@ class ComplexComponent(_FreeOrCone):
 
     @property
     def key(self) -> str:
-        return _complex_key(map(str, self.labels))
+        return _complex_key(*_label_strings(self))
 
     @property
     def label_blocks(self) -> tuple[tuple[int, ...], ...]:
@@ -180,23 +185,36 @@ def _doubled_twist(t: float) -> float:
     return doubled
 
 
+def _label_blocks(
+    field: str, n: int, cutoff: int, label: Callable, choose: Callable, parities: tuple
+) -> Iterator:
+    """Label blocks, in catalog order, of the field's components whose dimension
+    has one of these parities, each label passed through ``label`` and drawn
+    by ``choose``: with repeats the catalog, without its free components.  For
+    both parities, n and then the cutoff are checked before this returns."""
+    if field == "real":
+        shapes = [s for s in enumerate_levi_shapes(n) if (s.q + s.r) % 2 in parities]
+        return _real_label_sets(shapes, cutoff, label, choose)
+    return _complex_label_sets(n, cutoff, label, choose) if n % 2 in parities else iter(())
+
+
+def _catalog(field: str, n: int, cutoff: int, label: Callable) -> Iterator:
+    """Label blocks of the field's whole catalog: every component, in order."""
+    return _label_blocks(field, n, cutoff, label, combinations_with_replacement, (0, 1))
+
+
 def real_components(n: int, cutoff: int) -> list[Component]:
     """Component catalog for GL(n, R), gl2 labels truncated at cutoff.
 
     Order is deterministic: shape-major (descending q), orbit-minor
     lexicographic, so identical inputs always serialize identically.
     """
-    return [Component(o) for s in enumerate_levi_shapes(n) for o in enumerate_orbits(s, cutoff)]
+    return [Component(orbit) for orbit in starmap(SigmaOrbit, _catalog("real", n, cutoff, int))]
 
 
 def complex_components(n: int, cutoff: int) -> list[ComplexComponent]:
     """Catalog for GL(n, C): all label multisets drawn from [-cutoff, cutoff]."""
-    _require_at_least("n", n, 1)
-    _require_at_least("cutoff", cutoff, 1)
-    return [
-        ComplexComponent(labels)
-        for labels in combinations_with_replacement(range(-cutoff, cutoff + 1), n)
-    ]
+    return list(starmap(ComplexComponent, _catalog("complex", n, cutoff, int)))
 
 
 def _real_catalog_size(n: int, cutoff: int) -> int | float:
@@ -216,20 +234,24 @@ def _complex_catalog_size(n: int, cutoff: int) -> int | float:
 _CHARTS = _Memo(lambda counts: ConeChart(*counts))
 
 
+def _num_lines(blocks: Iterable[Iterable]) -> int:
+    """Chart lines of the component with these label blocks (ints or strings)."""
+    return sum(map(len, map(set, blocks)))
+
+
 def cone_chart(component: Component | ComplexComponent) -> ConeChart:
     """Mean-and-gaps chart of the component's orbit space.
 
     A sorted block has one run per distinct label, and a run of m equal
     labels gives one line and m - 1 rays.  So the lines are the distinct
-    labels, counted block by block, and the rays are the rest:
-    num_rays = dimension - num_lines = sum(m - 1 for m in multiplicities).
-    This is the one free-or-cone rule: a component is free exactly when its
+    labels, counted block by block (``_num_lines``), and the rays are the
+    rest: num_rays = dimension - num_lines = sum(m - 1 for m in
+    multiplicities).  This is the one free-or-cone rule, which the CLI
+    reads straight off label strings: a component is free exactly when its
     chart has no ray, found with no run scan.  Charts are immutable, so one
     is shared per (lines, rays): a catalog has at most d + 1 of dimension d.
     """
-    lines = 0
-    for block in component.label_blocks:
-        lines += len(set(block))
+    lines = _num_lines(component.label_blocks)
     return _CHARTS[lines, component.dimension - lines]
 
 

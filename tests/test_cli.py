@@ -358,16 +358,21 @@ class TestExitCodes:
         assert err == "error: cutoff must be >= 1, got 0\n"
         assert out == ""
 
+    @pytest.mark.parametrize("n", ["1", "3"])
+    @pytest.mark.parametrize("command", ["ktheory", "components"])
     @pytest.mark.parametrize("field", ["real", "complex"])
-    def test_negative_cutoff_names_the_cutoff(self, capsys, field):
-        code, out, err = run(capsys, "ktheory", "--n", "1", "--cutoff", "-1", "--field", field)
+    def test_negative_cutoff_names_the_cutoff(self, capsys, field, command, n):
+        code, out, err = run(capsys, command, "--n", n, "--cutoff", "-1", "--field", field)
         assert (code, out) == (1, "")
         assert err == "error: cutoff must be >= 1, got -1\n"
 
-    def test_invalid_n_is_one(self, capsys):
-        code, out, err = run(capsys, "components", "--n", "0")
+    @pytest.mark.parametrize("cutoff", ["4", "0"])
+    def test_invalid_n_is_one(self, capsys, cutoff):
+        # n is checked before the cutoff.
+        code, out, err = run(capsys, "components", "--n", "0", "--cutoff", cutoff)
         assert code == 1
         assert out == ""
+        assert err == "error: n must be >= 1, got 0\n"
 
     @pytest.mark.parametrize(
         "argv",
@@ -579,19 +584,21 @@ class TestChartOnce:
     @pytest.mark.parametrize("field", ["complex", "real"])
     @pytest.mark.parametrize("fmt", ["json", "table"])
     def test_one_chart_and_no_run_scan_per_record(self, field, fmt, monkeypatch, capsys):
-        # A record reads its kind off its one chart, which counts distinct
-        # labels, so no writer scans label runs.
-        scans, charts = [], []
-        scan, chart = param_space.run_multiplicities, cli.cone_chart
+        # A record reads its kind off the lines of its one chart, counted
+        # once from its label strings by the helper cone_chart reads, so no
+        # writer scans label runs and free-or-cone stays one rule.
+        assert cli._num_lines is param_space._num_lines
+        scans, counted = [], []
+        scan, lines = param_space.run_multiplicities, cli._num_lines
         monkeypatch.setattr(param_space, "run_multiplicities", lambda *b: scans.append(b) or scan(*b))
-        monkeypatch.setattr(cli, "cone_chart", lambda c: charts.append(c) or chart(c))
+        monkeypatch.setattr(cli, "_num_lines", lambda blocks: counted.append(blocks) or lines(blocks))
         records = cli.predicted_size("components", 6, 4, field)
         if field == "complex":
             assert records == comb(14, 6)
         args = ["components", "--n", "6", "--cutoff", "4", "--field", field, "--format", fmt]
         assert main(args) == 0
         assert scans == []
-        assert len(charts) == len(set(charts)) == records
+        assert len(counted) == len(set(counted)) == records
 
     @pytest.mark.parametrize("fmt", ["json", "table"])
     def test_bc_scans_no_runs(self, fmt, monkeypatch, capsys):

@@ -564,10 +564,12 @@ N_INPUTS = {
     "induced_k_map": lambda n: induced_k_map(n, 2),
 }
 
-# Every entry point that takes a cutoff, at n = 1, where any cutoff >= 1 is valid.
+# Every entry point that takes a cutoff, at n = 1, where any cutoff >= 1 is
+# valid, and the real catalog at n = 3, whose shapes draw gl2 labels.
 CUTOFF_INPUTS = {
     "enumerate_orbits": lambda cutoff: enumerate_orbits(LeviShape(0, 1), cutoff),
     "real_components": lambda cutoff: real_components(1, cutoff),
+    "real_components-gl2": lambda cutoff: real_components(3, cutoff),
     "complex_components": lambda cutoff: complex_components(1, cutoff),
     "k_real": lambda cutoff: k_real(1, cutoff),
     "k_complex": lambda cutoff: k_complex(1, cutoff),
