@@ -177,7 +177,7 @@ class TestComponentsCommand:
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
         result = subprocess.run(
             [sys.executable, "-c", launcher, str(out), *argv],
-            capture_output=True, text=True, env=env, check=True,
+            capture_output=True, text=True, env=env, check=True, timeout=120,
         )
         code, maxrss = map(int, result.stdout.split())
         assert code == 0
