@@ -43,6 +43,35 @@ def run_json(capsys, *args):
     return json.loads(out), out
 
 
+_needs_wait4 = pytest.mark.skipif(
+    not hasattr(os, "wait4"), reason="needs os.wait4 for the child's max RSS"
+)
+
+# Linux carries a process's peak RSS into a child it spawns, so a small
+# launcher spawns the CLI and reports that child's exit code and peak.
+_LAUNCHER = (
+    "import os, subprocess, sys\n"
+    "with open(sys.argv[1], 'wb') as out:\n"
+    "    argv = [sys.executable, '-m', 'temperedk.cli', *sys.argv[2:]]\n"
+    "    _, status, usage = os.wait4(subprocess.Popen(argv, stdout=out).pid, 0)\n"
+    "print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)\n"
+)
+
+
+def _run_child(tmp_path, argv, timeout):
+    """Exit code, stdout sha256 and max RSS in MB of the CLI in a process of its own."""
+    out = tmp_path / "child.out"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    result = subprocess.run(
+        [sys.executable, "-c", _LAUNCHER, str(out), *argv],
+        capture_output=True, text=True, env=env, check=True, timeout=timeout,
+    )
+    code, maxrss = map(int, result.stdout.split())
+    # ru_maxrss is in kilobytes, except on macOS, where it is in bytes.
+    megabytes = maxrss / 2**20 if sys.platform == "darwin" else maxrss / 2**10
+    return code, hashlib.sha256(out.read_bytes()).hexdigest(), megabytes
+
+
 class TestKtheoryCommand:
     def test_rank_one_table(self, capsys):
         code, out, err = run(capsys, "ktheory", "--n", "1")
@@ -159,32 +188,14 @@ class TestComponentsCommand:
             assert cells[1] == str(record["dimension"])
             assert cells[2] == record["kind"]
 
-    @pytest.mark.skipif(not hasattr(os, "wait4"), reason="needs os.wait4 for the child's max RSS")
+    @_needs_wait4
     def test_largest_complex_table_streams(self, tmp_path):
         # components --n 6 --cutoff 12 --field complex: 593,775 records,
-        # the largest complex catalog under MAX_CELLS, in a process of its
-        # own.  Linux carries a process's peak RSS into a child it spawns,
-        # so a small launcher spawns the CLI and reports that child's peak.
-        launcher = (
-            "import os, subprocess, sys\n"
-            "with open(sys.argv[1], 'wb') as out:\n"
-            "    argv = [sys.executable, '-m', 'temperedk.cli', *sys.argv[2:]]\n"
-            "    _, status, usage = os.wait4(subprocess.Popen(argv, stdout=out).pid, 0)\n"
-            "print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)\n"
-        )
-        out = tmp_path / "c6_12.out"
+        # the largest complex catalog under MAX_CELLS.
         argv = ["components", "--n", "6", "--cutoff", "12", "--field", "complex"]
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
-        result = subprocess.run(
-            [sys.executable, "-c", launcher, str(out), *argv],
-            capture_output=True, text=True, env=env, check=True, timeout=120,
-        )
-        code, maxrss = map(int, result.stdout.split())
+        code, digest, megabytes = _run_child(tmp_path, argv, timeout=120)
         assert code == 0
-        digest = hashlib.sha256(out.read_bytes()).hexdigest()
         assert digest == "27fe070eda7e7042fbab0f55fd5cb954a02beb6f387ba84ef3cb69b25fd0e435"
-        # ru_maxrss is in kilobytes, except on macOS, where it is in bytes.
-        megabytes = maxrss / 2**20 if sys.platform == "darwin" else maxrss / 2**10
         assert megabytes < 40
 
 
@@ -220,6 +231,29 @@ class TestBcCommand:
         code, out, err = run(capsys, "bc", "--n", "2", "--cutoff", "1")
         assert code == 0
         assert "4 of 4 maps proper" in out
+
+    @_needs_wait4
+    def test_largest_bc_table(self, tmp_path):
+        # bc --n 10 --cutoff 14: 19,380 maps, the largest bc in routine use.
+        code, digest, _ = _run_child(tmp_path, ["bc", "--n", "10", "--cutoff", "14"], timeout=60)
+        assert code == 0
+        assert digest == "11443218e6f1b4c8d81b850d1287c64b71d09ff9aff151a279df1ecaf771faca"
+
+    @_needs_wait4
+    @pytest.mark.parametrize(
+        "fmt, sha256",
+        [
+            ("table", "f3e64e58623aa02d6cdd2532715c6681210248f7785b5eeae68ace7f6a720eb0"),
+            ("json", "aa63e761aa0d96d948a4cec3c0031b817a054bfe57057c365c7360a9a745e95a"),
+        ],
+    )
+    def test_huge_cutoff_at_n_one_builds_no_pool(self, tmp_path, fmt, sha256):
+        # The one shape at n = 1 has q = 0, so no gl2 label is drawn, and
+        # both maps are written at once: a label pool of 2 * 10^12 + 1
+        # labels would exhaust memory or the timeout instead.
+        argv = ["bc", "--n", "1", "--cutoff", str(10**12), "--format", fmt]
+        code, digest, _ = _run_child(tmp_path, argv, timeout=30)
+        assert (code, digest) == (0, sha256)
 
 
 def _expected_record(c):
