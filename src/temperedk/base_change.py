@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from itertools import combinations
 from math import gcd
+from typing import Callable, Sequence
 
 from .ktheory import KClass, KGroupPresentation, kclass
 from .levi import SigmaOrbit, _require_int, _Value
@@ -86,6 +87,16 @@ def _column_rank(matrix: tuple[tuple[int, ...], ...]) -> int:
     return sum(map(bool, rows))
 
 
+def _target_labels(
+    gl2: Sequence, gl1: Sequence, negate: Callable = "-".__add__, zero: object = "0"
+) -> list:
+    """Sorted target labels of base change on the component with these sorted
+    label blocks: label strings, or ints with ``int.__neg__`` and 0.  Each gl2
+    label ell gives ell and -ell, each gl1 label 0, and gl2 labels are >= 1,
+    so no sort is needed: the negated gl2 labels reversed, zeros, gl2 labels."""
+    return [*map(negate, reversed(gl2)), *[zero] * len(gl1), *gl2]
+
+
 def bc_component(component: Component) -> ParameterMap:
     """Base change on one real component: target labels and coordinate map.
 
@@ -93,13 +104,7 @@ def bc_component(component: Component) -> ParameterMap:
     coordinate; each gl1 label lands on 0 with the coordinate doubled.
     """
     q = component.shape.q
-    r = component.shape.r
-    labels = []
-    for ell in component.orbit.gl2_labels:
-        labels.append(ell)
-        labels.append(-ell)
-    labels.extend(0 for _ in range(r))
-    target = ComplexComponent(tuple(labels))
+    target = ComplexComponent(tuple(_target_labels(*component.label_blocks, int.__neg__, 0)))
 
     d = component.dimension
     matrix: list[tuple[int, ...]] = []

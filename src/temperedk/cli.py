@@ -11,16 +11,17 @@ Nothing is printed until every check has passed.  ``main`` first prices
 the command (``predicted_size``) from the counts the library owns: the
 catalog counts next to the catalogs in ``param_space`` and the ranks of
 ``ktheory.IndexFamily``.  It rejects a command over ``MAX_CELLS``; then it
-builds the shapes, presentations, maps or induced map, or checks a catalog's
-inputs and opens its label strings, which raises every other ``ValueError``
-and the complex parity ``RuntimeError``, and lists the ktheory keys against
-their closed-form ranks; only then does it write, in JSON or as a table
-(see the sections below).  A ``ValueError`` exits 1 with an empty stdout.
+builds the shapes, presentations or induced map, or opens a catalog's label
+strings (components, bc), which raises every other ``ValueError`` and the
+complex parity ``RuntimeError``, and lists the ktheory keys against their
+closed-form ranks; only then does it write, as JSON or a table (see below).
+A ``ValueError`` exits 1 with an empty stdout; a closed pipe exits 1 quietly.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from argparse import Namespace
 from itertools import starmap
@@ -29,31 +30,31 @@ from math import inf
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from . import __version__
-from .base_change import InducedKMap, ParameterMap, bc_component, induced_k_map
+from .base_change import InducedKMap, _target_labels, bc_component, induced_k_map
 from .ktheory import KGroupPresentation, closed_form_complex, closed_form_real, k_complex, k_real
-from .levi import LeviShape, _Memo, enumerate_levi_shapes, weyl_group
+from .levi import LeviShape, SigmaOrbit, _Memo, enumerate_levi_shapes, weyl_group
 from .param_space import (
     KIND_CONE,
     KIND_FREE,
+    Component,
     _catalog,
     _complex_catalog_size,
     _complex_key,
-    _label_strings,
     _num_lines,
     _real_catalog_size,
     _real_key,
-    real_components,
 )
 
-# Largest output a command may build, in cells: n labels per entry, n^2 per
-# bc record for its n-row matrix, plus the label pool if one is built.
-# ktheory --field complex at n = cutoff = 10 needs 3.5e6; kmap lists keys
-# only for n = 1, so for n >= 2 it counts just the pool (kmap 30/30: 61
-# cells).  The largest complex catalog under the limit, components --n 6
-# --cutoff 12 --field complex (593,775 records, 3.56e6 cells), streams from
-# label strings: it peaks at 14 MB both as a table and as JSON, the
-# interpreter's own floor (whole process, child max RSS from os.wait4,
-# median of three; CPython 3.11.7, output to a file).
+# Largest output a command may write, in cells: n labels per entry, n^2 per
+# bc record for the n-row matrix it prints, plus the label pool if one is
+# built.  ktheory --field complex at n = cutoff = 10 needs 3.5e6; kmap lists
+# keys only for n = 1, so for n >= 2 it counts just the pool (kmap 30/30: 61
+# cells).  Catalogs and bc maps stream from label strings and hold no
+# record: components --n 6 --cutoff 12 --field complex (593,775 records,
+# 3.56e6 cells) and bc --n 10 --cutoff 14 (19,380 maps, 1.9e6 cells) peak
+# within a few MB of the interpreter's own floor, as a table and as JSON
+# (whole process, child max RSS from os.wait4; CPython 3.11.7, output to a
+# file).
 MAX_CELLS = 4_000_000
 
 
@@ -153,20 +154,22 @@ def _collect(command: str, n: int, cutoff: int, field: str) -> tuple[str, object
             p.generator_index  # lists the keys, checked against the rank, before a byte
         return f"k_{field}", degrees
     if command == "bc":
-        return "bc", [bc_component(c) for c in real_components(n, cutoff)]
+        return "bc", _catalog("real", n, cutoff, str)
     return "kmap", induced_k_map(n, cutoff)
 
 
 # Record functions, one per kind and shared by both formats.  A component
-# record is written from its label blocks, as strings: a catalog's come
-# straight from the enumerator, and a bc map's from its two components.  Its
-# shape is the size of each block, (q, r) when real and the dimension when
+# record is written from its label blocks, as strings, straight from the
+# enumerator: a bc map's source is a real catalog record, and its target's
+# labels follow from the source's (base_change._target_labels).  Its shape
+# is the size of each block, (q, r) when real and the dimension when
 # complex, then the lines of its chart.  It fixes the dimension, kind and
 # chart counts (the rays are the dimension less the lines), so a writer
 # fills those in once per shape, in a JSON template or the cells that end a
-# table row, and a record adds only its key and labels.  A bc writer also
-# writes each distinct matrix once.  These memos hold a few dozen strings a
-# command.
+# table row, and a record adds only its key and labels.  A bc map's matrix,
+# and so its rank and properness, depend on the Levi shape (q, r) alone, so
+# a bc writer builds, ranks and writes one matrix per shape.  These memos
+# hold a few dozen strings a command.
 
 
 def _partition(shape: LeviShape) -> tuple[str, str, str, str]:
@@ -188,6 +191,19 @@ def _counts(shape: tuple[int, ...]) -> tuple[int, str, int, int]:
     *parts, lines = shape
     dimension = sum(parts)
     return dimension, KIND_CONE if dimension > lines else KIND_FREE, lines, dimension - lines
+
+
+def _bc_shapes(matrix: Callable[[tuple], str], no_yes: tuple[str, str]) -> _Memo:
+    """(q, r) -> matrix, column rank and properness, written out, of the bc map
+    of the shape's first catalog component (gl2 labels 1, gl1 labels 0): every
+    component of the shape has that matrix, so each shape is ranked once."""
+
+    def fields(shape: tuple[int, int]) -> tuple[str, str, str]:
+        q, r = shape
+        m = bc_component(Component(SigmaOrbit((1,) * q, (0,) * r)))
+        return matrix(m.matrix), str(m.column_rank), no_yes[m.is_proper]
+
+    return _Memo(fields)
 
 
 def _degree(p: KGroupPresentation) -> tuple[str, str, str]:
@@ -287,19 +303,20 @@ def _ktheory_json(write: _Write, degrees: _Degrees, args: Namespace) -> None:
     write("\n  }")
 
 
-def _bc_json(write: _Write, maps: list[ParameterMap], args: Namespace) -> None:
+def _bc_json(write: _Write, catalog: Iterator[_Blocks], args: Namespace) -> None:
     template = _object("    ", ("column_rank", "matrix", "proper", "source", "target"))
     pad = "      "
     source, target = _component_json(pad, "real"), _component_json(pad, "complex")
-    matrices = _Memo(lambda m: _join((_join(map(repr, row), pad + "  ") for row in m), pad))
+    matrices = lambda m: _join((_join(map(repr, row), pad + "  ") for row in m), pad)
+    shapes = _bc_shapes(matrices, ("false", "true"))
 
-    def record(m: ParameterMap) -> str:
-        proper = "true" if m.is_proper else "false"
-        matrix = matrices[m.matrix]
-        blocks = source(_label_strings(m.source)), target(_label_strings(m.target))
-        return template % (m.column_rank, matrix, proper, *blocks)
+    def record(blocks: _Blocks) -> str:
+        gl2, gl1 = blocks
+        matrix, rank, proper = shapes[len(gl2), len(gl1)]
+        labels = _target_labels(gl2, gl1)
+        return template % (rank, matrix, proper, source(blocks), target((labels,)))
 
-    _stream(write, map(record, maps))
+    _stream(write, map(record, catalog))
 
 
 def _kmap_json(write: _Write, kmap: InducedKMap, args: Namespace) -> None:
@@ -378,20 +395,32 @@ def _ktheory_table(write: _Write, degrees: _Degrees, args: Namespace) -> None:
                 write("  " + key + "\n")
 
 
-def _bc_table(write: _Write, maps: list[ParameterMap], args: Namespace) -> None:
-    rows = []
-    matrices = _Memo(lambda m: "[" + ",".join("[" + ",".join(map(repr, r)) + "]" for r in m) + "]")
-    for m in maps:
-        target = _label_strings(m.target)
-        kind = _counts(_shape(target))[1]
-        row = m.source.key, _complex_key(*target), kind, matrices[m.matrix], str(m.column_rank)
-        rows.append((*row, "yes" if m.is_proper else "no"))
-    proper_maps = sum(m.is_proper for m in maps)
+def _bc_table(write: _Write, catalog: Iterator[_Blocks], args: Namespace) -> None:
+    # Two passes over the catalog, and no row is held, as in
+    # _components_table: the first finds the widest source and target keys
+    # and counts the proper maps, the second writes the rows.  The other
+    # columns are as wide as their widest shape: "free" and "cone" are
+    # narrower than "target kind", and the proper column ends the row.
+    matrices = lambda m: "[" + ",".join("[" + ",".join(map(repr, row)) + "]" for row in m) + "]"
+    shapes = _bc_shapes(matrices, ("no", "yes"))
+    widths, proper_maps, records = (len("source"), len("target")), 0, 0
+    for gl2, gl1 in catalog:
+        keys = _real_key(gl2, gl1), _complex_key(_target_labels(gl2, gl1))
+        widths = tuple(map(max, widths, map(len, keys)))
+        proper_maps += shapes[len(gl2), len(gl1)][2] == "yes"
+        records += 1
+    headers = ("source", "target", "target kind", "matrix", "rank", "proper")
+    widths += tuple(max(map(len, column)) for column in zip(headers[3:5], *shapes.values()))
+    template = "%%-%ds  %%-%ds  %%-11s  %%-%ds  %%-%ds  %%s\n" % widths
     write(
         f"Base change on components, GL({args.n}, R) -> GL({args.n}, C) "
-        f"at cutoff {args.cutoff}: {proper_maps} of {len(rows)} maps proper\n"
+        f"at cutoff {args.cutoff}: {proper_maps} of {records} maps proper\n"
     )
-    write(_aligned(("source", "target", "target kind", "matrix", "rank", "proper"), rows))
+    write(template % headers)
+    for gl2, gl1 in _catalog("real", args.n, args.cutoff, str):
+        target = _target_labels(gl2, gl1)
+        cells = _counts(_shape((target,)))[1], *shapes[len(gl2), len(gl1)]
+        write(template % (_real_key(gl2, gl1), _complex_key(target), *cells))
 
 
 def _kmap_table(write: _Write, kmap: InducedKMap, args: Namespace) -> None:
@@ -434,12 +463,20 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 1
     write_json, write_table = _WRITERS[args.command]
     write = sys.stdout.write
-    if args.format == "json":
-        write(_HEAD % (args.cutoff, kind, args.n))
-        write_json(write, data, args)
-        write(_TAIL)
-    else:
-        write_table(write, data, args)
+    try:
+        if args.format == "json":
+            write(_HEAD % (args.cutoff, kind, args.n))
+            write_json(write, data, args)
+            write(_TAIL)
+        else:
+            write_table(write, data, args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader went away (temperedk ... | head).  As the signal docs'
+        # "Note on SIGPIPE" advises, stdout goes to devnull, so the flush at
+        # exit cannot raise again, and the exit is 1 with no traceback.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     return 0
 
 

@@ -36,11 +36,6 @@ KIND_CONE = "cone"
 # so K-group presentations and the CLI key label sets without building them.
 
 
-def _label_strings(c: Component | ComplexComponent) -> tuple[list[str], ...]:
-    """Label blocks of a built component, written as strings."""
-    return tuple([*map(str, block)] for block in c.label_blocks)
-
-
 def _real_key(gl2: Sequence[str], gl1: Sequence[str]) -> str:
     return f"shape:{len(gl2)},{len(gl1)}|gl2:{','.join(gl2)}|gl1:{','.join(gl1)}"
 
@@ -77,9 +72,8 @@ class Component(_FreeOrCone):
     _fields = ("orbit",)
 
     def __init__(self, orbit: SigmaOrbit) -> None:
-        shape = LeviShape(len(orbit.gl2_labels), len(orbit.gl1_labels))
         object.__setattr__(self, "orbit", orbit)
-        object.__setattr__(self, "shape", shape)
+        object.__setattr__(self, "shape", _SHAPES[len(orbit.gl2_labels), len(orbit.gl1_labels)])
 
     @property
     def dimension(self) -> int:
@@ -88,7 +82,7 @@ class Component(_FreeOrCone):
     @property
     def key(self) -> str:
         """Canonical reference string, stable across runs and serializations."""
-        return _real_key(*_label_strings(self))
+        return _real_key([*map(str, self.orbit.gl2_labels)], [*map(str, self.orbit.gl1_labels)])
 
     @property
     def label_blocks(self) -> tuple[tuple[int, ...], ...]:
@@ -117,7 +111,7 @@ class ComplexComponent(_FreeOrCone):
 
     @property
     def key(self) -> str:
-        return _complex_key(*_label_strings(self))
+        return _complex_key(map(str, self.labels))
 
     @property
     def label_blocks(self) -> tuple[tuple[int, ...], ...]:
@@ -230,8 +224,11 @@ def _complex_catalog_size(n: int, cutoff: int) -> int | float:
     return _binomial(2 * cutoff + n, n)
 
 
-# (num_lines, num_rays) -> its one ConeChart.
+# (num_lines, num_rays) -> its one ConeChart, and (q, r) -> its one
+# LeviShape: both are immutable, so every component shares them.  An empty
+# shape raises in LeviShape, before anything is stored.
 _CHARTS = _Memo(lambda counts: ConeChart(*counts))
+_SHAPES = _Memo(lambda counts: LeviShape(*counts))
 
 
 def _num_lines(blocks: Iterable[Iterable]) -> int:

@@ -70,6 +70,15 @@ class TestComponent:
         assert a == b and hash(a) == hash(b)
         assert a != Component(SigmaOrbit((1, 3), (0, 0)))
 
+    def test_one_shape_per_q_r(self):
+        # Components of one shape share its LeviShape, as they share charts;
+        # an empty shape raises from LeviShape's own check and is not stored.
+        a, b = component((1, 2), (0,)), component((3, 3), (1,))
+        assert a.shape is b.shape and a.shape == LeviShape(2, 1)
+        with pytest.raises(ValueError, match="empty shape"):
+            Component(SigmaOrbit((), ()))
+        assert (0, 0) not in param_space._SHAPES
+
     def test_free_iff_trivial_isotropy(self):
         assert component((), (0, 1)).is_free
         assert not component((), (0, 0)).is_free
