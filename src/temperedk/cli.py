@@ -97,7 +97,7 @@ def predicted_size(command: str, n: int, cutoff: int, field: str) -> int | float
     if command == "partitions":
         return n // 2 + 1
     if command == "bc" or (command == "components" and field == "real"):
-        # real_components builds its shapes before it checks the cutoff, so
+        # The real catalog builds its shapes before it checks the cutoff, so
         # a cutoff below 1 counts as 1.
         return _real_catalog_size(n, max(cutoff, 1))
     if command == "components":

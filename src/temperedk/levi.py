@@ -12,7 +12,7 @@ It also owns the label-set enumerators of both fields, ``_require_int`` and
 ``_require_at_least``, the input checks of every catalog entry point ("n
 must be >= 1"), ``_Value``, the base of every value class in the package,
 ``_binomial``, the one bounded binomial, and ``_Memo``, the dict behind the
-shared cone charts and the CLI's record templates, cells and matrices.
+shared cone charts and shapes and the CLI's templates, cells and bc shapes.
 """
 
 from __future__ import annotations
