@@ -22,7 +22,7 @@ from math import gcd
 from typing import Callable, Sequence
 
 from .ktheory import KClass, KGroupPresentation, kclass
-from .levi import SigmaOrbit, _require_int, _Value
+from .levi import SigmaOrbit, _require_int, _setters, _Value
 from .param_space import (
     ComplexComponent,
     ComplexTemperedPoint,
@@ -52,16 +52,19 @@ class ParameterMap(_Value):
                 # Inline test first: the rank's gcd and exact division need plain ints.
                 if type(x) is not int:
                     _require_int("matrix entry", x)
-        object.__setattr__(self, "source", source)
-        object.__setattr__(self, "target", target)
-        object.__setattr__(self, "matrix", rows)
-        object.__setattr__(self, "column_rank", _column_rank(rows))
+        _set_map_source(self, source)
+        _set_map_target(self, target)
+        _set_matrix(self, rows)
+        _set_column_rank(self, _column_rank(rows))
 
     @property
     def is_proper(self) -> bool:
         """Preimages of compacta are compact iff no source direction is
         killed, i.e. the matrix has full column rank."""
         return self.column_rank == self.source.dimension
+
+
+_set_map_source, _set_map_target, _set_matrix, _set_column_rank = _setters(ParameterMap)
 
 
 def _column_rank(matrix: tuple[tuple[int, ...], ...]) -> int:
@@ -158,10 +161,10 @@ class InducedKMap(_Value):
             if cls.presentation != target:
                 raise ValueError(f"image of {key!r} lives in the wrong presentation")
             images[key] = cls
-        object.__setattr__(self, "source", source)
-        object.__setattr__(self, "target", target)
-        object.__setattr__(self, "assignments", ordered)
-        object.__setattr__(self, "_images", images)
+        _set_kmap_source(self, source)
+        _set_kmap_target(self, target)
+        _set_assignments(self, ordered)
+        _set_images(self, images)
 
     @property
     def is_zero(self) -> bool:
@@ -176,6 +179,9 @@ class InducedKMap(_Value):
             raise ValueError(f"{key!r} is not a source generator")
         image = self._images.get(key)
         return kclass(self.target) if image is None else image
+
+
+_set_kmap_source, _set_kmap_target, _set_assignments, _set_images = _setters(InducedKMap)
 
 
 def induced_k_map(n: int, cutoff: int) -> InducedKMap:

@@ -16,7 +16,7 @@ from math import comb
 from types import MappingProxyType
 from typing import Callable, Iterator, Mapping, Union
 
-from .levi import SigmaOrbit, _binomial, _require_at_least, _require_int, _Value
+from .levi import SigmaOrbit, _binomial, _require_at_least, _require_int, _setters, _Value
 from .param_space import Component, ComplexComponent, _complex_key, _label_blocks, _real_key
 
 # kind -> (description, generator count at a cutoff over a binomial ``choose``)
@@ -45,8 +45,8 @@ class IndexFamily(_Value):
         if kind not in _FAMILIES:
             raise ValueError(f"unknown family kind: {kind!r}")
         _require_at_least("size", size, 0)
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "size", size)
+        _set_kind(self, kind)
+        _set_size(self, size)
 
     def rank_at(self, cutoff: int) -> int:
         """Generator count once labels are truncated at the given cutoff."""
@@ -63,6 +63,9 @@ class IndexFamily(_Value):
         return _FAMILIES[self.kind][0].format(self.size)
 
 
+_set_kind, _set_size = _setters(IndexFamily)
+
+
 class KGroupPresentation(_Value):
     """One K-degree of C*_r GL(n, field), its generators truncated at a label
     cutoff; the four fields define it, and equality and hash are theirs.
@@ -75,7 +78,8 @@ class KGroupPresentation(_Value):
     form, and the keys and the key-to-position index are listed on first
     read, straight from those subsets, and checked against that rank; treat
     both as read-only.  The component records are built only when
-    ``generators`` is first read.  No slots: cached reads need a ``__dict__``.
+    ``generators`` is first read.  No slots, so no slot setters: cached reads
+    need a ``__dict__``.
     """
 
     _fields = ("field", "n", "cutoff", "degree")
@@ -184,8 +188,8 @@ class KClass(_Value):
                 raise ValueError(f"generator {key!r} does not belong to this presentation")
             if type(coeff) is not int:
                 raise TypeError(f"coefficients must be integers, got {coeff!r}")
-        object.__setattr__(self, "presentation", presentation)
-        object.__setattr__(self, "items", items)
+        _set_presentation(self, presentation)
+        _set_items(self, items)
 
     @property
     def coefficients(self) -> dict[str, int]:
@@ -194,6 +198,9 @@ class KClass(_Value):
     @property
     def is_zero(self) -> bool:
         return not self.items
+
+
+_set_presentation, _set_items = _setters(KClass)
 
 
 def kclass(

@@ -11,8 +11,9 @@ sorted form so that each Weyl orbit has exactly one representative.
 It also owns the label-set enumerators of both fields, ``_require_int`` and
 ``_require_at_least``, the input checks of every catalog entry point ("n
 must be >= 1"), ``_Value``, the base of every value class in the package,
-``_binomial``, the one bounded binomial, and ``_Memo``, the dict behind the
-shared cone charts and shapes and the CLI's templates, cells and bc shapes.
+``_setters``, which binds a value class's slot setters, ``_binomial``, the
+one bounded binomial, and ``_Memo``, the dict behind the shared cone charts
+and shapes and the CLI's templates, cells and bc shapes.
 """
 
 from __future__ import annotations
@@ -63,9 +64,12 @@ class _Memo(dict):
 
 class _Value:
     """Immutable value whose ``__init__`` takes its ``_fields`` in order,
-    checks them and sets each once.  Equality, hash and repr are the fields'
-    alone, never a derived attribute's, and values of different classes are
-    never equal; copy and pickle rebuild through ``__init__``, checks and all."""
+    checks them and sets each once, through its class's own slot setters
+    (``_setters``): ``__setattr__`` raises, and a slot setter costs half of
+    the generic object setter, which only ``KGroupPresentation``, with no
+    slots, still uses.  Equality, hash and repr are the fields' alone, never
+    a derived attribute's, and values of different classes are never equal;
+    copy and pickle rebuild through ``__init__``, checks and all."""
 
     __slots__ = ()
 
@@ -95,6 +99,13 @@ class _Value:
         return type(self), tuple(getattr(self, name) for name in self._fields)
 
 
+def _setters(cls: type) -> tuple:
+    """The ``__set__`` of each of the class's own slots, in slot order: bound
+    once, each sets its field past ``_Value.__setattr__`` at half the cost of
+    the generic object setter.  Bind them right after the class body."""
+    return tuple(vars(cls)[name].__set__ for name in cls.__slots__)
+
+
 class LeviShape(_Value):
     """Partition n = 2q + r: q blocks of size 2 and r blocks of size 1."""
 
@@ -105,8 +116,8 @@ class LeviShape(_Value):
         _require_at_least("r", r, 0)
         if 2 * q + r < 1:
             raise ValueError("empty shape: need 2q + r >= 1")
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "r", r)
+        _set_q(self, q)
+        _set_r(self, r)
 
     @property
     def n(self) -> int:
@@ -114,6 +125,9 @@ class LeviShape(_Value):
 
     def __str__(self) -> str:
         return "+".join(["2"] * self.q + ["1"] * self.r)
+
+
+_set_q, _set_r = _setters(LeviShape)
 
 
 class SigmaOrbit(_Value):
@@ -130,14 +144,19 @@ class SigmaOrbit(_Value):
         gl2 = tuple(sorted(gl2_labels))
         gl1 = tuple(sorted(gl1_labels))
         for label in gl2 + gl1:
-            _require_int("label", label)
+            # Inline test first: each real point and catalog entry builds an orbit.
+            if type(label) is not int:
+                _require_int("label", label)
         # The labels are sorted integers, so the end labels bound the rest.
         if gl2 and gl2[0] < 1:
             raise ValueError(f"gl2 labels index discrete series and must be >= 1: {gl2}")
         if gl1 and (gl1[0] < 0 or gl1[-1] > 1):
             raise ValueError(f"gl1 labels must be 0 (trivial) or 1 (sign): {gl1}")
-        object.__setattr__(self, "gl2_labels", gl2)
-        object.__setattr__(self, "gl1_labels", gl1)
+        _set_gl2_labels(self, gl2)
+        _set_gl1_labels(self, gl1)
+
+
+_set_gl2_labels, _set_gl1_labels = _setters(SigmaOrbit)
 
 
 def enumerate_levi_shapes(n: int) -> list[LeviShape]:

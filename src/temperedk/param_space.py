@@ -23,6 +23,7 @@ from .levi import (
     _real_label_sets,
     _require_at_least,
     _require_int,
+    _setters,
     _Value,
     enumerate_levi_shapes,
     run_multiplicities,
@@ -72,8 +73,8 @@ class Component(_FreeOrCone):
     _fields = ("orbit",)
 
     def __init__(self, orbit: SigmaOrbit) -> None:
-        object.__setattr__(self, "orbit", orbit)
-        object.__setattr__(self, "shape", _SHAPES[len(orbit.gl2_labels), len(orbit.gl1_labels)])
+        _set_orbit(self, orbit)
+        _set_shape(self, _SHAPES[len(orbit.gl2_labels), len(orbit.gl1_labels)])
 
     @property
     def dimension(self) -> int:
@@ -90,6 +91,9 @@ class Component(_FreeOrCone):
         return (self.orbit.gl2_labels, self.orbit.gl1_labels)
 
 
+_set_orbit, _set_shape = _setters(Component)
+
+
 class ComplexComponent(_FreeOrCone):
     """One connected piece of the complex tempered dual: n circle exponents."""
 
@@ -103,7 +107,7 @@ class ComplexComponent(_FreeOrCone):
             # Inline test first: complex_components builds one component per label set.
             if type(label) is not int:
                 _require_int("label", label)
-        object.__setattr__(self, "labels", labels)
+        _set_labels(self, labels)
 
     @property
     def dimension(self) -> int:
@@ -116,6 +120,9 @@ class ComplexComponent(_FreeOrCone):
     @property
     def label_blocks(self) -> tuple[tuple[int, ...], ...]:
         return (self.labels,)
+
+
+(_set_labels,) = _setters(ComplexComponent)
 
 
 class ConeChart(_Value):
@@ -131,17 +138,23 @@ class ConeChart(_Value):
     def __init__(self, num_lines: int, num_rays: int) -> None:
         _require_at_least("num_lines", num_lines, 1)
         _require_at_least("num_rays", num_rays, 0)
-        object.__setattr__(self, "num_lines", num_lines)
-        object.__setattr__(self, "num_rays", num_rays)
+        _set_num_lines(self, num_lines)
+        _set_num_rays(self, num_rays)
+
+
+_set_num_lines, _set_num_rays = _setters(ConeChart)
 
 
 class TemperedPoint(_Value):
     """A point on a component: one finite continuous twist per coordinate."""
 
     __slots__ = _fields = ("component", "params")
+    # The component class a point of this kind holds; RealTemperedPoint
+    # overrides it, so no build tests the point's own class.
+    _component_class = ComplexComponent
 
     def __init__(self, component: Component | ComplexComponent, params: tuple[float, ...]) -> None:
-        expected = Component if isinstance(self, RealTemperedPoint) else ComplexComponent
+        expected = self._component_class
         if not isinstance(component, expected):
             raise TypeError(f"a {type(self).__name__} needs a {expected.__name__}")
         params = tuple(params)
@@ -149,19 +162,23 @@ class TemperedPoint(_Value):
             raise ValueError(f"expected {component.dimension} parameters, got {len(params)}")
         if not all(map(isfinite, params)):
             raise ValueError(f"twists must be finite, got {params}")
-        object.__setattr__(self, "component", component)
-        object.__setattr__(self, "params", params)
+        _set_component(self, component)
+        _set_params(self, params)
+
+
+_set_component, _set_params = _setters(TemperedPoint)
 
 
 # Subclasses rather than aliases: the class records the field of a point and
-# must agree with its component (a Component for a real point, a
-# ComplexComponent otherwise), values of different classes never compare
-# equal, so a real and a complex point never do, and canonicalize_point keeps
-# the kind through type(point).
+# must agree with its component (its _component_class: a Component for a
+# real point, a ComplexComponent otherwise), values of different classes
+# never compare equal, so a real and a complex point never do, and
+# canonicalize_point keeps the kind through type(point).
 class RealTemperedPoint(TemperedPoint):
     """A point on a real component: the continuous twists, one per block."""
 
     __slots__ = ()
+    _component_class = Component
 
 
 class ComplexTemperedPoint(TemperedPoint):

@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from typing import Union
 
-from .levi import SigmaOrbit, _require_int, _Value
+from .levi import SigmaOrbit, _require_int, _setters, _Value
 from .param_space import (
     ComplexComponent,
     ComplexTemperedPoint,
@@ -48,8 +48,11 @@ class RealCharacter(_Value):
             _require_int("epsilon", epsilon)
         if epsilon not in (0, 1):
             raise ValueError(f"epsilon must be 0 or 1, got {epsilon}")
-        object.__setattr__(self, "epsilon", epsilon)
-        object.__setattr__(self, "t", _finite_twist(t))
+        _set_real_epsilon(self, epsilon)
+        _set_real_t(self, _finite_twist(t))
+
+
+_set_real_epsilon, _set_real_t = _setters(RealCharacter)
 
 
 class ComplexCharacter(_Value):
@@ -60,8 +63,11 @@ class ComplexCharacter(_Value):
     def __init__(self, ell: int, t: float) -> None:
         if type(ell) is not int:
             _require_int("ell", ell)
-        object.__setattr__(self, "ell", ell)
-        object.__setattr__(self, "t", _finite_twist(t))
+        _set_complex_ell(self, ell)
+        _set_complex_t(self, _finite_twist(t))
+
+
+_set_complex_ell, _set_complex_t = _setters(ComplexCharacter)
 
 
 class OneDim(_Value):
@@ -72,7 +78,10 @@ class OneDim(_Value):
     def __init__(self, chi: RealCharacter) -> None:
         if type(chi) is not RealCharacter:
             raise TypeError(f"a OneDim summand wraps a RealCharacter, got {chi!r}")
-        object.__setattr__(self, "chi", chi)
+        _set_one_dim_chi(self, chi)
+
+
+(_set_one_dim_chi,) = _setters(OneDim)
 
 
 class TwoDimInduced(_Value):
@@ -87,7 +96,10 @@ class TwoDimInduced(_Value):
             raise ValueError(
                 f"induced summands need winding >= 1, got {chi.ell}; winding 0 induces reducibly"
             )
-        object.__setattr__(self, "chi", chi)
+        _set_two_dim_chi(self, chi)
+
+
+(_set_two_dim_chi,) = _setters(TwoDimInduced)
 
 
 Summand = Union[OneDim, TwoDimInduced]
@@ -120,11 +132,15 @@ class LParameterR(_Value):
         ordered = tuple(sorted(summands, key=_summand_key))
         if not ordered:
             raise ValueError("a parameter needs at least one summand")
-        object.__setattr__(self, "summands", ordered)
+        _set_real_summands(self, ordered)
 
     @property
     def n(self) -> int:
-        return sum(2 if isinstance(s, TwoDimInduced) else 1 for s in self.summands)
+        # Exact: _summand_key admits no subclass of either summand class.
+        return sum(2 if type(s) is TwoDimInduced else 1 for s in self.summands)
+
+
+(_set_real_summands,) = _setters(LParameterR)
 
 
 class LParameterC(_Value):
@@ -136,11 +152,14 @@ class LParameterC(_Value):
         ordered = tuple(sorted(summands, key=_character_key))
         if not ordered:
             raise ValueError("a parameter needs at least one summand")
-        object.__setattr__(self, "summands", ordered)
+        _set_complex_summands(self, ordered)
 
     @property
     def n(self) -> int:
         return len(self.summands)
+
+
+(_set_complex_summands,) = _setters(LParameterC)
 
 
 def restrict(parameter: LParameterR) -> LParameterC:
@@ -154,7 +173,7 @@ def restrict(parameter: LParameterR) -> LParameterC:
     """
     parts: list[ComplexCharacter] = []
     for s in parameter.summands:
-        if isinstance(s, TwoDimInduced):
+        if type(s) is TwoDimInduced:
             parts.append(ComplexCharacter(s.chi.ell, s.chi.t))
             parts.append(ComplexCharacter(-s.chi.ell, s.chi.t))
         else:
@@ -169,14 +188,16 @@ def langlands_real(parameter: LParameterR) -> RealTemperedPoint:
     blocks; the parameter's canonical summand order makes the point
     canonical by construction.
     """
-    gl2 = [s for s in parameter.summands if isinstance(s, TwoDimInduced)]
-    gl1 = [s for s in parameter.summands if isinstance(s, OneDim)]
-    orbit = SigmaOrbit(
-        tuple(s.chi.ell for s in gl2),
-        tuple(s.chi.epsilon for s in gl1),
-    )
-    params = tuple(s.chi.t for s in gl2) + tuple(s.chi.t for s in gl1)
-    return RealTemperedPoint(Component(orbit), params)
+    gl2: list[int] = []
+    gl1: list[int] = []
+    for s in parameter.summands:
+        if type(s) is TwoDimInduced:
+            gl2.append(s.chi.ell)
+        else:
+            gl1.append(s.chi.epsilon)
+    # The summands are in gl2-then-gl1 order already, as the point's twists are.
+    params = tuple(s.chi.t for s in parameter.summands)
+    return RealTemperedPoint(Component(SigmaOrbit(tuple(gl2), tuple(gl1))), params)
 
 
 def langlands_real_inverse(point: RealTemperedPoint) -> LParameterR:

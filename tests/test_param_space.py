@@ -330,6 +330,11 @@ class TestPoints:
             ComplexTemperedPoint(real_c, (1.0,))
         with pytest.raises(TypeError, match="a ComplexTemperedPoint needs a ComplexComponent$"):
             ComplexTemperedPoint(None, ())
+        # The base class holds a complex component, as ComplexTemperedPoint does.
+        with pytest.raises(TypeError, match="a TemperedPoint needs a ComplexComponent$"):
+            TemperedPoint(real_c, (1.0,))
+        with pytest.raises(TypeError, match="a RealTemperedPoint needs a Component$"):
+            RealTemperedPoint(None, ())
 
     def test_point_kinds_never_equal(self):
         real = RealTemperedPoint(component((), (0,)), (1.0,))
