@@ -34,7 +34,6 @@ _LAYERS = {
         "LeviShape",
         "SigmaOrbit",
         "enumerate_levi_shapes",
-        "enumerate_orbits",
         "run_multiplicities",
         "weyl_group",
     ),
@@ -48,6 +47,7 @@ _LAYERS = {
         "canonicalize_point",
         "complex_components",
         "cone_chart",
+        "enumerate_orbits",
         "real_components",
     ),
     "weil": (

@@ -21,7 +21,7 @@ from itertools import combinations
 from math import gcd
 from typing import Callable, Sequence
 
-from .ktheory import KClass, KGroupPresentation, kclass
+from .ktheory import KClass, KGroupPresentation, _by_key, kclass
 from .levi import SigmaOrbit, _require_int, _setters, _Value
 from .param_space import (
     ComplexComponent,
@@ -150,7 +150,7 @@ class InducedKMap(_Value):
         target: KGroupPresentation,
         assignments: tuple[tuple[str, KClass], ...],
     ) -> None:
-        ordered = tuple(sorted(assignments, key=lambda kv: kv[0]))
+        ordered = tuple(sorted(assignments, key=_by_key))
         images: dict[str, KClass] = {}
         for key, cls in ordered:
             # Read inside the loop, so a map with no assignment lists no key.

@@ -235,13 +235,14 @@ def _object(pad: str, keys: Sequence[str]) -> str:
 
 
 def _component_json(pad: str, field: str) -> Callable[[_Blocks], str]:
-    """Writer of one component's JSON object; a cone puts "chart" first."""
+    """Writer of one component's JSON object; a cone's object has "chart" first."""
     if field == "real":
-        free = _object(pad, ("dimension", "gl1", "gl2", "key", "kind", "q", "r"))
+        keys = ("dimension", "gl1", "gl2", "key", "kind", "q", "r")
     else:
-        free = _object(pad, ("dimension", "key", "kind", "labels"))
+        keys = ("dimension", "key", "kind", "labels")
+    free, cone = _object(pad, keys), _object(pad, ("chart", *keys))
     inner = pad + "  "
-    cone = "{\n" + inner + '"chart": ' + _object(inner, ("num_lines", "num_rays")) + "," + free[1:]
+    chart = _object(inner, ("num_lines", "num_rays"))
     encode = encode_basestring_ascii
     sep, listed = ",\n  " + inner, _join(["%s"], inner)
 
@@ -255,7 +256,7 @@ def _component_json(pad: str, field: str) -> Callable[[_Blocks], str]:
             fields = (dimension, gl1, gl2, "%s", encode(kind), q, r)
         else:
             fields = (dimension, "%s", encode(kind), listed)
-        return cone % (lines, rays, *fields) if rays else free % fields
+        return cone % (chart % (lines, rays), *fields) if rays else free % fields
 
     templates = _Memo(template)
 

@@ -13,11 +13,15 @@ from __future__ import annotations
 from functools import cached_property
 from itertools import combinations, count, starmap
 from math import comb
+from operator import itemgetter
 from types import MappingProxyType
 from typing import Callable, Iterator, Mapping, Union
 
 from .levi import SigmaOrbit, _binomial, _require_at_least, _require_int, _setters, _Value
 from .param_space import Component, ComplexComponent, _complex_key, _label_blocks, _real_key
+
+# The key of a (key, value) pair: classes and induced maps sort their terms by it.
+_by_key = itemgetter(0)
 
 # kind -> (description, generator count at a cutoff over a binomial ``choose``)
 _FAMILIES = {
@@ -166,8 +170,8 @@ class KClass(_Value):
     """Integer combination of a presentation's generators.
 
     Zero coefficients are never stored; the empty combination is the zero
-    class.  Items are kept sorted by generator key so equal classes compare
-    equal structurally.
+    class.  Items are sorted by generator key alone, never by coefficient, so
+    equal classes compare equal and a repeated key sits next to its twin.
     """
 
     __slots__ = _fields = ("presentation", "items")
@@ -177,19 +181,20 @@ class KClass(_Value):
     ) -> None:
         # Zeros of any type other than int are kept so the check below
         # rejects them; bool is an int subclass and is rejected too.
-        items = tuple(sorted((k, c) for k, c in items if c != 0 or type(c) is not int))
+        items = sorted(((k, c) for k, c in items if c != 0 or type(c) is not int), key=_by_key)
         known = presentation.generator_index
-        seen = set()
+        # A key that passed the first check is a string, never None.
+        previous = None
         for key, coeff in items:
-            if key in seen:
-                raise ValueError(f"generator {key!r} repeated in class")
-            seen.add(key)
             if key not in known:
                 raise ValueError(f"generator {key!r} does not belong to this presentation")
+            if key == previous:
+                raise ValueError(f"generator {key!r} repeated in class")
+            previous = key
             if type(coeff) is not int:
                 raise TypeError(f"coefficients must be integers, got {coeff!r}")
         _set_presentation(self, presentation)
-        _set_items(self, items)
+        _set_items(self, tuple(items))
 
     @property
     def coefficients(self) -> dict[str, int]:

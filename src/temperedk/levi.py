@@ -8,20 +8,19 @@ discrete-series datum on such a Levi is a multiset of q GL(2)-indices
 order-two component group (0 = trivial, 1 = sign), always kept in canonical
 sorted form so that each Weyl orbit has exactly one representative.
 
-It also owns the label-set enumerators of both fields, ``_require_int`` and
+It also owns the value helpers every layer shares: ``_require_int`` and
 ``_require_at_least``, the input checks of every catalog entry point ("n
 must be >= 1"), ``_Value``, the base of every value class in the package,
 ``_setters``, which binds a value class's slot setters, ``_binomial``, the
-one bounded binomial, and ``_Memo``, the dict behind the shared cone charts
-and shapes and the CLI's templates, cells and bc shapes.
+one bounded binomial, and ``_Memo``, the dict behind the shared Levi shapes
+and the CLI's templates, cells and bc shapes.
 """
 
 from __future__ import annotations
 
-from itertools import combinations_with_replacement, starmap
 from math import comb, inf
 from operator import attrgetter
-from typing import Callable, Iterator
+from typing import Callable
 
 
 def _require_int(name: str, value: object) -> None:
@@ -187,32 +186,3 @@ def run_multiplicities(*blocks: tuple[int, ...]) -> tuple[int, ...]:
                 mults.append(m)
             i += m
     return tuple(mults)
-
-
-def _real_label_sets(shapes: list, cutoff: int, label: Callable, choose: Callable) -> Iterator:
-    """(gl2, gl1) label tuples on the shapes in turn, gl2-major: gl2 from {1..cutoff}, gl1
-    from {0, 1}, each through ``label``, drawn by ``choose`` with or without repeats."""
-    _require_at_least("cutoff", cutoff, 1)
-    # itertools lists its pool first, so with no 2-block no gl2 pool is built:
-    # then a huge cutoff is free.
-    gl2s = tuple(map(label, range(1, cutoff + 1))) if any(s.q for s in shapes) else ()
-    gl1s = tuple(map(label, (0, 1)))
-    return ((gl2, gl1) for s in shapes for gl2 in choose(gl2s, s.q) for gl1 in choose(gl1s, s.r))
-
-
-def _complex_label_sets(n: int, cutoff: int, label: Callable, choose: Callable) -> Iterator:
-    """(labels,) for each n labels from {-cutoff..cutoff} drawn by ``choose``,
-    in order, each passed through ``label``."""
-    _require_at_least("n", n, 1)
-    _require_at_least("cutoff", cutoff, 1)
-    return zip(choose(map(label, range(-cutoff, cutoff + 1)), n))
-
-
-def enumerate_orbits(shape: LeviShape, cutoff: int) -> list[SigmaOrbit]:
-    """All orbits on the shape with gl2 labels drawn from {1..cutoff}.
-
-    gl1 labels range over {0, 1} and need no truncation.  The order is
-    lexicographic, gl2-major; the count is C(cutoff + q - 1, q) * (r + 1).
-    """
-    label_sets = _real_label_sets([shape], cutoff, int, combinations_with_replacement)
-    return list(starmap(SigmaOrbit, label_sets))

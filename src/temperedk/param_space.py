@@ -6,6 +6,9 @@ isotropy.  Components with trivial isotropy are honest Euclidean spaces
 ("free"); the others are closed cones R^d / prod S_m.  The complex side is
 simpler: one maximal torus, components indexed by multisets of n circle
 exponents.
+
+Both catalogs live here: their label sets (``_label_blocks``), the real
+orbits on one shape (``enumerate_orbits``), their counts and their records.
 """
 
 from __future__ import annotations
@@ -18,9 +21,7 @@ from .levi import (
     LeviShape,
     SigmaOrbit,
     _binomial,
-    _complex_label_sets,
     _Memo,
-    _real_label_sets,
     _require_at_least,
     _require_int,
     _setters,
@@ -196,6 +197,17 @@ def _doubled_twist(t: float) -> float:
     return doubled
 
 
+def _real_label_sets(shapes: list, cutoff: int, label: Callable, choose: Callable) -> Iterator:
+    """(gl2, gl1) label tuples on the shapes in turn, gl2-major: gl2 from {1..cutoff}, gl1
+    from {0, 1}, each through ``label``, drawn by ``choose`` with or without repeats."""
+    _require_at_least("cutoff", cutoff, 1)
+    # itertools lists its pool first, so with no 2-block no gl2 pool is built:
+    # then a huge cutoff is free.
+    gl2s = tuple(map(label, range(1, cutoff + 1))) if any(s.q for s in shapes) else ()
+    gl1s = tuple(map(label, (0, 1)))
+    return ((gl2, gl1) for s in shapes for gl2 in choose(gl2s, s.q) for gl1 in choose(gl1s, s.r))
+
+
 def _label_blocks(
     field: str, n: int, cutoff: int, label: Callable, choose: Callable, parities: tuple
 ) -> Iterator:
@@ -206,12 +218,26 @@ def _label_blocks(
     if field == "real":
         shapes = [s for s in enumerate_levi_shapes(n) if (s.q + s.r) % 2 in parities]
         return _real_label_sets(shapes, cutoff, label, choose)
-    return _complex_label_sets(n, cutoff, label, choose) if n % 2 in parities else iter(())
+    if n % 2 not in parities:
+        return iter(())
+    _require_at_least("n", n, 1)
+    _require_at_least("cutoff", cutoff, 1)
+    return zip(choose(map(label, range(-cutoff, cutoff + 1)), n))
 
 
 def _catalog(field: str, n: int, cutoff: int, label: Callable) -> Iterator:
     """Label blocks of the field's whole catalog: every component, in order."""
     return _label_blocks(field, n, cutoff, label, combinations_with_replacement, (0, 1))
+
+
+def enumerate_orbits(shape: LeviShape, cutoff: int) -> list[SigmaOrbit]:
+    """All orbits on the shape with gl2 labels drawn from {1..cutoff}.
+
+    gl1 labels range over {0, 1} and need no truncation.  The order is
+    lexicographic, gl2-major; the count is C(cutoff + q - 1, q) * (r + 1).
+    """
+    label_sets = _real_label_sets([shape], cutoff, int, combinations_with_replacement)
+    return list(starmap(SigmaOrbit, label_sets))
 
 
 def real_components(n: int, cutoff: int) -> list[Component]:
@@ -241,10 +267,9 @@ def _complex_catalog_size(n: int, cutoff: int) -> int | float:
     return _binomial(2 * cutoff + n, n)
 
 
-# (num_lines, num_rays) -> its one ConeChart, and (q, r) -> its one
-# LeviShape: both are immutable, so every component shares them.  An empty
-# shape raises in LeviShape, before anything is stored.
-_CHARTS = _Memo(lambda counts: ConeChart(*counts))
+# (q, r) -> its one LeviShape: shapes are immutable, so every component of
+# a shape shares it.  An empty shape raises in LeviShape, before anything is
+# stored.
 _SHAPES = _Memo(lambda counts: LeviShape(*counts))
 
 
@@ -262,11 +287,11 @@ def cone_chart(component: Component | ComplexComponent) -> ConeChart:
     rest: num_rays = dimension - num_lines = sum(m - 1 for m in
     multiplicities).  This is the one free-or-cone rule, which the CLI
     reads straight off label strings: a component is free exactly when its
-    chart has no ray, found with no run scan.  Charts are immutable, so one
-    is shared per (lines, rays): a catalog has at most d + 1 of dimension d.
+    chart has no ray, found with no run scan.  Each call builds a new chart:
+    the CLI writes its records from label strings, and never calls this.
     """
     lines = _num_lines(component.label_blocks)
-    return _CHARTS[lines, component.dimension - lines]
+    return ConeChart(lines, component.dimension - lines)
 
 
 def canonicalize_point(point: TemperedPoint) -> TemperedPoint:

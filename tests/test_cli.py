@@ -299,14 +299,23 @@ def _expected_cells(c):
     return [c.key, str(c.dimension), c.kind, cell]
 
 
+def _sizes(ns, cutoffs):
+    return [(n, cutoff) for n in ns for cutoff in cutoffs]
+
+
+# Cutoffs 10 and 11 write two-digit labels, which sort before one-digit
+# ones as strings, so a writer that ordered or counted labels as strings
+# would differ there.
+_TWO_DIGITS = _sizes(range(1, 4), (10, 11))
+
+
 class TestRecordsMatchLibrary:
     """Every record agrees, field by field, with the component it stands
     for, read through the library's public attributes: a record that took
     its dimension, kind or chart from another component of the same
     dimension or number of lines would differ here."""
 
-    @pytest.mark.parametrize("cutoff", range(1, 5))
-    @pytest.mark.parametrize("n", range(1, 7))
+    @pytest.mark.parametrize("n, cutoff", _sizes(range(1, 7), range(1, 5)) + _TWO_DIGITS)
     @pytest.mark.parametrize("field", ["real", "complex"])
     def test_components(self, capsys, field, n, cutoff):
         catalog = (real_components if field == "real" else complex_components)(n, cutoff)
@@ -318,8 +327,9 @@ class TestRecordsMatchLibrary:
         rows = [line.split() for line in out.splitlines()[2:]]
         assert rows == [_expected_cells(c) for c in catalog]
 
-    @pytest.mark.parametrize("cutoff", range(1, 4))
-    @pytest.mark.parametrize("n", range(1, 7))
+    @pytest.mark.parametrize(
+        "n, cutoff", _sizes(range(1, 7), range(1, 4)) + _sizes(range(1, 4), (10,))
+    )
     def test_bc(self, capsys, n, cutoff):
         maps = [bc_component(c) for c in real_components(n, cutoff)]
         argv = ("bc", "--n", str(n), "--cutoff", str(cutoff))
@@ -348,6 +358,38 @@ class TestRecordsMatchLibrary:
             ]
             for m in maps
         ]
+
+
+class TestHeadersMatchLibrary:
+    """The counts in each table's header agree with the library: the free
+    components of a catalog are the K-theory generators of both degrees,
+    the paper's count, and a bc header counts the proper maps among all."""
+
+    @pytest.mark.parametrize("cutoff", range(1, 5))
+    @pytest.mark.parametrize("n", range(1, 7))
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_components(self, capsys, field, n, cutoff):
+        catalog = (real_components if field == "real" else complex_components)(n, cutoff)
+        free = sum(c.is_free for c in catalog)
+        argv = ("components", "--n", str(n), "--cutoff", str(cutoff), "--field", field)
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert out.splitlines()[0] == (
+            f"Tempered-dual components for GL({n}, {'R' if field == 'real' else 'C'}) "
+            f"at cutoff {cutoff}: {free} free, {len(catalog) - free} cone"
+        )
+
+    @pytest.mark.parametrize("cutoff", range(1, 5))
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_bc(self, capsys, n, cutoff):
+        catalog = real_components(n, cutoff)
+        proper = sum(bc_component(c).is_proper for c in catalog)
+        code, out, _ = run(capsys, "bc", "--n", str(n), "--cutoff", str(cutoff))
+        assert code == 0
+        assert out.splitlines()[0] == (
+            f"Base change on components, GL({n}, R) -> GL({n}, C) "
+            f"at cutoff {cutoff}: {proper} of {len(catalog)} maps proper"
+        )
 
 
 class TestBcRankOnce:

@@ -1,3 +1,4 @@
+import re
 from math import comb, inf
 
 import pytest
@@ -526,6 +527,21 @@ class TestKClasses:
     def test_repeated_generator_rejected(self):
         with pytest.raises(ValueError):
             KClass(self.k0, ((self.g1, 1), (self.g1, 2)))
+
+    # Terms sort by key alone, so two coefficients of one key are never
+    # compared: each term is checked in turn, and the first fault met is named.
+    def test_repeat_of_an_int_term_is_named(self):
+        with pytest.raises(ValueError, match="repeated in class"):
+            KClass(self.k0, ((self.g1, 1), (self.g1, "x")))
+
+    @pytest.mark.parametrize("first, second", [(2.5, "x"), ("x", 1)])
+    def test_first_non_integer_term_of_a_repeat_is_named(self, first, second):
+        with pytest.raises(TypeError, match=re.escape(f"integers, got {first!r}")):
+            KClass(self.k0, ((self.g1, first), (self.g1, second)))
+
+    def test_terms_sort_by_key(self):
+        c = KClass(self.k0, ((self.g3, -1), (self.g1, 2), (self.g2, 1)))
+        assert c.items == ((self.g1, 2), (self.g2, 1), (self.g3, -1))
 
 
 # Each call passes a bool where an int count, cutoff or label is meant.
