@@ -150,9 +150,10 @@ class InducedKMap(_Value):
         target: KGroupPresentation,
         assignments: tuple[tuple[str, KClass], ...],
     ) -> None:
-        ordered = tuple(sorted(assignments, key=_by_key))
+        # Checked in the given order, then sorted: every key sorted is then a
+        # source key, a string, so a key of another type is named, not compared.
         images: dict[str, KClass] = {}
-        for key, cls in ordered:
+        for key, cls in assignments:
             # Read inside the loop, so a map with no assignment lists no key.
             if key not in source.generator_index:
                 raise ValueError(f"assignment for {key!r}, which is not a source generator")
@@ -163,7 +164,7 @@ class InducedKMap(_Value):
             images[key] = cls
         _set_kmap_source(self, source)
         _set_kmap_target(self, target)
-        _set_assignments(self, ordered)
+        _set_assignments(self, tuple(sorted(assignments, key=_by_key)))
         _set_images(self, images)
 
     @property

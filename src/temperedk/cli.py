@@ -208,7 +208,7 @@ def _bc_shapes(matrix: Callable[[tuple], str], no_yes: tuple[str, str]) -> _Memo
 
 def _degree(p: KGroupPresentation) -> tuple[str, str, str]:
     """Rank (keys listed), predicted rank (closed form) and closed form of one K-degree."""
-    return str(len(p.generator_keys)), str(p.rank), p.closed_form.describe()
+    return str(len(p.generator_index)), str(p.rank), p.closed_form.describe()
 
 
 # JSON: the bytes of json.dumps(document, sort_keys=True, indent=2), written
@@ -299,7 +299,7 @@ def _ktheory_json(write: _Write, degrees: _Degrees, args: Namespace) -> None:
         head = ",\n" if d else "{\n"
         write(f'{head}    "deg{d}": {{\n      "closed_form": {encode(closed_form)},\n')
         write('      "generators": ')
-        _stream(write, map(encode, p.generator_keys), "      ")
+        _stream(write, map(encode, p.generator_index), "      ")
         write(f',\n      "predicted_rank": {predicted},\n      "rank": {rank}\n    }}')
     write("\n  }")
 
@@ -392,7 +392,7 @@ def _ktheory_table(write: _Write, degrees: _Degrees, args: Namespace) -> None:
     for d, p in enumerate(degrees):
         if p.rank:
             write(f"K{d} generators:\n")
-            for key in p.generator_keys:
+            for key in p.generator_index:
                 write("  " + key + "\n")
 
 

@@ -10,7 +10,6 @@ family and predicts the truncated rank at any cutoff.
 
 from __future__ import annotations
 
-from functools import cached_property
 from itertools import combinations, count, starmap
 from math import comb
 from operator import itemgetter
@@ -79,13 +78,13 @@ class KGroupPresentation(_Value):
     out: over R a q-subset of gl2 labels {1..cutoff} with an r-subset of the
     gl1 labels {0, 1}, over C an n-subset of {-cutoff..cutoff}.  Construction
     checks the four fields and lists nothing: the rank comes from the closed
-    form, and the keys and the key-to-position index are listed on first
-    read, straight from those subsets, and checked against that rank; treat
-    both as read-only.  The component records are built only when
-    ``generators`` is first read.  No slots, so no slot setters: cached reads
-    need a ``__dict__``.
+    form.  The key-to-position index, the one listing a presentation keeps,
+    is listed on first read, straight from those subsets, and checked
+    against that rank; treat it as read-only.  The keys are read off it, and
+    ``generators`` builds the component records on each read.
     """
 
+    __slots__ = ("field", "n", "cutoff", "degree", "closed_form", "_index")
     _fields = ("field", "n", "cutoff", "degree")
 
     def __init__(self, field: str, n: int, cutoff: int, degree: int) -> None:
@@ -97,33 +96,36 @@ class KGroupPresentation(_Value):
             raise ValueError(f"degree must be 0 or 1, got {degree}")
         _require_at_least("n", n, 1)
         _require_at_least("cutoff", cutoff, 1)
-        if field == "real":
-            if cutoff < n // 2:
-                raise ValueError(
-                    f"cutoff {cutoff} cannot host {n // 2} distinct gl2 labels; "
-                    f"need cutoff >= {n // 2}"
-                )
-            closed_form = closed_form_real(n)[degree]
-        else:
-            if 2 * cutoff + 1 < n:
-                raise ValueError(
-                    f"cutoff {cutoff} offers only {2 * cutoff + 1} labels for {n} distinct ones; "
-                    f"need 2*cutoff + 1 >= n"
-                )
-            closed_form = closed_form_complex(n)[degree]
-        for name, value in zip(self._fields, (field, n, cutoff, degree)):
-            object.__setattr__(self, name, value)
-        object.__setattr__(self, "closed_form", closed_form)
+        if field == "real" and cutoff < n // 2:
+            raise ValueError(
+                f"cutoff {cutoff} cannot host {n // 2} distinct gl2 labels; "
+                f"need cutoff >= {n // 2}"
+            )
+        if field == "complex" and 2 * cutoff + 1 < n:
+            raise ValueError(
+                f"cutoff {cutoff} offers only {2 * cutoff + 1} labels for {n} distinct ones; "
+                f"need 2*cutoff + 1 >= n"
+            )
+        closed_form = (closed_form_real if field == "real" else closed_form_complex)(n)[degree]
+        _set_field(self, field)
+        _set_n(self, n)
+        _set_cutoff(self, cutoff)
+        _set_degree(self, degree)
+        _set_closed_form(self, closed_form)
+        _set_index(self, None)
 
     @property
     def rank(self) -> int:
         """Generator count, from the closed form alone."""
         return self.closed_form.rank_at(self.cutoff)
 
-    @cached_property
+    @property
     def generator_index(self) -> dict[str, int]:
         """Key -> position, listed on first read in one pass over the label
-        sets and checked against the closed-form rank."""
+        sets, checked against the closed-form rank and kept."""
+        index = self._index
+        if index is not None:
+            return index
         keys = starmap(_real_key if self.field == "real" else _complex_key, self._label_sets(str))
         # zip stops on the first key that is missing without drawing a
         # position, so the next position is the number of keys listed.
@@ -134,9 +136,10 @@ class KGroupPresentation(_Value):
             raise RuntimeError("duplicate generator key in presentation")
         if listed != self.rank:
             raise RuntimeError(f"listed {listed} generator keys for a closed-form rank of {self.rank}")
+        _set_index(self, index)
         return index
 
-    @cached_property
+    @property
     def generator_keys(self) -> tuple[str, ...]:
         """The keys in catalog order, the order the index was listed in."""
         return tuple(self.generator_index)
@@ -146,24 +149,18 @@ class KGroupPresentation(_Value):
         each label passed through ``label``: the generators' labels, in order."""
         return _label_blocks(self.field, self.n, self.cutoff, label, combinations, (self.degree,))
 
-    @cached_property
+    @property
     def generators(self) -> tuple[Union[Component, ComplexComponent], ...]:
-        """The generator components, built on first access from the same
-        label sets as the keys, and checked against them."""
+        """The generator components, built anew on each read from the same
+        label sets as the keys; none is kept."""
         if self.field == "real":
-            built = tuple(map(Component, starmap(SigmaOrbit, self._label_sets(int))))
-        else:
-            built = tuple(starmap(ComplexComponent, self._label_sets(int)))
-        if len(built) != self.rank:
-            raise RuntimeError(f"built {len(built)} generators for {self.rank} keys")
-        for c, key in zip(built, self.generator_keys):
-            if not c.is_free:
-                raise RuntimeError(f"cone component {c.key} cannot generate K-theory")
-            if c.dimension % 2 != self.degree:
-                raise RuntimeError(f"generator {c.key} has the wrong parity for degree {self.degree}")
-            if c.key != key:
-                raise RuntimeError(f"generator {c.key} does not match its key {key}")
-        return built
+            return tuple(map(Component, starmap(SigmaOrbit, self._label_sets(int))))
+        return tuple(starmap(ComplexComponent, self._label_sets(int)))
+
+
+_set_field, _set_n, _set_cutoff, _set_degree, _set_closed_form, _set_index = _setters(
+    KGroupPresentation
+)
 
 
 class KClass(_Value):
@@ -181,8 +178,14 @@ class KClass(_Value):
     ) -> None:
         # Zeros of any type other than int are kept so the check below
         # rejects them; bool is an int subclass and is rejected too.
-        items = sorted(((k, c) for k, c in items if c != 0 or type(c) is not int), key=_by_key)
+        items = [(k, c) for k, c in items if c != 0 or type(c) is not int]
         known = presentation.generator_index
+        try:
+            items.sort(key=_by_key)
+        except TypeError:
+            # A key that is not a string cannot be ordered against one: the
+            # keys outside the index go first, for the check below to name.
+            items.sort(key=lambda term: term[0] in known)
         # A key that passed the first check is a string, never None.
         previous = None
         for key, coeff in items:

@@ -11,9 +11,9 @@ sorted form so that each Weyl orbit has exactly one representative.
 It also owns the value helpers every layer shares: ``_require_int`` and
 ``_require_at_least``, the input checks of every catalog entry point ("n
 must be >= 1"), ``_Value``, the base of every value class in the package,
-``_setters``, which binds a value class's slot setters, ``_binomial``, the
-one bounded binomial, and ``_Memo``, the dict behind the shared Levi shapes
-and the CLI's templates, cells and bc shapes.
+all of them slotted, ``_setters``, which binds each one's slot setters,
+``_binomial``, the one bounded binomial, and ``_Memo``, the dict behind the
+shared Levi shapes and the CLI's templates, cells and bc shapes.
 """
 
 from __future__ import annotations
@@ -62,13 +62,13 @@ class _Memo(dict):
 
 
 class _Value:
-    """Immutable value whose ``__init__`` takes its ``_fields`` in order,
-    checks them and sets each once, through its class's own slot setters
-    (``_setters``): ``__setattr__`` raises, and a slot setter costs half of
-    the generic object setter, which only ``KGroupPresentation``, with no
-    slots, still uses.  Equality, hash and repr are the fields' alone, never
-    a derived attribute's, and values of different classes are never equal;
-    copy and pickle rebuild through ``__init__``, checks and all."""
+    """Immutable slotted value whose ``__init__`` takes its ``_fields`` in
+    order, checks them and sets each once, through its class's own slot
+    setters (``_setters``): ``__setattr__`` raises, and a slot setter costs
+    half of the generic object setter, which no value class uses.  Equality,
+    hash and repr are the fields' alone, never a derived attribute's, and
+    values of different classes are never equal; copy and pickle rebuild
+    through ``__init__``, checks and all."""
 
     __slots__ = ()
 

@@ -341,6 +341,16 @@ class TestInducedKMap:
         with pytest.raises(ValueError):
             InducedKMap(kmap.source, kmap.target, (("labels:9", kclass(kmap.target)),))
 
+    # A key that is not a string cannot be sorted against the source keys; it
+    # is still named as a stranger, whatever the order of the assignments.
+    def test_assignment_key_of_another_type_is_named(self):
+        kmap = induced_k_map(1, 2)
+        image = kmap.image_of("labels:0")
+        message = "^assignment for 1, which is not a source generator$"
+        for assignments in (((1, image), ("labels:0", image)), (("labels:0", image), (1, image))):
+            with pytest.raises(ValueError, match=message):
+                InducedKMap(kmap.source, kmap.target, assignments)
+
     def test_image_in_wrong_presentation_rejected(self):
         kmap = induced_k_map(1, 2)
         with pytest.raises(ValueError):

@@ -263,21 +263,27 @@ class TestFreeEnumeration:
             for cutoff in range(max(1, n // 2), 6):
                 rows = [row for row in real_components_bruteforce(n, cutoff) if row[5]]
                 for presentation in k_real(n, cutoff):
+                    generators = presentation.generators
                     got = [
                         (c.shape.q, c.shape.r, c.orbit.gl2_labels, c.orbit.gl1_labels)
-                        for c in presentation.generators
+                        for c in generators
                     ]
                     want = [row[:4] for row in rows if row[4] % 2 == presentation.degree]
                     assert got == want, (n, cutoff, presentation.degree)
+                    keys = tuple(c.key for c in generators)
+                    assert keys == presentation.generator_keys, (n, cutoff, presentation.degree)
 
     def test_complex_generators_are_the_free_catalog_rows(self):
         for n in range(1, 9):
             for cutoff in range(max(1, n // 2), 6):
                 rows = [labels for labels, free in complex_components_bruteforce(n, cutoff) if free]
                 for presentation in k_complex(n, cutoff):
-                    got = [c.labels for c in presentation.generators]
+                    generators = presentation.generators
+                    got = [c.labels for c in generators]
                     want = rows if n % 2 == presentation.degree else []
                     assert got == want, (n, cutoff, presentation.degree)
+                    keys = tuple(c.key for c in generators)
+                    assert keys == presentation.generator_keys, (n, cutoff, presentation.degree)
 
     def test_complex_builds_only_generators(self, monkeypatch):
         built = count_constructions(monkeypatch, ComplexComponent)
@@ -286,19 +292,21 @@ class TestFreeEnumeration:
         assert k0.rank == comb(17, 8) == 24310
         assert kmap.source.rank == comb(21, 10) and kmap.is_zero
         assert built[0] == 0
-        assert len(k0.generators) == k0.rank and built[0] == 24310
-        assert k0.generators is k0.generators and built[0] == 24310
-        assert k1.generators == () and built[0] == 24310
+        generators = k0.generators
+        assert len(generators) == k0.rank and built[0] == 24310
+        # Nothing is kept: a second read builds them again.
+        again = k0.generators
+        assert again == generators and again is not generators and built[0] == 2 * 24310
+        assert k1.generators == () and built[0] == 2 * 24310
 
     def test_construction_lists_nothing(self, monkeypatch):
         built = [count_constructions(monkeypatch, cls) for cls in (Component, ComplexComponent)]
+        listed = count_listed_keys(monkeypatch)
         k0, k1 = k_complex(8, 8)
         kmap = induced_k_map(16, 16)
         assert kmap.is_zero and kmap.support == ()
         assert kmap.source.rank == comb(33, 16) and kmap.target.rank == comb(16, 8)
-        for p in (k0, k1, kmap.source, kmap.target):
-            assert "generator_keys" not in vars(p) and "generator_index" not in vars(p)
-        assert [count[0] for count in built] == [0, 0]
+        assert [count[0] for count in built] == [0, 0] and listed[0] == 0
 
     def test_first_key_read_lists_once(self, monkeypatch):
         listed = [0]
@@ -320,9 +328,13 @@ class TestFreeEnumeration:
         built = count_constructions(monkeypatch, Component)
         k0, k1 = k_real(10, 5)
         assert built[0] == 0
-        assert len(k0.generators) + len(k1.generators) == comb(5, 5) + comb(5, 4)
-        assert k0.generators is k0.generators and k1.generators is k1.generators
+        first = k0.generators, k1.generators
+        assert len(first[0]) + len(first[1]) == comb(5, 5) + comb(5, 4)
         assert built[0] == k0.rank + k1.rank
+        # Nothing is kept: a second read builds them again.
+        again = k0.generators, k1.generators
+        assert again == first and again[0] is not first[0] and again[1] is not first[1]
+        assert built[0] == 2 * (k0.rank + k1.rank)
 
     def test_keys_are_the_bruteforce_free_rows(self):
         # Keys are listed before any component exists; the oracle formats
@@ -353,10 +365,26 @@ def count_constructions(monkeypatch, cls):
     return built
 
 
+def count_listed_keys(monkeypatch):
+    """One-cell counter of the generator keys presentations list from now on."""
+    listed = [0]
+
+    def counting(key):
+        def listing(*labels):
+            listed[0] += 1
+            return key(*labels)
+
+        return listing
+
+    for name in ("_complex_key", "_real_key"):
+        monkeypatch.setattr(ktheory, name, counting(getattr(ktheory, name)))
+    return listed
+
+
 class TestPresentationValidation:
     """A presentation is defined by (field, n, cutoff, degree): construction
-    checks those, and the first read of ``generators`` checks each component
-    it builds against its key."""
+    checks those, and the first read of ``generator_index`` checks the keys
+    it lists against the closed-form rank."""
 
     def test_bad_degree_rejected(self):
         for degree in (2, -1):
@@ -387,42 +415,9 @@ class TestPresentationValidation:
         with pytest.raises(ValueError, match="^cutoff 1 offers only 3 labels for 4 distinct ones"):
             KGroupPresentation("complex", 4, 1, 0)
 
-    def test_wrong_parity_rejected(self, monkeypatch):
-        # The patched dimension also gives the chart a ray, so the component
-        # is kept free by patching the free-or-cone rule too.
-        p = KGroupPresentation("complex", 2, 1, 0)
-        monkeypatch.setattr(ComplexComponent, "dimension", property(lambda self: 3))
-        monkeypatch.setattr(ComplexComponent, "is_free", property(lambda self: True))
-        with pytest.raises(RuntimeError, match="wrong parity for degree 0"):
-            p.generators
-
     # One presentation of each field with generators: K_0 of GL(3, R) and of
     # GL(2, C) at cutoff 2.
     FILLED = (("real", 3, 2, 0), ("complex", 2, 2, 0))
-
-    def test_cone_generator_rejected(self, monkeypatch):
-        presentations = [KGroupPresentation(*fields) for fields in self.FILLED]
-        for cls in (Component, ComplexComponent):
-            monkeypatch.setattr(cls, "is_free", property(lambda self: False))
-        for p in presentations:
-            assert p.rank > 0
-            with pytest.raises(RuntimeError, match="cannot generate K-theory"):
-                p.generators
-
-    def test_wrong_key_rejected(self, monkeypatch):
-        presentations = [KGroupPresentation(*fields) for fields in self.FILLED]
-        for cls in (Component, ComplexComponent):
-            monkeypatch.setattr(cls, "key", property(lambda self: "labels:x"))
-        for p in presentations:
-            with pytest.raises(RuntimeError, match="does not match its key"):
-                p.generators
-
-    def test_missing_generator_rejected(self, monkeypatch):
-        presentations = [KGroupPresentation(*fields) for fields in self.FILLED]
-        monkeypatch.setattr(ktheory, "combinations", lambda pool, k: iter(()))
-        for p in presentations:
-            with pytest.raises(RuntimeError, match=f"^built 0 generators for {p.rank} keys$"):
-                p.generators
 
     def test_duplicate_generator_rejected(self, monkeypatch):
         # Construction lists nothing, so the first read of the index raises.
@@ -440,11 +435,13 @@ class TestPresentationValidation:
             with pytest.raises(RuntimeError, match=f"^listed .* keys for a closed-form rank of {p.rank}$"):
                 p.generator_index
 
-    def test_generators_stay_out_of_equality_and_hash(self):
+    def test_generators_stay_out_of_equality_and_hash(self, monkeypatch):
+        listed = count_listed_keys(monkeypatch)
         p, p_again = KGroupPresentation("real", 4, 3, 1), KGroupPresentation("real", 4, 3, 1)
-        p.generators
-        assert "generators" in vars(p) and "generators" not in vars(p_again)
+        assert p.generators and len(p.generator_index) == listed[0] > 0
         assert p == p_again and hash(p) == hash(p_again)
+        # Comparing and hashing listed none of p_again's keys.
+        assert listed[0] == len(p.generator_index)
 
 
 class TestPresentationIdentity:
@@ -538,6 +535,17 @@ class TestKClasses:
     def test_first_non_integer_term_of_a_repeat_is_named(self, first, second):
         with pytest.raises(TypeError, match=re.escape(f"integers, got {first!r}")):
             KClass(self.k0, ((self.g1, first), (self.g1, second)))
+
+    # A key that is not a string cannot be sorted against the generator
+    # keys; it is still named as a stranger, whatever the order of the terms.
+    @pytest.mark.parametrize("stray", [1, None, 2.5])
+    def test_key_of_another_type_is_named(self, stray):
+        message = re.escape(f"generator {stray!r} does not belong to this presentation")
+        for terms in (((stray, 1), (self.g1, 1)), ((self.g1, 1), (stray, 1))):
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                KClass(self.k0, terms)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            kclass(self.k0, {self.g2: 3, stray: 1, self.g1: 2})
 
     def test_terms_sort_by_key(self):
         c = KClass(self.k0, ((self.g3, -1), (self.g1, 2), (self.g2, 1)))
@@ -647,10 +655,12 @@ class TestCatalogInputTypes:
 
 
 class TestIndexOnce:
-    def test_keys_computed_once(self):
+    def test_keys_computed_once(self, monkeypatch):
+        listed = count_listed_keys(monkeypatch)
         p = k_real(4, 3)[1]
-        assert p.generator_keys is p.generator_keys
-        assert p.generator_keys == tuple(c.key for c in p.generators)
+        assert p.generator_index is p.generator_index
+        assert p.generator_keys == p.generator_keys == tuple(c.key for c in p.generators)
+        assert listed[0] == p.rank > 0
         assert p.generator_index == {key: i for i, key in enumerate(p.generator_keys)}
 
     def test_rank_keys_and_index_agree(self):
