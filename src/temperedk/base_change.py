@@ -155,7 +155,11 @@ class InducedKMap(_Value):
         images: dict[str, KClass] = {}
         for key, cls in assignments:
             # Read inside the loop, so a map with no assignment lists no key.
-            if key not in source.generator_index:
+            try:
+                known = key in source.generator_index
+            except TypeError:  # an unhashable key
+                known = False
+            if not known:
                 raise ValueError(f"assignment for {key!r}, which is not a source generator")
             if key in images:
                 raise ValueError(f"generator {key!r} assigned twice")

@@ -10,11 +10,10 @@ byte-identical output.
 Nothing is printed until every check has passed.  ``main`` first prices
 the command (``predicted_size``) from the counts the library owns: the
 catalog counts next to the catalogs in ``param_space`` and the ranks of
-``ktheory.IndexFamily``.  It rejects a command over ``MAX_CELLS``; then it
-builds the shapes, presentations or induced map, or opens a catalog's label
-strings (components, bc), which raises every other ``ValueError`` and the
-complex parity ``RuntimeError``, and lists the ktheory keys against their
-closed-form ranks; only then does it write, as JSON or a table (see below).
+``ktheory.IndexFamily``.  It rejects a command over ``MAX_CELLS``; then
+``_collect`` runs every other check (ktheory lists its keys against their
+closed-form ranks) as it builds what the command prints; only then does it
+write, as JSON or a table, a chunk of records per write call (see below).
 A ``ValueError`` exits 1 with an empty stdout; a closed pipe exits 1 quietly.
 """
 
@@ -24,7 +23,7 @@ import argparse
 import os
 import sys
 from argparse import Namespace
-from itertools import starmap
+from itertools import islice
 from json.encoder import encode_basestring_ascii
 from math import inf
 from typing import Callable, Iterable, Iterator, Optional, Sequence
@@ -43,18 +42,22 @@ from .param_space import (
     _num_lines,
     _real_catalog_size,
     _real_key,
+    _shape_catalog_size,
+    _widest_blocks,
 )
 
 # Largest output a command may write, in cells: n labels per entry, n^2 per
 # bc record for the n-row matrix it prints, plus the label pool if one is
 # built.  ktheory --field complex at n = cutoff = 10 needs 3.5e6; kmap lists
 # keys only for n = 1, so for n >= 2 it counts just the pool (kmap 30/30: 61
-# cells).  Catalogs and bc maps stream from label strings and hold no
-# record: components --n 6 --cutoff 12 --field complex (593,775 records,
-# 3.56e6 cells) and bc --n 10 --cutoff 14 (19,380 maps, 1.9e6 cells) peak
-# within a few MB of the interpreter's own floor, as a table and as JSON
-# (whole process, child max RSS from os.wait4; CPython 3.11.7, output to a
-# file).
+# cells).  Catalogs and bc maps stream from label strings, a chunk of
+# records per write, and hold no record: components --n 6 --cutoff 12
+# --field complex (593,775 records, 3.56e6 cells) takes 0.41 s as a table
+# and 0.55 s as JSON, and bc --n 10 --cutoff 14 (19,380 maps, 1.9e6 cells)
+# 0.06 s and 0.11 s, with PYTHONUNBUFFERED unset or set to 1 alike, and
+# each peaks within 2 MB of the interpreter's own floor (whole process,
+# child max RSS from os.wait4; CPython 3.11.7, 2-vCPU AMD EPYC, output to
+# a file).
 MAX_CELLS = 4_000_000
 
 
@@ -164,12 +167,15 @@ def _collect(command: str, n: int, cutoff: int, field: str) -> tuple[str, object
 # labels follow from the source's (base_change._target_labels).  Its shape
 # is the size of each block, (q, r) when real and the dimension when
 # complex, then the lines of its chart.  It fixes the dimension, kind and
-# chart counts (the rays are the dimension less the lines), so a writer
-# fills those in once per shape, in a JSON template or the cells that end a
-# table row, and a record adds only its key and labels.  A bc map's matrix,
-# and so its rank and properness, depend on the Levi shape (q, r) alone, so
-# a bc writer builds, ranks and writes one matrix per shape.  These memos
-# hold a few dozen strings a command.
+# chart counts (the rays are the dimension less the lines), and the number
+# of labels in the key and in each list.  So a writer makes one %-template
+# per shape from those counts, a JSON object with a %s slot per label or a
+# table row with one for each key: _by_shape calls template(shape,
+# dimension, kind, lines, rays) once per shape and fills in each record's
+# labels, or its keys.  A bc map's matrix, and so its rank and properness,
+# depend on the Levi shape (q, r) alone, so a bc writer builds, ranks and
+# writes one matrix per shape.  These memos hold a few dozen strings a
+# command.
 
 
 def _partition(shape: LeviShape) -> tuple[str, str, str, str]:
@@ -181,16 +187,27 @@ def _partition(shape: LeviShape) -> tuple[str, str, str, str]:
 _Blocks = tuple[Sequence[str], ...]
 
 
-def _shape(blocks: _Blocks) -> tuple[int, ...]:
-    """Size of each label block, then the lines of the component's one chart."""
-    return (*map(len, blocks), _num_lines(blocks))
+def _by_shape(field: str, template: Callable[..., str], key: Optional[Callable]) -> Callable:
+    """Record function: its shape's template (see above), filled with key(*blocks) or labels."""
 
+    def counted(shape: tuple[int, ...]) -> str:
+        *parts, lines = shape
+        rays = sum(parts) - lines
+        return template(shape, lines + rays, KIND_CONE if rays else KIND_FREE, lines, rays)
 
-def _counts(shape: tuple[int, ...]) -> tuple[int, str, int, int]:
-    """Dimension, kind, lines and rays of a component of this shape."""
-    *parts, lines = shape
-    dimension = sum(parts)
-    return dimension, KIND_CONE if dimension > lines else KIND_FREE, lines, dimension - lines
+    templates = _Memo(counted)
+
+    def real(blocks: _Blocks) -> str:
+        gl2, gl1 = blocks
+        shaped = templates[len(gl2), len(gl1), _num_lines(blocks)]
+        return shaped % (*gl1, *gl2, *gl2, *gl1) if key is None else shaped % key(gl2, gl1)
+
+    def complex_(blocks: _Blocks) -> str:
+        (labels,) = blocks
+        shaped = templates[len(labels), _num_lines(blocks)]
+        return shaped % (*labels, *labels) if key is None else shaped % key(labels)
+
+    return real if field == "real" else complex_
 
 
 def _bc_shapes(matrix: Callable[[tuple], str], no_yes: tuple[str, str]) -> _Memo:
@@ -211,6 +228,23 @@ def _degree(p: KGroupPresentation) -> tuple[str, str, str]:
     return str(len(p.generator_index)), str(p.rank), p.closed_form.describe()
 
 
+# Every record loop writes through _write_joined, which joins _CHUNK records
+# per write: one call per record would cost a system call per record when
+# PYTHONUNBUFFERED is set.  A chunk is about 7 kB of complex table rows,
+# 30 kB of complex JSON records and 220 kB of bc JSON records.
+_CHUNK = 128
+_Write = Callable[[str], object]
+
+
+def _write_joined(write: _Write, items: Iterable[str], sep: str = "", head: str = "") -> bool:
+    """Write head, then the items joined by sep, _CHUNK a call; False if none."""
+    items, wrote = iter(items), False
+    while chunk := list(islice(items, _CHUNK)):
+        write((sep if wrote else head) + sep.join(chunk))
+        wrote = True
+    return wrote
+
+
 # JSON: the bytes of json.dumps(document, sort_keys=True, indent=2), written
 # from templates whose keys are already sorted.  Strings go through
 # encode_basestring_ascii, ints through repr (or %s, its equal).  A value
@@ -218,7 +252,6 @@ def _degree(p: KGroupPresentation) -> tuple[str, str, str]:
 
 _HEAD = '{\n  "cutoff": %d,\n  "kind": "%s",\n  "n": %d,\n  "payload": '
 _TAIL = ',\n  "tool_version": ' + encode_basestring_ascii(__version__) + "\n}\n"
-_Write = Callable[[str], object]
 _Degrees = tuple[KGroupPresentation, KGroupPresentation]
 
 
@@ -244,40 +277,26 @@ def _component_json(pad: str, field: str) -> Callable[[_Blocks], str]:
     inner = pad + "  "
     chart = _object(inner, ("num_lines", "num_rays"))
     encode = encode_basestring_ascii
-    sep, listed = ",\n  " + inner, _join(["%s"], inner)
 
-    # The shape's object, with %s left for the key and the labels of each
-    # list; a list of no labels is "[%s]", and its labels join to "".
-    def template(shape: tuple[int, ...]) -> str:
-        dimension, kind, lines, rays = _counts(shape)
+    # The shape's object, with a %s slot for each label: those of the lists,
+    # in key order (gl1 before gl2), then those of the key, which param_space
+    # writes.
+    def template(shape: tuple[int, ...], dimension: int, kind: str, lines: int, rays: int) -> str:
+        slots = [["%s"] * count for count in shape[:-1]]
+        lists = [_join(slot, inner) for slot in reversed(slots)]
         if field == "real":
-            q, r = shape[:2]
-            gl1, gl2 = (listed if count else "[%s]" for count in (r, q))
-            fields = (dimension, gl1, gl2, "%s", encode(kind), q, r)
+            fields = (dimension, *lists, encode(_real_key(*slots)), encode(kind), *shape[:2])
         else:
-            fields = (dimension, "%s", encode(kind), listed)
+            fields = (dimension, encode(_complex_key(*slots)), encode(kind), *lists)
         return cone % (chart % (lines, rays), *fields) if rays else free % fields
 
-    templates = _Memo(template)
-
-    def record(blocks: _Blocks) -> str:
-        template = templates[_shape(blocks)]
-        if field == "real":
-            gl2, gl1 = blocks
-            return template % (sep.join(gl1), sep.join(gl2), encode(_real_key(gl2, gl1)))
-        (labels,) = blocks
-        return template % (encode(_complex_key(labels)), sep.join(labels))
-
-    return record
+    return _by_shape(field, template, None)
 
 
 def _stream(write: _Write, items: Iterable[str], pad: str = "  ") -> None:
-    """Write a JSON list one item at a time, as each is produced."""
-    sep = "[\n  " + pad
-    for item in items:
-        write(sep + item)
-        sep = ",\n  " + pad
-    write("\n" + pad + "]" if sep[0] == "," else "[]")
+    """Write a JSON list of items as they are produced, a chunk at a time."""
+    wrote = _write_joined(write, items, ",\n  " + pad, "[\n  " + pad)
+    write("\n" + pad + "]" if wrote else "[]")
 
 
 def _partitions_json(write: _Write, shapes: list[LeviShape], args: Namespace) -> None:
@@ -338,7 +357,9 @@ def _kmap_json(write: _Write, kmap: InducedKMap, args: Namespace) -> None:
     write(_object("  ", keys) % fields)
 
 
-# Tables: rows of strings, aligned once.
+# Tables: rows of strings, aligned once.  The catalog tables hold no row:
+# each column's width follows from n and the cutoff, so they write in one
+# pass.
 
 _FIELD_NAMES = {"real": "R", "complex": "C"}
 
@@ -357,32 +378,29 @@ def _partitions_table(write: _Write, shapes: list[LeviShape], args: Namespace) -
 
 
 def _components_table(write: _Write, catalog: Iterator[_Blocks], args: Namespace) -> None:
-    # Two passes over the catalog, and no row is held: the first finds the
-    # widest key, the second writes the rows.  No other column needs a pass:
-    # the widest dimension is n, which every catalog has (over R, on the
-    # shape of n 1-blocks), "free" and "cone" are as wide as "kind", and the
-    # chart ends the row.  The free components are the K-theory generators
-    # of both degrees, so the header counts them, and the whole catalog,
-    # with the closed forms that price ktheory and components commands:
-    # each record reads its chart's lines once.
-    key = _real_key if args.field == "real" else _complex_key
-    key_width = max(3, max(map(len, starmap(key, catalog))))
-    tail = "  %%-%ds  %%-4s  %%s\n" % max(3, len(str(args.n)))
+    # One pass, and no row is held: the widest key is a closed form
+    # (param_space._widest_blocks).  The widest dimension is n, which every
+    # catalog has (over R, on the shape of n 1-blocks), "free" and "cone" are
+    # as wide as "kind", and the chart ends the row.  The free components are
+    # the K-theory generators of both degrees, so the header counts them, and
+    # the whole catalog, with the closed forms that price ktheory and
+    # components commands: each record reads its chart's lines once.
+    key_of = _real_key if args.field == "real" else _complex_key
+    widest = max(len(key_of(*b)) for b in _widest_blocks(args.field, args.n, args.cutoff))
+    key, cells = "%%-%ds" % max(3, widest), "  %%-%ds  %%-4s  %%s\n" % max(3, len(str(args.n)))
     free = predicted_size("ktheory", args.n, args.cutoff, args.field)
     cone = predicted_size("components", args.n, args.cutoff, args.field) - free
     write(
         f"Tempered-dual components for GL({args.n}, {_FIELD_NAMES[args.field]}) "
         f"at cutoff {args.cutoff}: {free} free, {cone} cone\n"
+        + (key + cells) % ("key", "dim", "kind", "chart")
     )
-    write("key".ljust(key_width) + tail % ("dim", "kind", "chart"))
 
-    def cells(shape: tuple[int, ...]) -> str:
-        dimension, kind, lines, rays = _counts(shape)
-        return tail % (dimension, kind, f"lines={lines},rays={rays}" if rays else "-")
+    # The shape's row, with %s for the key.
+    def template(shape: tuple[int, ...], dimension: int, kind: str, lines: int, rays: int) -> str:
+        return key + cells % (dimension, kind, f"lines={lines},rays={rays}" if rays else "-")
 
-    tails = _Memo(cells)
-    for blocks in _catalog(args.field, args.n, args.cutoff, str):
-        write(key(*blocks).ljust(key_width) + tails[_shape(blocks)])
+    _write_joined(write, map(_by_shape(args.field, template, key_of), catalog))
 
 
 def _ktheory_table(write: _Write, degrees: _Degrees, args: Namespace) -> None:
@@ -390,38 +408,42 @@ def _ktheory_table(write: _Write, degrees: _Degrees, args: Namespace) -> None:
     write(f"K-theory of C*_r GL({args.n}, {_FIELD_NAMES[args.field]}) at cutoff {args.cutoff}\n")
     write(_aligned(("degree", "rank", "predicted", "closed form"), rows))
     for d, p in enumerate(degrees):
-        if p.rank:
-            write(f"K{d} generators:\n")
-            for key in p.generator_index:
-                write("  " + key + "\n")
+        if _write_joined(write, p.generator_index, "\n  ", f"K{d} generators:\n  "):
+            write("\n")
 
 
 def _bc_table(write: _Write, catalog: Iterator[_Blocks], args: Namespace) -> None:
-    # Two passes over the catalog, and no row is held, as in
-    # _components_table: the first finds the widest source and target keys
-    # and counts the proper maps, the second writes the rows.  The other
-    # columns are as wide as their widest shape: "free" and "cone" are
-    # narrower than "target kind", and the proper column ends the row.
+    # One pass, as in _components_table.  The widest source and target keys
+    # of a shape are those of its widest-keyed component, and its maps are
+    # proper together, so the header counts the proper maps shape by shape
+    # (param_space._shape_catalog_size).  The matrix and rank columns are as
+    # wide as their widest shape, "free" and "cone" are narrower than
+    # "target kind", and the proper column ends the row.
     matrices = lambda m: "[" + ",".join("[" + ",".join(map(repr, row)) + "]" for row in m) + "]"
     shapes = _bc_shapes(matrices, ("no", "yes"))
+    key_pair = lambda gl2, gl1: (_real_key(gl2, gl1), _complex_key(_target_labels(gl2, gl1)))
     widths, proper_maps, records = (len("source"), len("target")), 0, 0
-    for gl2, gl1 in catalog:
-        keys = _real_key(gl2, gl1), _complex_key(_target_labels(gl2, gl1))
-        widths = tuple(map(max, widths, map(len, keys)))
-        proper_maps += shapes[len(gl2), len(gl1)][2] == "yes"
-        records += 1
+    for gl2, gl1 in _widest_blocks("real", args.n, args.cutoff):
+        widths = tuple(map(max, widths, map(len, key_pair(gl2, gl1))))
+        count = _shape_catalog_size(len(gl2), len(gl1), args.cutoff)
+        proper_maps += count * (shapes[len(gl2), len(gl1)][2] == "yes")
+        records += count
     headers = ("source", "target", "target kind", "matrix", "rank", "proper")
     widths += tuple(max(map(len, column)) for column in zip(headers[3:5], *shapes.values()))
-    template = "%%-%ds  %%-%ds  %%-11s  %%-%ds  %%-%ds  %%s\n" % widths
+    keys, cells = "%%-%ds  %%-%ds  " % widths[:2], "%%-11s  %%-%ds  %%-%ds  %%s\n" % widths[2:]
     write(
         f"Base change on components, GL({args.n}, R) -> GL({args.n}, C) "
         f"at cutoff {args.cutoff}: {proper_maps} of {records} maps proper\n"
+        + (keys + cells) % headers
     )
-    write(template % headers)
-    for gl2, gl1 in _catalog("real", args.n, args.cutoff, str):
-        target = _target_labels(gl2, gl1)
-        cells = _counts(_shape((target,)))[1], *shapes[len(gl2), len(gl1)]
-        write(template % (_real_key(gl2, gl1), _complex_key(target), *cells))
+
+    # A row's cells follow from its source's shape and chart: the target
+    # labels are -l and l for each gl2 label l and one 0 for each gl1 label,
+    # so the target is free exactly when the source is and r <= 1.
+    def template(shape: tuple[int, ...], dimension: int, kind: str, lines: int, rays: int) -> str:
+        return keys + cells % (kind if shape[1] <= 1 else KIND_CONE, *shapes[shape[:2]])
+
+    _write_joined(write, map(_by_shape("real", template, key_pair), catalog))
 
 
 def _kmap_table(write: _Write, kmap: InducedKMap, args: Namespace) -> None:

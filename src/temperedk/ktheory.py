@@ -185,17 +185,24 @@ class KClass(_Value):
         except TypeError:
             # A key that is not a string cannot be ordered against one: the
             # keys outside the index go first, for the check below to name.
-            items.sort(key=lambda term: term[0] in known)
+            items.sort(key=lambda term: isinstance(term[0], str) and term[0] in known)
         # A key that passed the first check is a string, never None.
         previous = None
-        for key, coeff in items:
-            if key not in known:
-                raise ValueError(f"generator {key!r} does not belong to this presentation")
-            if key == previous:
-                raise ValueError(f"generator {key!r} repeated in class")
-            previous = key
-            if type(coeff) is not int:
-                raise TypeError(f"coefficients must be integers, got {coeff!r}")
+        try:
+            for key, coeff in items:
+                if key not in known:
+                    raise ValueError(f"generator {key!r} does not belong to this presentation")
+                if key == previous:
+                    raise ValueError(f"generator {key!r} repeated in class")
+                previous = key
+                if type(coeff) is not int:
+                    raise TypeError(f"coefficients must be integers, got {coeff!r}")
+        except TypeError:
+            try:
+                hash(key)  # only an unhashable key fails the membership test itself
+            except TypeError:
+                raise ValueError(f"generator {key!r} does not belong to this presentation") from None
+            raise
         _set_presentation(self, presentation)
         _set_items(self, tuple(items))
 

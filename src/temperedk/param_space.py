@@ -262,6 +262,20 @@ def _real_catalog_size(n: int, cutoff: int) -> int | float:
     return _binomial(top, q) + (_binomial(top, q) if odd else _binomial(top - 1, q - 1))
 
 
+def _shape_catalog_size(q: int, r: int, cutoff: int) -> int | float:
+    """len(enumerate_orbits(LeviShape(q, r), cutoff)), unchecked and bounded."""
+    return _binomial(cutoff + q - 1, q) * (r + 1)
+
+
+def _widest_blocks(field: str, n: int, cutoff: int) -> list[tuple[list[str], ...]]:
+    """Label blocks, as strings, of a widest-keyed component of each shape in
+    the field's catalog (unchecked): every label written widest, -cutoff over
+    C; the cutoff in a gl2 block and a one-digit gl1 label over R."""
+    if field == "complex":
+        return [([f"-{cutoff}"] * n,)]
+    return [([str(cutoff)] * s.q, ["0"] * s.r) for s in enumerate_levi_shapes(n)]
+
+
 def _complex_catalog_size(n: int, cutoff: int) -> int | float:
     """len(complex_components(n, cutoff)), unchecked and bounded."""
     return _binomial(2 * cutoff + n, n)

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 from hypothesis import given
@@ -348,6 +349,15 @@ class TestInducedKMap:
         image = kmap.image_of("labels:0")
         message = "^assignment for 1, which is not a source generator$"
         for assignments in (((1, image), ("labels:0", image)), (("labels:0", image), (1, image))):
+            with pytest.raises(ValueError, match=message):
+                InducedKMap(kmap.source, kmap.target, assignments)
+
+    @pytest.mark.parametrize("stray", [["labels:0"], {}, (["labels:0"],)])
+    def test_unhashable_assignment_key_is_named(self, stray):
+        kmap = induced_k_map(1, 2)
+        image = kmap.image_of("labels:0")
+        message = f"^assignment for {re.escape(repr(stray))}, which is not a source generator$"
+        for assignments in (((stray, image),), (("labels:0", image), (stray, image))):
             with pytest.raises(ValueError, match=message):
                 InducedKMap(kmap.source, kmap.target, assignments)
 

@@ -16,6 +16,7 @@ from temperedk import (
     __version__,
     Component,
     LeviShape,
+    SigmaOrbit,
     base_change,
     bc_component,
     cli,
@@ -392,6 +393,64 @@ class TestHeadersMatchLibrary:
             f"Base change on components, GL({n}, R) -> GL({n}, C) "
             f"at cutoff {cutoff}: {proper} of {len(catalog)} maps proper"
         )
+
+
+class TestClosedFormWidths:
+    """The catalog tables are written in one pass, so their key widths and
+    the bc header's proper count come from closed forms, read before any
+    record: given no record at all, a writer still prints the header that a
+    scan over every record of the catalog finds."""
+
+    @staticmethod
+    def header(writer, **fields):
+        lines = []
+        writer(lines.append, iter(()), argparse.Namespace(**fields))
+        return "".join(lines).splitlines()
+
+    @pytest.mark.parametrize("n, cutoff", _sizes(range(1, 9), range(1, 7)))
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_components_key_width(self, field, n, cutoff):
+        key = param_space._real_key if field == "real" else param_space._complex_key
+        widest = max(len(key(*blocks)) for blocks in param_space._catalog(field, n, cutoff, str))
+        columns = self.header(cli._components_table, n=n, cutoff=cutoff, field=field)[1]
+        assert columns.index("  dim") == max(len("key"), widest)
+
+    @pytest.mark.parametrize("n, cutoff", _sizes(range(1, 9), range(1, 7)))
+    def test_bc_widths_and_proper_count(self, n, cutoff):
+        sources, targets, proper, records = [], [], 0, 0
+        for gl2, gl1 in param_space._catalog("real", n, cutoff, str):
+            sources.append(len(param_space._real_key(gl2, gl1)))
+            targets.append(len(param_space._complex_key(base_change._target_labels(gl2, gl1))))
+            orbit = SigmaOrbit(tuple(map(int, gl2)), tuple(map(int, gl1)))
+            proper += bc_component(Component(orbit)).is_proper
+            records += 1
+        summary, columns = self.header(cli._bc_table, n=n, cutoff=cutoff)
+        assert summary.endswith(f": {proper} of {records} maps proper")
+        source_width = columns.index("  target")
+        target_width = columns.index("  target kind") - source_width - 2
+        assert source_width == max(len("source"), *sources)
+        assert target_width == max(len("target"), *targets)
+
+
+class TestChunkedWrites:
+    """A writer joins its records into chunks, one write call each, so
+    unbuffered stdout costs a system call per chunk, not per record."""
+
+    @pytest.mark.parametrize("fmt", ["json", "table"])
+    @pytest.mark.parametrize(
+        "command, n, cutoff, field",
+        [("components", 6, 4, "complex"), ("bc", 6, 3, "real"), ("ktheory", 6, 4, "complex")],
+    )
+    def test_writes_per_chunk(self, monkeypatch, command, n, cutoff, field, fmt):
+        records = cli.predicted_size(command, n, cutoff, field)
+        if command == "components":
+            assert records == 3003
+        stdout = _CountingStdout()
+        monkeypatch.setattr(sys, "stdout", stdout)
+        argv = [command, "--n", str(n), "--cutoff", str(cutoff), "--field", field]
+        assert main(argv + ["--format", fmt]) == 0
+        # The constant covers the envelope and, for ktheory, each degree's fields.
+        assert stdout.writes <= records / cli._CHUNK + 16
 
 
 class TestBcRankOnce:

@@ -547,6 +547,20 @@ class TestKClasses:
         with pytest.raises(ValueError, match=f"^{message}$"):
             kclass(self.k0, {self.g2: 3, stray: 1, self.g1: 2})
 
+    # An unhashable key cannot be looked up in the index at all; it is named
+    # the same way, alone, next to a generator key or next to its like.
+    @pytest.mark.parametrize("stray", [[1], {"labels:0"}, {}, ([1],)])
+    def test_unhashable_key_is_named(self, stray):
+        message = re.escape(f"generator {stray!r} does not belong to this presentation")
+        for terms in (
+            ((stray, 1),),
+            ((stray, 1), (self.g1, 1)),
+            ((self.g1, 1), (stray, 1)),
+            ((stray, 1), (stray, 2)),
+        ):
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                KClass(self.k0, terms)
+
     def test_terms_sort_by_key(self):
         c = KClass(self.k0, ((self.g3, -1), (self.g1, 2), (self.g2, 1)))
         assert c.items == ((self.g1, 2), (self.g2, 1), (self.g3, -1))

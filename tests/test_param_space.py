@@ -130,6 +130,14 @@ class TestRealCatalog:
                 )
                 assert len(catalog) == expected
 
+    def test_shape_count_formula(self):
+        # The per-shape count that the bc table's header sums.
+        for n in range(1, 9):
+            for shape in enumerate_levi_shapes(n):
+                for cutoff in range(1, 7):
+                    count = param_space._shape_catalog_size(shape.q, shape.r, cutoff)
+                    assert count == len(enumerate_orbits(shape, cutoff)), (shape, cutoff)
+
     def test_matches_bruteforce(self):
         for n in range(1, 7):
             for cutoff in range(1, 4):
