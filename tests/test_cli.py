@@ -121,6 +121,21 @@ class TestKtheoryCommand:
         monkeypatch.setattr(ktheory.IndexFamily, "rank_at", lambda self, cutoff: 0)
         assert cli._degree(p) == ("4", "0", "1-subsets of N x Z/2")
 
+    @_needs_wait4
+    @pytest.mark.parametrize(
+        "fmt, sha256",
+        [
+            ("json", "91dcee207548036a29f9ed2d236620b565907f0d104a763c65a3e7d1de416c2e"),
+            ("table", "3c116966d3638916892bc526c7f18778d004914febdc5bbf22f9cd0b7ad81337"),
+        ],
+    )
+    def test_largest_complex_ktheory(self, tmp_path, fmt, sha256):
+        # ktheory --n 10 --cutoff 10 --field complex: 352,716 generator keys
+        # in degree 0, the largest ktheory in routine use.
+        argv = ["ktheory", "--n", "10", "--cutoff", "10", "--field", "complex", "--format", fmt]
+        code, digest, megabytes = _run_child(tmp_path, argv, timeout=60)
+        assert (code, digest) == (0, sha256)
+
 
 class TestKmapCommand:
     def test_zero_map_table(self, capsys):
