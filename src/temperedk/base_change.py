@@ -137,6 +137,14 @@ def bc_point_real(point: RealTemperedPoint) -> ComplexTemperedPoint:
     return ComplexTemperedPoint(target, params)
 
 
+def _is_generator(p: KGroupPresentation, key: object) -> bool:
+    """Whether key is a generator key of p; an unhashable key is not."""
+    try:
+        return key in p.generator_index
+    except TypeError:
+        return False
+
+
 class InducedKMap(_Value):
     """Induced map on K-theory in one degree, as images of the source
     generators.  Generators absent from ``assignments`` map to zero."""
@@ -155,11 +163,7 @@ class InducedKMap(_Value):
         images: dict[str, KClass] = {}
         for key, cls in assignments:
             # Read inside the loop, so a map with no assignment lists no key.
-            try:
-                known = key in source.generator_index
-            except TypeError:  # an unhashable key
-                known = False
-            if not known:
+            if not _is_generator(source, key):
                 raise ValueError(f"assignment for {key!r}, which is not a source generator")
             if key in images:
                 raise ValueError(f"generator {key!r} assigned twice")
@@ -180,7 +184,7 @@ class InducedKMap(_Value):
         return tuple(key for key, cls in self.assignments if not cls.is_zero)
 
     def image_of(self, key: str) -> KClass:
-        if key not in self.source.generator_index:
+        if not _is_generator(self.source, key):
             raise ValueError(f"{key!r} is not a source generator")
         image = self._images.get(key)
         return kclass(self.target) if image is None else image

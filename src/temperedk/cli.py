@@ -11,9 +11,9 @@ Nothing is printed until every check has passed.  ``main`` first prices
 the command (``predicted_size``) from the counts the library owns: the
 catalog counts next to the catalogs in ``param_space`` and the ranks of
 ``ktheory.IndexFamily``.  It rejects a command over ``MAX_CELLS``; then
-``_collect`` runs every other check (ktheory lists its keys against their
-closed-form ranks) as it builds what the command prints; only then does it
-write, as JSON or a table, a chunk of records per write call (see below).
+``_collect`` runs every other check (ktheory counts its label sets against
+their closed-form ranks and builds no key index) as it builds what the
+command prints; then it writes JSON or a table, a chunk of records per write.
 A ``ValueError`` exits 1 with an empty stdout; a closed pipe exits 1 quietly.
 """
 
@@ -48,10 +48,13 @@ from .param_space import (
 
 # Largest output a command may write, in cells: n labels per entry, n^2 per
 # bc record for the n-row matrix it prints, plus the label pool if one is
-# built.  ktheory --field complex at n = cutoff = 10 needs 3.5e6; kmap lists
-# keys only for n = 1, so for n >= 2 it counts just the pool (kmap 30/30: 61
-# cells).  Catalogs and bc maps stream from label strings, a chunk of
-# records per write, and hold no record: components --n 6 --cutoff 12
+# built.  ktheory --field complex at n = cutoff = 10 needs 3.5e6: its
+# 352,716 keys stream from the label sets after a counting pass, in 0.14 s
+# as JSON and 0.11 s as a table with PYTHONUNBUFFERED unset (0.12 s and
+# 0.10 s with it set to 1), at 14.1 MB either way.  kmap lists keys only
+# for n = 1, so for n >= 2 it counts just the pool (kmap 30/30: 61 cells).
+# Catalogs and bc maps stream from label strings, a chunk of records per
+# write, and hold no record: components --n 6 --cutoff 12
 # --field complex (593,775 records, 3.56e6 cells) takes 0.41 s as a table
 # and 0.55 s as JSON, and bc --n 10 --cutoff 14 (19,380 maps, 1.9e6 cells)
 # 0.06 s and 0.11 s, with PYTHONUNBUFFERED unset or set to 1 alike, and
@@ -146,16 +149,14 @@ def _collect(command: str, n: int, cutoff: int, field: str) -> tuple[str, object
     if command == "components":
         return f"{field}_components", _catalog(field, n, cutoff, str)
     if command == "ktheory":
-        if field == "real":
-            degrees = k_real(n, cutoff)
-        else:
-            degrees = k_complex(n, cutoff)
-            live, dead = degrees[n % 2], degrees[1 - n % 2]
-            if dead.rank != 0 or live.rank < 1:
-                raise RuntimeError("complex K-theory parity self-check failed")
-        for p in degrees:
-            p.generator_index  # lists the keys, checked against the rank, before a byte
-        return f"k_{field}", degrees
+        degrees = (k_real if field == "real" else k_complex)(n, cutoff)
+        live, dead = degrees[n % 2], degrees[1 - n % 2]
+        if field == "complex" and (dead.rank != 0 or live.rank < 1):
+            raise RuntimeError("complex K-theory parity self-check failed")
+        # One counting pass over each degree's label sets, checked against the
+        # closed-form rank before a byte; the writers then stream the keys.
+        counts = (p._checked(sum(1 for _ in p._label_sets(str))) for p in degrees)
+        return f"k_{field}", tuple(zip(degrees, counts))
     if command == "bc":
         return "bc", _catalog("real", n, cutoff, str)
     return "kmap", induced_k_map(n, cutoff)
@@ -223,9 +224,9 @@ def _bc_shapes(matrix: Callable[[tuple], str], no_yes: tuple[str, str]) -> _Memo
     return _Memo(fields)
 
 
-def _degree(p: KGroupPresentation) -> tuple[str, str, str]:
-    """Rank (keys listed), predicted rank (closed form) and closed form of one K-degree."""
-    return str(len(p.generator_index)), str(p.rank), p.closed_form.describe()
+def _degree(p: KGroupPresentation, listed: int) -> tuple[str, str, str]:
+    """Rank (keys counted), predicted rank (closed form) and closed form of one K-degree."""
+    return str(listed), str(p.rank), p.closed_form.describe()
 
 
 # Every record loop writes through _write_joined, which joins _CHUNK records
@@ -252,7 +253,7 @@ def _write_joined(write: _Write, items: Iterable[str], sep: str = "", head: str 
 
 _HEAD = '{\n  "cutoff": %d,\n  "kind": "%s",\n  "n": %d,\n  "payload": '
 _TAIL = ',\n  "tool_version": ' + encode_basestring_ascii(__version__) + "\n}\n"
-_Degrees = tuple[KGroupPresentation, KGroupPresentation]
+_Degrees = tuple[tuple[KGroupPresentation, int], ...]
 
 
 def _join(items: Iterable[str], pad: str, brackets: str = "[]") -> str:
@@ -313,12 +314,12 @@ def _components_json(write: _Write, catalog: Iterator[_Blocks], args: Namespace)
 def _ktheory_json(write: _Write, degrees: _Degrees, args: Namespace) -> None:
     # Generator lists are streamed too: k_complex(10, 10) has 352,716 in degree 0.
     encode = encode_basestring_ascii
-    for d, p in enumerate(degrees):
-        rank, predicted, closed_form = _degree(p)
+    for d, (p, listed) in enumerate(degrees):
+        rank, predicted, closed_form = _degree(p, listed)
         head = ",\n" if d else "{\n"
         write(f'{head}    "deg{d}": {{\n      "closed_form": {encode(closed_form)},\n')
         write('      "generators": ')
-        _stream(write, map(encode, p.generator_index), "      ")
+        _stream(write, map(encode, p._keys()), "      ")
         write(f',\n      "predicted_rank": {predicted},\n      "rank": {rank}\n    }}')
     write("\n  }")
 
@@ -404,11 +405,11 @@ def _components_table(write: _Write, catalog: Iterator[_Blocks], args: Namespace
 
 
 def _ktheory_table(write: _Write, degrees: _Degrees, args: Namespace) -> None:
-    rows = [(f"K{d}", *_degree(p)) for d, p in enumerate(degrees)]
+    rows = [(f"K{d}", *_degree(*degree)) for d, degree in enumerate(degrees)]
     write(f"K-theory of C*_r GL({args.n}, {_FIELD_NAMES[args.field]}) at cutoff {args.cutoff}\n")
     write(_aligned(("degree", "rank", "predicted", "closed form"), rows))
-    for d, p in enumerate(degrees):
-        if _write_joined(write, p.generator_index, "\n  ", f"K{d} generators:\n  "):
+    for d, (p, _) in enumerate(degrees):
+        if _write_joined(write, p._keys(), "\n  ", f"K{d} generators:\n  "):
             write("\n")
 
 

@@ -80,8 +80,9 @@ class KGroupPresentation(_Value):
     checks the four fields and lists nothing: the rank comes from the closed
     form.  The key-to-position index, the one listing a presentation keeps,
     is listed on first read, straight from those subsets, and checked
-    against that rank; treat it as read-only.  The keys are read off it, and
-    ``generators`` builds the component records on each read.
+    against that rank; treat it as read-only.  ``_keys`` streams the same
+    keys and keeps none, and ``generators`` builds the component records on
+    each read.
     """
 
     __slots__ = ("field", "n", "cutoff", "degree", "closed_form", "_index")
@@ -123,26 +124,29 @@ class KGroupPresentation(_Value):
     def generator_index(self) -> dict[str, int]:
         """Key -> position, listed on first read in one pass over the label
         sets, checked against the closed-form rank and kept."""
-        index = self._index
-        if index is not None:
-            return index
-        keys = starmap(_real_key if self.field == "real" else _complex_key, self._label_sets(str))
-        # zip stops on the first key that is missing without drawing a
-        # position, so the next position is the number of keys listed.
-        positions = count()
-        index = dict(zip(keys, positions))
-        listed = next(positions)
-        if len(index) != listed:
-            raise RuntimeError("duplicate generator key in presentation")
-        if listed != self.rank:
-            raise RuntimeError(f"listed {listed} generator keys for a closed-form rank of {self.rank}")
-        _set_index(self, index)
-        return index
+        if self._index is None:
+            # zip stops on the first key that is missing without drawing a
+            # position, so the next position is the number of keys listed.
+            index = dict(zip(self._keys(), positions := count()))
+            if len(index) != self._checked(next(positions)):
+                raise RuntimeError("duplicate generator key in presentation")
+            _set_index(self, index)
+        return self._index
 
     @property
     def generator_keys(self) -> tuple[str, ...]:
         """The keys in catalog order, the order the index was listed in."""
         return tuple(self.generator_index)
+
+    def _checked(self, listed: int) -> int:
+        """The number of keys listed, once it equals the closed-form rank."""
+        if listed != self.rank:
+            raise RuntimeError(f"listed {listed} generator keys for a closed-form rank of {self.rank}")
+        return listed
+
+    def _keys(self) -> Iterator[str]:
+        """The generator keys in catalog order, streamed from the label sets."""
+        return starmap(_real_key if self.field == "real" else _complex_key, self._label_sets(str))
 
     def _label_sets(self, label: Callable[[int], object]) -> Iterator[tuple]:
         """The catalog's label blocks without repeats, on the degree's shapes,

@@ -306,10 +306,14 @@ class TestInducedKMap:
         kmap = induced_k_map(2, 2)
         assert kmap.source.degree == 0 and kmap.target.degree == 0
 
-    def test_image_of_unknown_key(self):
+    # An unhashable key cannot be looked up at all; it is named all the same.
+    @pytest.mark.parametrize(
+        "key", ["labels:99", ["labels:0"], {}, (["labels:0"],)], ids=["str", "list", "dict", "tuple"]
+    )
+    def test_image_of_unknown_key(self, key):
         kmap = induced_k_map(1, 2)
-        with pytest.raises(ValueError):
-            kmap.image_of("labels:99")
+        with pytest.raises(ValueError, match=f"^{re.escape(repr(key))} is not a source generator$"):
+            kmap.image_of(key)
 
     def test_cutoff_zero_rejected(self):
         with pytest.raises(ValueError, match=r"^cutoff must be >= 1, got 0$"):

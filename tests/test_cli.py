@@ -116,10 +116,24 @@ class TestKtheoryCommand:
             assert entry["rank"] == entry["predicted_rank"]
 
     def test_rank_column_counts_the_listed_keys(self, monkeypatch):
-        p = k_real(3, 2)[0]
-        p.generator_index  # listed and checked before the closed form is broken
+        # Counted and checked before the closed form is broken.
+        _, degrees = cli._collect("ktheory", 3, 2, "real")
         monkeypatch.setattr(ktheory.IndexFamily, "rank_at", lambda self, cutoff: 0)
-        assert cli._degree(p) == ("4", "0", "1-subsets of N x Z/2")
+        assert cli._degree(*degrees[0]) == ("4", "0", "1-subsets of N x Z/2")
+
+    def test_builds_no_index(self, monkeypatch, capsys):
+        # The writers stream the keys from the label sets, so no ktheory
+        # command, of either field or format, lists a presentation's index.
+        def refuse(p):
+            raise RuntimeError("the ktheory command read a generator index")
+
+        monkeypatch.setattr(ktheory.KGroupPresentation, "generator_index", property(refuse))
+        entries = [e for e in GRID if e["argv"][0] == "ktheory" and e["exit"] == 0]
+        fields_formats = {(e["argv"][6], e["argv"][8]) for e in entries}
+        assert fields_formats == {(f, m) for f in ("real", "complex") for m in ("json", "table")}
+        for entry in entries:
+            code, out, _ = run(capsys, *entry["argv"])
+            assert (code, _sha256(out)) == (0, entry["sha256"]), entry["argv"]
 
     @_needs_wait4
     @pytest.mark.parametrize(
@@ -131,10 +145,12 @@ class TestKtheoryCommand:
     )
     def test_largest_complex_ktheory(self, tmp_path, fmt, sha256):
         # ktheory --n 10 --cutoff 10 --field complex: 352,716 generator keys
-        # in degree 0, the largest ktheory in routine use.
+        # in degree 0, the largest ktheory in routine use.  They are streamed
+        # from the label sets after a counting pass, so none is held.
         argv = ["ktheory", "--n", "10", "--cutoff", "10", "--field", "complex", "--format", fmt]
         code, digest, megabytes = _run_child(tmp_path, argv, timeout=60)
         assert (code, digest) == (0, sha256)
+        assert megabytes < 40
 
 
 class TestKmapCommand:
