@@ -21,7 +21,7 @@ from itertools import combinations
 from math import gcd
 from typing import Callable, Sequence
 
-from .ktheory import KClass, KGroupPresentation, _by_key, kclass
+from .ktheory import KClass, KGroupPresentation, _by_key, _is_generator, kclass
 from .levi import SigmaOrbit, _require_int, _setters, _Value
 from .param_space import (
     ComplexComponent,
@@ -137,19 +137,12 @@ def bc_point_real(point: RealTemperedPoint) -> ComplexTemperedPoint:
     return ComplexTemperedPoint(target, params)
 
 
-def _is_generator(p: KGroupPresentation, key: object) -> bool:
-    """Whether key is a generator key of p; an unhashable key is not."""
-    try:
-        return key in p.generator_index
-    except TypeError:
-        return False
-
-
 class InducedKMap(_Value):
     """Induced map on K-theory in one degree, as images of the source
-    generators.  Generators absent from ``assignments`` map to zero."""
+    generators.  Generators absent from ``assignments`` map to the map's one
+    zero class of ``target``, built with the map."""
 
-    __slots__ = ("source", "target", "assignments", "_images")
+    __slots__ = ("source", "target", "assignments", "_images", "_zero")
     _fields = ("source", "target", "assignments")
 
     def __init__(
@@ -174,10 +167,11 @@ class InducedKMap(_Value):
         _set_kmap_target(self, target)
         _set_assignments(self, tuple(sorted(assignments, key=_by_key)))
         _set_images(self, images)
+        _set_zero(self, kclass(target))
 
     @property
     def is_zero(self) -> bool:
-        return all(cls.is_zero for _, cls in self.assignments)
+        return not self.support
 
     @property
     def support(self) -> tuple[str, ...]:
@@ -186,11 +180,10 @@ class InducedKMap(_Value):
     def image_of(self, key: str) -> KClass:
         if not _is_generator(self.source, key):
             raise ValueError(f"{key!r} is not a source generator")
-        image = self._images.get(key)
-        return kclass(self.target) if image is None else image
+        return self._images.get(key, self._zero)
 
 
-_set_kmap_source, _set_kmap_target, _set_assignments, _set_images = _setters(InducedKMap)
+_set_kmap_source, _set_kmap_target, _set_assignments, _set_images, _set_zero = _setters(InducedKMap)
 
 
 def induced_k_map(n: int, cutoff: int) -> InducedKMap:
@@ -229,8 +222,6 @@ def pullback(kmap: InducedKMap, cls: KClass) -> KClass:
         raise ValueError("class does not live in the map's source presentation")
     total: dict[str, int] = {}
     for key, coeff in cls.items:
-        image = kmap._images.get(key)
-        if image is not None:
-            for target_key, c in image.items:
-                total[target_key] = total.get(target_key, 0) + coeff * c
+        for target_key, c in kmap._images.get(key, kmap._zero).items:
+            total[target_key] = total.get(target_key, 0) + coeff * c
     return KClass(kmap.target, tuple(total.items()))

@@ -167,6 +167,15 @@ _set_field, _set_n, _set_cutoff, _set_degree, _set_closed_form, _set_index = _se
 )
 
 
+def _is_generator(p: KGroupPresentation, key: object) -> bool:
+    """Whether key is a generator key of p, the one membership rule of
+    classes and induced maps; an unhashable key is not."""
+    try:
+        return key in p.generator_index
+    except TypeError:
+        return False
+
+
 class KClass(_Value):
     """Integer combination of a presentation's generators.
 
@@ -183,13 +192,14 @@ class KClass(_Value):
         # Zeros of any type other than int are kept so the check below
         # rejects them; bool is an int subclass and is rejected too.
         items = [(k, c) for k, c in items if c != 0 or type(c) is not int]
-        known = presentation.generator_index
+        # Read only with terms to check, so a zero class lists no key.
+        known = presentation.generator_index if items else {}
         try:
             items.sort(key=_by_key)
         except TypeError:
             # A key that is not a string cannot be ordered against one: the
             # keys outside the index go first, for the check below to name.
-            items.sort(key=lambda term: isinstance(term[0], str) and term[0] in known)
+            items.sort(key=lambda term: _is_generator(presentation, term[0]))
         # A key that passed the first check is a string, never None.
         previous = None
         try:
@@ -202,9 +212,8 @@ class KClass(_Value):
                 if type(coeff) is not int:
                     raise TypeError(f"coefficients must be integers, got {coeff!r}")
         except TypeError:
-            try:
-                hash(key)  # only an unhashable key fails the membership test itself
-            except TypeError:
+            # Only an unhashable key fails the membership test itself.
+            if not _is_generator(presentation, key):
                 raise ValueError(f"generator {key!r} does not belong to this presentation") from None
             raise
         _set_presentation(self, presentation)

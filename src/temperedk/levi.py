@@ -174,15 +174,8 @@ def run_multiplicities(*blocks: tuple[int, ...]) -> tuple[int, ...]:
     """Lengths (each >= 2) of the runs of equal labels, block after block.
 
     Each block is a sorted label tuple, so a label's count in its block is
-    the length of its run; equal labels in different blocks never merge.
+    the length of its run, and its distinct labels in ascending order give
+    its runs in order; equal labels in different blocks never merge.
     The result is empty exactly when no label repeats within a block.
     """
-    mults = []
-    for block in blocks:
-        i = 0
-        while i < len(block):
-            m = block.count(block[i])
-            if m >= 2:
-                mults.append(m)
-            i += m
-    return tuple(mults)
+    return tuple(m for block in blocks for m in map(block.count, sorted(set(block))) if m >= 2)

@@ -105,7 +105,8 @@ class ComplexComponent(_FreeOrCone):
         if not labels:
             raise ValueError("a complex component needs at least one label")
         for label in labels:
-            # Inline test first: complex_components builds one component per label set.
+            # Inline test first: langlands_complex and bc_point_real build one
+            # per point, and point_transport times both.
             if type(label) is not int:
                 _require_int("label", label)
         _set_labels(self, labels)

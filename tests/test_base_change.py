@@ -287,6 +287,17 @@ class TestInducedKMap:
             if key != "labels:0":
                 assert kmap.image_of(key).is_zero
 
+    # Every generator outside the support maps to one zero class of the
+    # target, built with the map, not a new class per call.
+    def test_zero_images_are_one_class(self):
+        kmap = induced_k_map(1, 6)
+        zero = kmap.image_of("labels:3")
+        assert zero.is_zero and zero.presentation == kmap.target
+        for key in kmap.source.generator_keys:
+            if key != "labels:0":
+                assert kmap.image_of(key) is zero, key
+        assert kmap.image_of("labels:3") is kmap.image_of("labels:-2")
+
     def test_rank_two_is_zero(self):
         kmap = induced_k_map(2, 3)
         assert kmap.is_zero

@@ -521,6 +521,18 @@ class TestKClasses:
         with pytest.raises(TypeError):
             kclass.__defaults__[0][self.g1] = 1
 
+    # A class reads the index only when it has terms to check, so a zero
+    # class, such as an induced map's zero image, lists no key.
+    def test_zero_class_lists_no_key(self, monkeypatch):
+        listed = count_listed_keys(monkeypatch)
+        p = k_complex(8, 8)[0]
+        assert kclass(p).is_zero and KClass(p, ()).is_zero
+        assert kclass(p, {"labels:-8,-7,-6,-5,-4,-3,-2,-1": 0}).is_zero
+        assert listed[0] == 0
+        # Control: one term lists the whole index.
+        assert not kclass(p, {"labels:-8,-7,-6,-5,-4,-3,-2,-1": 1}).is_zero
+        assert listed[0] == p.rank
+
     def test_repeated_generator_rejected(self):
         with pytest.raises(ValueError):
             KClass(self.k0, ((self.g1, 1), (self.g1, 2)))

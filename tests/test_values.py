@@ -47,7 +47,7 @@ VALUES = [
     (k_real(2, 2)[0], ("field", "n", "cutoff", "degree"), ("closed_form",)),
     (kclass(k_complex(1, 2)[1], {"labels:0": 3, "labels:-2": -1}), ("presentation", "items"), ()),
     (bc_component(Component(ORBIT)), ("source", "target", "matrix"), ("column_rank",)),
-    (induced_k_map(1, 2), ("source", "target", "assignments"), ("_images",)),
+    (induced_k_map(1, 2), ("source", "target", "assignments"), ("_images", "_zero")),
     (RealCharacter(1, 0.5), ("epsilon", "t"), ()),
     (CHARACTERS[0], ("ell", "t"), ()),
     (OneDim(RealCharacter(0, 1.0)), ("chi",), ()),
