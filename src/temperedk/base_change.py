@@ -106,6 +106,8 @@ def bc_component(component: Component) -> ParameterMap:
     Each gl2 label ell lands on the pair {ell, -ell} sharing the source
     coordinate; each gl1 label lands on 0 with the coordinate doubled.
     """
+    if type(component) is not Component:
+        raise TypeError(f"bc_component takes a Component, got {component!r}")
     q = component.shape.q
     target = ComplexComponent(tuple(_target_labels(*component.label_blocks, int.__neg__, 0)))
 
@@ -121,8 +123,11 @@ def bc_point_real(point: RealTemperedPoint) -> ComplexTemperedPoint:
     """Base change on one tempered-dual point, returned in canonical form.
 
     Sorting the target's (label, twist) pairs canonicalizes it whatever the
-    order of the source's twists within their runs of equal labels.
+    order of the source's twists within their runs of equal labels, so
+    ``canonicalize_point`` returns the result itself.
     """
+    if type(point) is not RealTemperedPoint:
+        raise TypeError(f"bc_point_real takes a RealTemperedPoint, got {point!r}")
     component = point.component
     q = component.shape.q
     pairs = []
@@ -132,9 +137,9 @@ def bc_point_real(point: RealTemperedPoint) -> ComplexTemperedPoint:
     for t in point.params[q:]:
         pairs.append((0, _doubled_twist(t)))
     pairs.sort()
-    target = ComplexComponent(tuple(label for label, _ in pairs))
-    params = tuple(t for _, t in pairs)
-    return ComplexTemperedPoint(target, params)
+    # A component has dimension >= 1, so pairs is never empty.
+    labels, params = zip(*pairs)
+    return ComplexTemperedPoint(ComplexComponent(labels), params)
 
 
 class InducedKMap(_Value):

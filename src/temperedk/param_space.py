@@ -315,10 +315,19 @@ def canonicalize_point(point: TemperedPoint) -> TemperedPoint:
     Sorting the (label, twist) pairs of a block, whose labels are already
     sorted, reorders twists only within runs of equal labels.  Idempotent,
     and invariant under any permutation of parameters within such a run.
+    A point that is already canonical is returned itself, not a copy:
+    points are immutable, so sharing one is safe.
     """
+    if not isinstance(point, TemperedPoint):
+        raise TypeError(f"canonicalize_point takes a TemperedPoint, got {point!r}")
     twists = iter(point.params)
     params = []
     for block in point.component.label_blocks:
         # zip stops at the end of the block without drawing the next twist.
-        params.extend(t for _, t in sorted(zip(block, twists)))
-    return type(point)(point.component, tuple(params))
+        for _, t in sorted(zip(block, twists)):
+            params.append(t)
+    canonical = tuple(params)
+    # The sort is stable, so the twists are equal exactly when it moved nothing.
+    if canonical == point.params:
+        return point
+    return type(point)(point.component, canonical)

@@ -169,15 +169,20 @@ def restrict(parameter: LParameterR) -> LParameterC:
     composite with the inclusion of C^* is the norm z -> |z|^2, so it
     restricts to |z|^(2it): winding 0, twist doubled.  An induced
     two-dimensional summand restricts to the inducing character plus its
-    conjugate, windings ell and -ell with the twist unchanged.
+    conjugate, windings ell and -ell with the twist unchanged.  The inducing
+    character is the summand's own ``chi``, shared rather than copied:
+    characters are immutable.  Only the conjugate is built.
     """
+    if type(parameter) is not LParameterR:
+        raise TypeError(f"restrict takes an LParameterR, got {parameter!r}")
     parts: list[ComplexCharacter] = []
     for s in parameter.summands:
+        chi = s.chi
         if type(s) is TwoDimInduced:
-            parts.append(ComplexCharacter(s.chi.ell, s.chi.t))
-            parts.append(ComplexCharacter(-s.chi.ell, s.chi.t))
+            parts.append(chi)
+            parts.append(ComplexCharacter(-chi.ell, chi.t))
         else:
-            parts.append(ComplexCharacter(0, _doubled_twist(s.chi.t)))
+            parts.append(ComplexCharacter(0, _doubled_twist(chi.t)))
     return LParameterC(tuple(parts))
 
 
@@ -188,6 +193,8 @@ def langlands_real(parameter: LParameterR) -> RealTemperedPoint:
     blocks; the parameter's canonical summand order makes the point
     canonical by construction.
     """
+    if type(parameter) is not LParameterR:
+        raise TypeError(f"langlands_real takes an LParameterR, got {parameter!r}")
     gl2: list[int] = []
     gl1: list[int] = []
     for s in parameter.summands:
@@ -206,6 +213,8 @@ def langlands_real_inverse(point: RealTemperedPoint) -> LParameterR:
     The parameter sorts its summands, so the order of the point's twists
     within runs of equal labels does not matter.
     """
+    if type(point) is not RealTemperedPoint:
+        raise TypeError(f"langlands_real_inverse takes a RealTemperedPoint, got {point!r}")
     component = point.component
     q = component.shape.q
     summands: list[Summand] = []
@@ -217,7 +226,13 @@ def langlands_real_inverse(point: RealTemperedPoint) -> LParameterR:
 
 
 def langlands_complex(parameter: LParameterC) -> ComplexTemperedPoint:
-    """Tempered-dual point matched with a W_C parameter."""
+    """Tempered-dual point matched with a W_C parameter.
+
+    The parameter's sorted characters make the point canonical by
+    construction.
+    """
+    if type(parameter) is not LParameterC:
+        raise TypeError(f"langlands_complex takes an LParameterC, got {parameter!r}")
     component = ComplexComponent(tuple(c.ell for c in parameter.summands))
     params = tuple(c.t for c in parameter.summands)
     return ComplexTemperedPoint(component, params)

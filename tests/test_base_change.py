@@ -7,10 +7,16 @@ from hypothesis import strategies as st
 
 from temperedk import base_change
 from temperedk import (
+    ComplexCharacter,
     ComplexComponent,
+    ComplexTemperedPoint,
     Component,
     InducedKMap,
+    LParameterC,
+    LParameterR,
+    OneDim,
     ParameterMap,
+    RealCharacter,
     RealTemperedPoint,
     SigmaOrbit,
     bc_component,
@@ -41,6 +47,31 @@ from test_weil import random_real_parameter
 
 def component(gl2, gl1):
     return Component(SigmaOrbit(tuple(gl2), tuple(gl1)))
+
+
+COMPLEX_POINT = ComplexTemperedPoint(ComplexComponent((0,)), (1.0,))
+COMPLEX_PARAMETER = LParameterC((ComplexCharacter(1, 0.5),))
+
+
+# A value of the wrong kind is named in a TypeError, not met by an
+# AttributeError from deep inside the function.
+@pytest.mark.parametrize(
+    "function, value, expected",
+    [
+        (bc_point_real, COMPLEX_POINT, "a RealTemperedPoint"),
+        (langlands_real_inverse, COMPLEX_POINT, "a RealTemperedPoint"),
+        (bc_component, ComplexComponent((0,)), "a Component"),
+        (restrict, COMPLEX_PARAMETER, "an LParameterR"),
+        (langlands_real, COMPLEX_PARAMETER, "an LParameterR"),
+        (langlands_complex, LParameterR((OneDim(RealCharacter(0, 0.5)),)), "an LParameterC"),
+        (canonicalize_point, "x", "a TemperedPoint"),
+        (canonicalize_point, None, "a TemperedPoint"),
+    ],
+)
+def test_wrong_kind_is_named(function, value, expected):
+    message = f"{function.__name__} takes {expected}, got {value!r}"
+    with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+        function(value)
 
 
 class TestBcComponent:
@@ -248,6 +279,11 @@ class TestBcPointReal:
         canonical = canonicalize_point(point)
         assert bc_point_real(point) == bc_point_real(canonical)
         assert langlands_real_inverse(point) == langlands_real_inverse(canonical)
+
+    @given(st.permutations([0.5, -1.5, 2.0]), st.permutations([1.0, -0.25]))
+    def test_output_is_returned_by_canonicalize(self, gl2, gl1):
+        image = bc_point_real(RealTemperedPoint(component((1, 1, 3), (0, 0)), tuple(gl2 + gl1)))
+        assert canonicalize_point(image) is image
 
     def test_doubling_overflow_names_the_input_twist(self):
         c = component((), (0,))

@@ -29,6 +29,7 @@ from oracles import (
 )
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
+TWIST = st.sampled_from((-1.5, -0.0, 0.0, 2.0)) | FINITE
 
 
 def component(gl2, gl1):
@@ -322,6 +323,36 @@ class TestPoints:
         expected = canonical_twists_bruteforce((point.component.labels,), point.params)
         assert canonical == ComplexTemperedPoint(point.component, expected)
         assert canonicalize_point(complex_point(data.draw(st.permutations(pairs)))) == canonical
+
+    def test_canonical_point_is_returned_itself(self):
+        real = RealTemperedPoint(component((1, 1), (0, 1)), (-2.0, 4.0, 9.0, 5.0))
+        cplx = ComplexTemperedPoint(ComplexComponent((0, 0, 2)), (-1.0, 3.0, -7.0))
+        assert canonicalize_point(real) is real
+        assert canonicalize_point(cplx) is cplx
+
+    def test_non_canonical_point_gives_new_point_of_its_class(self):
+        real = RealTemperedPoint(component((1, 1), (0,)), (4.0, -2.0, 9.0))
+        cplx = ComplexTemperedPoint(ComplexComponent((0, 0)), (3.0, -1.0))
+        for point, want in ((real, (-2.0, 4.0, 9.0)), (cplx, (-1.0, 3.0))):
+            canonical = canonicalize_point(point)
+            assert canonical is not point
+            assert type(canonical) is type(point)
+            assert canonical.component is point.component
+            assert canonical.params == want
+
+    # Few twist values, so equal twists and already-sorted runs are common.
+    @given(
+        st.lists(st.tuples(st.integers(1, 2), TWIST), max_size=4),
+        st.lists(st.tuples(st.integers(0, 1), TWIST), max_size=4),
+        st.lists(st.tuples(st.integers(-1, 1), TWIST), min_size=1, max_size=5),
+    )
+    def test_point_returned_exactly_when_canonical(self, gl2, gl1, pairs):
+        points = [complex_point(pairs)]
+        if gl2 or gl1:
+            points.append(real_point(gl2, gl1))
+        for p in points:
+            blocks = p.component.label_blocks
+            assert (canonicalize_point(p) is p) == (p.params == canonical_twists_bruteforce(blocks, p.params))
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
     def test_non_finite_twists_rejected(self, bad):

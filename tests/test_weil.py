@@ -161,6 +161,17 @@ class TestRestrict:
             pairs = [(c.ell, c.t) for c in restrict(p).summands]
             assert sorted(pairs) == sorted((-ell, t) for ell, t in pairs)
 
+    def test_shares_inducing_characters(self):
+        # Each induced summand's character is passed on, not rebuilt.
+        rng = random.Random(14)
+        for n in range(1, 7):
+            for _ in range(25):
+                p = random_real_parameter(rng, n)
+                restricted = restrict(p).summands
+                for s in p.summands:
+                    if type(s) is TwoDimInduced:
+                        assert any(c is s.chi for c in restricted)
+
     def test_matches_induced_representation_oracle(self):
         for ell, t in ((3, 0.5), (1, -2.0), (7, 1.25)):
             p = LParameterR((TwoDimInduced(ComplexCharacter(ell, t)),))
@@ -218,6 +229,13 @@ class TestLanglandsReal:
         assert point.params == (-1.0, 5.0)
         assert canonicalize_point(point) == point
 
+    def test_output_is_returned_by_canonicalize(self):
+        rng = random.Random(15)
+        for n in range(1, 7):
+            for _ in range(25):
+                point = langlands_real(random_real_parameter(rng, n))
+                assert canonicalize_point(point) is point
+
 
 class TestLanglandsComplex:
     def test_repeated_zero_labels(self):
@@ -236,3 +254,10 @@ class TestLanglandsComplex:
         p = LParameterC((ComplexCharacter(0, 0.0),))
         point = langlands_complex(p)
         assert point == ComplexTemperedPoint(ComplexComponent((0,)), (0.0,))
+
+    def test_output_is_returned_by_canonicalize(self):
+        rng = random.Random(16)
+        for n in range(1, 7):
+            for _ in range(25):
+                point = langlands_complex(restrict(random_real_parameter(rng, n)))
+                assert canonicalize_point(point) is point
