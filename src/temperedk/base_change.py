@@ -92,12 +92,12 @@ def _column_rank(matrix: tuple[tuple[int, ...], ...]) -> int:
 
 def _target_labels(
     gl2: Sequence, gl1: Sequence, negate: Callable = "-".__add__, zero: object = "0"
-) -> list:
+) -> tuple:
     """Sorted target labels of base change on the component with these sorted
     label blocks: label strings, or ints with ``int.__neg__`` and 0.  Each gl2
     label ell gives ell and -ell, each gl1 label 0, and gl2 labels are >= 1,
     so no sort is needed: the negated gl2 labels reversed, zeros, gl2 labels."""
-    return [*map(negate, reversed(gl2)), *[zero] * len(gl1), *gl2]
+    return (*map(negate, reversed(gl2)), *(zero,) * len(gl1), *gl2)
 
 
 def bc_component(component: Component) -> ParameterMap:
@@ -109,7 +109,7 @@ def bc_component(component: Component) -> ParameterMap:
     if type(component) is not Component:
         raise TypeError(f"bc_component takes a Component, got {component!r}")
     q = component.shape.q
-    target = ComplexComponent(tuple(_target_labels(*component.label_blocks, int.__neg__, 0)))
+    target = ComplexComponent(_target_labels(*component.label_blocks, int.__neg__, 0))
 
     d = component.dimension
     matrix: list[tuple[int, ...]] = []

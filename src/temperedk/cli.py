@@ -36,10 +36,10 @@ from .param_space import (
     KIND_CONE,
     KIND_FREE,
     Component,
+    _block_lines,
     _catalog,
     _complex_catalog_size,
     _complex_key,
-    _num_lines,
     _real_catalog_size,
     _real_key,
     _shape_catalog_size,
@@ -54,19 +54,24 @@ from .param_space import (
 # 0.10 s with it set to 1), at 14.1 MB either way.  kmap lists keys only
 # for n = 1, so for n >= 2 it counts just the pool (kmap 30/30: 61 cells).
 # Catalogs and bc maps stream from label strings, a chunk of records per
-# write, and hold no record: components --n 6 --cutoff 12
-# --field complex (593,775 records, 3.56e6 cells) takes 0.41 s as a table
-# and 0.55 s as JSON, and bc --n 10 --cutoff 14 (19,380 maps, 1.9e6 cells)
-# 0.06 s and 0.11 s, with PYTHONUNBUFFERED unset or set to 1 alike, and
-# each peaks within 2 MB of the interpreter's own floor (whole process,
-# child max RSS from os.wait4; CPython 3.11.7, 2-vCPU AMD EPYC, output to
-# a file).
+# write, and hold no record; a record counts its chart lines once per label
+# block (param_space._block_lines).  components --n 6 --cutoff 12 --field
+# complex (593,775 records, 3.56e6 cells) takes 0.77 s as a table and
+# 1.12 s as JSON with PYTHONUNBUFFERED unset (0.84 s and 1.18 s with it
+# set to 1), in a period when the interpreter's floor, kmap --n 1, took
+# 0.085 s; bc --n 10 --cutoff 14 (19,380 maps, 1.9e6 cells) took 0.06 s
+# and 0.11 s in a faster period (floor 0.026 s), either way.  Each peaks
+# within 2 MB of the interpreter's own floor (whole process, child max RSS
+# from os.wait4; CPython 3.11.7, 2-vCPU AMD EPYC, output to a file).
 MAX_CELLS = 4_000_000
 
 
 def build_parser() -> argparse.ArgumentParser:
     # One parser, not a subparser per command: the five commands take the
-    # same options, and each ArgumentParser costs tens of microseconds.
+    # same options, and this one parser already costs about 0.14 ms once
+    # warm (0.2 ms on its second call in a process): each of its six
+    # add_argument calls, -h included, builds a HelpFormatter, which reads
+    # the terminal size, and the parser looks up three gettext messages.
     parser = argparse.ArgumentParser(
         prog="temperedk",
         description="Catalogs of tempered duals of GL(n) over R and C, "
@@ -166,14 +171,17 @@ def _collect(command: str, n: int, cutoff: int, field: str) -> tuple[str, object
 # record is written from its label blocks, as strings, straight from the
 # enumerator: a bc map's source is a real catalog record, and its target's
 # labels follow from the source's (base_change._target_labels).  Its shape
-# is the size of each block, (q, r) when real and the dimension when
-# complex, then the lines of its chart.  It fixes the dimension, kind and
-# chart counts (the rays are the dimension less the lines), and the number
-# of labels in the key and in each list.  So a writer makes one %-template
-# per shape from those counts, a JSON object with a %s slot per label or a
-# table row with one for each key: _by_shape calls template(shape,
-# dimension, kind, lines, rays) once per shape and fills in each record's
-# labels, or its keys.  A bc map's matrix, and so its rank and properness,
+# is the size of each block, (q, r) when real and the dimension n when
+# complex, then the lines of its chart: param_space's own count of distinct
+# labels, made once per block (_block_lines) and summed.  It fixes the
+# dimension, kind and chart counts (the rays are the dimension less the
+# lines), and the number of labels in the key and in each list.  So a
+# writer makes one %-template per shape from those counts, a JSON object
+# with a %s slot per label or a table row with one for each key: _by_shape
+# calls template(shape, dimension, kind, lines, rays) once per shape and
+# fills in each record's labels, one tuple of them, or its keys.  Every
+# complex record of a command has dimension n, so its lines alone pick its
+# template.  A bc map's matrix, and so its rank and properness,
 # depend on the Levi shape (q, r) alone, so a bc writer builds, ranks and
 # writes one matrix per shape.  These memos hold a few dozen strings a
 # command.
@@ -188,7 +196,7 @@ def _partition(shape: LeviShape) -> tuple[str, str, str, str]:
 _Blocks = tuple[Sequence[str], ...]
 
 
-def _by_shape(field: str, template: Callable[..., str], key: Optional[Callable]) -> Callable:
+def _by_shape(field: str, n: int, template: Callable[..., str], key: Callable | None) -> Callable:
     """Record function: its shape's template (see above), filled with key(*blocks) or labels."""
 
     def counted(shape: tuple[int, ...]) -> str:
@@ -196,17 +204,17 @@ def _by_shape(field: str, template: Callable[..., str], key: Optional[Callable])
         rays = sum(parts) - lines
         return template(shape, lines + rays, KIND_CONE if rays else KIND_FREE, lines, rays)
 
-    templates = _Memo(counted)
+    templates = _Memo(counted if field == "real" else lambda lines: counted((n, lines)))
 
     def real(blocks: _Blocks) -> str:
         gl2, gl1 = blocks
-        shaped = templates[len(gl2), len(gl1), _num_lines(blocks)]
-        return shaped % (*gl1, *gl2, *gl2, *gl1) if key is None else shaped % key(gl2, gl1)
+        shaped = templates[len(gl2), len(gl1), _block_lines(gl2) + _block_lines(gl1)]
+        return shaped % (gl1 + gl2 + gl2 + gl1) if key is None else shaped % key(gl2, gl1)
 
     def complex_(blocks: _Blocks) -> str:
         (labels,) = blocks
-        shaped = templates[len(labels), _num_lines(blocks)]
-        return shaped % (*labels, *labels) if key is None else shaped % key(labels)
+        shaped = templates[_block_lines(labels)]
+        return shaped % (labels + labels) if key is None else shaped % key(labels)
 
     return real if field == "real" else complex_
 
@@ -268,7 +276,7 @@ def _object(pad: str, keys: Sequence[str]) -> str:
     return _join((f'"{key}": %s' for key in keys), pad, "{}")
 
 
-def _component_json(pad: str, field: str) -> Callable[[_Blocks], str]:
+def _component_json(pad: str, field: str, n: int) -> Callable[[_Blocks], str]:
     """Writer of one component's JSON object; a cone's object has "chart" first."""
     if field == "real":
         keys = ("dimension", "gl1", "gl2", "key", "kind", "q", "r")
@@ -291,7 +299,7 @@ def _component_json(pad: str, field: str) -> Callable[[_Blocks], str]:
             fields = (dimension, encode(_complex_key(*slots)), encode(kind), *lists)
         return cone % (chart % (lines, rays), *fields) if rays else free % fields
 
-    return _by_shape(field, template, None)
+    return _by_shape(field, n, template, None)
 
 
 def _stream(write: _Write, items: Iterable[str], pad: str = "  ") -> None:
@@ -308,7 +316,7 @@ def _partitions_json(write: _Write, shapes: list[LeviShape], args: Namespace) ->
 
 
 def _components_json(write: _Write, catalog: Iterator[_Blocks], args: Namespace) -> None:
-    _stream(write, map(_component_json("    ", args.field), catalog))
+    _stream(write, map(_component_json("    ", args.field, args.n), catalog))
 
 
 def _ktheory_json(write: _Write, degrees: _Degrees, args: Namespace) -> None:
@@ -327,7 +335,7 @@ def _ktheory_json(write: _Write, degrees: _Degrees, args: Namespace) -> None:
 def _bc_json(write: _Write, catalog: Iterator[_Blocks], args: Namespace) -> None:
     template = _object("    ", ("column_rank", "matrix", "proper", "source", "target"))
     pad = "      "
-    source, target = _component_json(pad, "real"), _component_json(pad, "complex")
+    source, target = _component_json(pad, "real", args.n), _component_json(pad, "complex", args.n)
     matrices = lambda m: _join((_join(map(repr, row), pad + "  ") for row in m), pad)
     shapes = _bc_shapes(matrices, ("false", "true"))
 
@@ -401,7 +409,7 @@ def _components_table(write: _Write, catalog: Iterator[_Blocks], args: Namespace
     def template(shape: tuple[int, ...], dimension: int, kind: str, lines: int, rays: int) -> str:
         return key + cells % (dimension, kind, f"lines={lines},rays={rays}" if rays else "-")
 
-    _write_joined(write, map(_by_shape(args.field, template, key_of), catalog))
+    _write_joined(write, map(_by_shape(args.field, args.n, template, key_of), catalog))
 
 
 def _ktheory_table(write: _Write, degrees: _Degrees, args: Namespace) -> None:
@@ -444,7 +452,7 @@ def _bc_table(write: _Write, catalog: Iterator[_Blocks], args: Namespace) -> Non
     def template(shape: tuple[int, ...], dimension: int, kind: str, lines: int, rays: int) -> str:
         return keys + cells % (kind if shape[1] <= 1 else KIND_CONE, *shapes[shape[:2]])
 
-    _write_joined(write, map(_by_shape("real", template, key_pair), catalog))
+    _write_joined(write, map(_by_shape("real", args.n, template, key_pair), catalog))
 
 
 def _kmap_table(write: _Write, kmap: InducedKMap, args: Namespace) -> None:

@@ -18,6 +18,7 @@ shared Levi shapes and the CLI's templates, cells and bc shapes.
 
 from __future__ import annotations
 
+from itertools import chain
 from math import comb, inf
 from operator import attrgetter
 from typing import Callable
@@ -140,8 +141,15 @@ class SigmaOrbit(_Value):
     __slots__ = _fields = ("gl2_labels", "gl1_labels")
 
     def __init__(self, gl2_labels: tuple[int, ...], gl1_labels: tuple[int, ...]) -> None:
-        gl2 = tuple(sorted(gl2_labels))
-        gl1 = tuple(sorted(gl1_labels))
+        try:
+            gl2 = tuple(sorted(gl2_labels))
+            gl1 = tuple(sorted(gl1_labels))
+        except TypeError:
+            # Labels of mixed types do not sort: name the first that is no
+            # int, as the loop below would, in place of the sort's bare error.
+            for label in chain(gl2_labels, gl1_labels):
+                _require_int("label", label)
+            raise
         for label in gl2 + gl1:
             # Inline test first: each real point and catalog entry builds an orbit.
             if type(label) is not int:

@@ -101,7 +101,13 @@ class ComplexComponent(_FreeOrCone):
     __slots__ = _fields = ("labels",)
 
     def __init__(self, labels: tuple[int, ...]) -> None:
-        labels = tuple(sorted(labels))
+        try:
+            labels = tuple(sorted(labels))
+        except TypeError:
+            # As in SigmaOrbit: labels of mixed types are named, not compared.
+            for label in labels:
+                _require_int("label", label)
+            raise
         if not labels:
             raise ValueError("a complex component needs at least one label")
         for label in labels:
@@ -288,9 +294,9 @@ def _complex_catalog_size(n: int, cutoff: int) -> int | float:
 _SHAPES = _Memo(lambda counts: LeviShape(*counts))
 
 
-def _num_lines(blocks: Iterable[Iterable]) -> int:
-    """Chart lines of the component with these label blocks (ints or strings)."""
-    return sum(map(len, map(set, blocks)))
+def _block_lines(block: Iterable) -> int:
+    """Chart lines of one label block (ints or strings): its distinct labels."""
+    return len(set(block))
 
 
 def cone_chart(component: Component | ComplexComponent) -> ConeChart:
@@ -298,14 +304,14 @@ def cone_chart(component: Component | ComplexComponent) -> ConeChart:
 
     A sorted block has one run per distinct label, and a run of m equal
     labels gives one line and m - 1 rays.  So the lines are the distinct
-    labels, counted block by block (``_num_lines``), and the rays are the
+    labels of each block (``_block_lines``), summed, and the rays are the
     rest: num_rays = dimension - num_lines = sum(m - 1 for m in
-    multiplicities).  This is the one free-or-cone rule, which the CLI
-    reads straight off label strings: a component is free exactly when its
-    chart has no ray, found with no run scan.  Each call builds a new chart:
-    the CLI writes its records from label strings, and never calls this.
+    multiplicities).  This is the one free-or-cone rule, which the CLI reads
+    off each block of a record's label strings: a component is free exactly
+    when its chart has no ray, found with no run scan.  Each call builds a
+    new chart; the CLI never calls this.
     """
-    lines = _num_lines(component.label_blocks)
+    lines = sum(map(_block_lines, component.label_blocks))
     return ConeChart(lines, component.dimension - lines)
 
 

@@ -777,20 +777,23 @@ class TestChartOnce:
     @pytest.mark.parametrize("fmt", ["json", "table"])
     def test_one_chart_and_no_run_scan_per_record(self, field, fmt, monkeypatch, capsys):
         # A record reads its kind off the lines of its one chart, counted
-        # once from its label strings by the helper cone_chart reads, so no
-        # writer scans label runs and free-or-cone stays one rule.
-        assert cli._num_lines is param_space._num_lines
+        # from its label strings once per block by the helper cone_chart
+        # sums, so no writer scans label runs and free-or-cone stays one rule.
+        assert cli._block_lines is param_space._block_lines
         scans, counted = [], []
-        scan, lines = param_space.run_multiplicities, cli._num_lines
+        scan, lines = param_space.run_multiplicities, cli._block_lines
         monkeypatch.setattr(param_space, "run_multiplicities", lambda *b: scans.append(b) or scan(*b))
-        monkeypatch.setattr(cli, "_num_lines", lambda blocks: counted.append(blocks) or lines(blocks))
+        monkeypatch.setattr(cli, "_block_lines", lambda block: counted.append(block) or lines(block))
         records = cli.predicted_size("components", 6, 4, field)
         if field == "complex":
             assert records == comb(14, 6)
         args = ["components", "--n", "6", "--cutoff", "4", "--field", field, "--format", fmt]
         assert main(args) == 0
         assert scans == []
-        assert len(counted) == len(set(counted)) == records
+        # Each block of each record once, in catalog order: one block over
+        # C, gl2 then gl1 over R.
+        assert len(counted) == records * (1 if field == "complex" else 2)
+        assert counted == [b for blocks in param_space._catalog(field, 6, 4, str) for b in blocks]
 
     @pytest.mark.parametrize("fmt", ["json", "table"])
     def test_bc_scans_no_runs(self, fmt, monkeypatch, capsys):

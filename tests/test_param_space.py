@@ -53,6 +53,23 @@ def complex_point(pairs):
     return ComplexTemperedPoint(ComplexComponent(tuple(ell for ell, _ in pairs)), (t for _, t in pairs))
 
 
+@pytest.mark.parametrize(
+    "value_class, labels, bad",
+    [
+        (ComplexComponent, ((1, "a"),), "'a'"),
+        (ComplexComponent, ((1, None),), "None"),
+        (SigmaOrbit, ((1, "a"), ()), "'a'"),
+        (SigmaOrbit, ((), (0, None)), "None"),
+    ],
+    ids=["complex-str", "complex-None", "gl2-str", "gl1-None"],
+)
+def test_mixed_type_labels_are_named(value_class, labels, bad):
+    # Labels that do not sort together get the message a single bad label
+    # gets, not the sort's bare comparison error.
+    with pytest.raises(TypeError, match=f"^label must be an integer, got {bad}$"):
+        value_class(*labels)
+
+
 class TestComponent:
     def test_dimension_is_block_count(self):
         assert component((1, 3), (0,)).dimension == 3
@@ -240,6 +257,25 @@ class TestConeChart:
             assert chart.num_rays == sum(m - 1 for m in c.multiplicities)
             assert chart.num_lines + chart.num_rays == c.dimension
             assert (chart.num_rays == 0) == c.is_free
+
+    @given(
+        st.lists(st.integers(1, 4) | st.integers(min_value=1), max_size=6),
+        st.lists(st.integers(0, 1), max_size=6),
+        st.lists(st.integers(-3, 3) | st.integers(), min_size=1, max_size=8),
+    )
+    def test_block_lines_sum_to_the_chart(self, gl2, gl1, labels):
+        # The CLI counts a record's lines once per block, from its sorted
+        # label strings; summed, those counts are the lines of the library's
+        # chart, and the dimension less the run scan's rays, over both fields.
+        assume(gl2 or gl1)
+        cases = [
+            (component(sorted(gl2), sorted(gl1)), (sorted(gl2), sorted(gl1))),
+            (ComplexComponent(tuple(labels)), (sorted(labels),)),
+        ]
+        for c, blocks in cases:
+            lines = sum(param_space._block_lines(tuple(map(str, block))) for block in blocks)
+            assert lines == cone_chart(c).num_lines
+            assert lines == c.dimension - sum(m - 1 for m in c.multiplicities)
 
     def test_free_or_cone_is_read_off_the_chart(self, monkeypatch):
         # The chart is the one free-or-cone rule: with the run scan gone,
