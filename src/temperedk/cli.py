@@ -393,7 +393,7 @@ def _components_table(write: _Write, catalog: Iterator[_Blocks], args: Namespace
     # as wide as "kind", and the chart ends the row.  The free components are
     # the K-theory generators of both degrees, so the header counts them, and
     # the whole catalog, with the closed forms that price ktheory and
-    # components commands: each record reads its chart's lines once.
+    # components commands: each record counts its chart's lines once per block.
     key_of = _real_key if args.field == "real" else _complex_key
     widest = max(len(key_of(*b)) for b in _widest_blocks(args.field, args.n, args.cutoff))
     key, cells = "%%-%ds" % max(3, widest), "  %%-%ds  %%-4s  %%s\n" % max(3, len(str(args.n)))
