@@ -22,7 +22,7 @@ from math import gcd
 from typing import Callable, Sequence
 
 from .ktheory import KClass, KGroupPresentation, _by_key, _is_generator, kclass
-from .levi import SigmaOrbit, _require_int, _setters, _Value
+from .levi import SigmaOrbit, _require_at_least, _require_int, _setters, _Value
 from .param_space import (
     ComplexComponent,
     ComplexTemperedPoint,
@@ -207,9 +207,9 @@ def induced_k_map(n: int, cutoff: int) -> InducedKMap:
     maps.  For n = 1 this matches both character lines onto the winding-0
     generator; for n >= 2 no component qualifies and the map is zero.
     """
-    degree = n % 2
-    source = KGroupPresentation("complex", n, cutoff, degree)
-    target = KGroupPresentation("real", n, cutoff, degree)
+    _require_at_least("n", n, 1)
+    source = KGroupPresentation("complex", n, cutoff, n % 2)
+    target = KGroupPresentation("real", n, cutoff, n % 2)
     images: dict[str, dict[str, int]] = {}
     for gl1 in combinations((0, 1), n):
         generator = Component(SigmaOrbit((), gl1))

@@ -48,30 +48,16 @@ from .param_space import (
 
 # Largest output a command may write, in cells: n labels per entry, n^2 per
 # bc record for the n-row matrix it prints, plus the label pool if one is
-# built.  ktheory --field complex at n = cutoff = 10 needs 3.5e6: its
-# 352,716 keys stream from the label sets after a counting pass, in 0.14 s
-# as JSON and 0.11 s as a table with PYTHONUNBUFFERED unset (0.12 s and
-# 0.10 s with it set to 1), at 14.1 MB either way.  kmap lists keys only
-# for n = 1, so for n >= 2 it counts just the pool (kmap 30/30: 61 cells).
-# Catalogs and bc maps stream from label strings, a chunk of records per
-# write, and hold no record; a record counts its chart lines once per label
-# block (param_space._block_lines).  components --n 6 --cutoff 12 --field
-# complex (593,775 records, 3.56e6 cells) takes 0.77 s as a table and
-# 1.12 s as JSON with PYTHONUNBUFFERED unset (0.84 s and 1.18 s with it
-# set to 1), in a period when the interpreter's floor, kmap --n 1, took
-# 0.085 s; bc --n 10 --cutoff 14 (19,380 maps, 1.9e6 cells) took 0.06 s
-# and 0.11 s in a faster period (floor 0.026 s), either way.  Each peaks
-# within 2 MB of the interpreter's own floor (whole process, child max RSS
-# from os.wait4; CPython 3.11.7, 2-vCPU AMD EPYC, output to a file).
+# built.  kmap lists keys only for n = 1, so for n >= 2 it counts just the
+# pool.  Catalogs, bc maps and ktheory keys stream from label strings, a
+# chunk of records per write, and hold no record, so the cap bounds a
+# command's time and output, not its memory.
 MAX_CELLS = 4_000_000
 
 
 def build_parser() -> argparse.ArgumentParser:
     # One parser, not a subparser per command: the five commands take the
-    # same options, and this one parser already costs about 0.14 ms once
-    # warm (0.2 ms on its second call in a process): each of its six
-    # add_argument calls, -h included, builds a HelpFormatter, which reads
-    # the terminal size, and the parser looks up three gettext messages.
+    # same options, so each option is declared once.
     parser = argparse.ArgumentParser(
         prog="temperedk",
         description="Catalogs of tempered duals of GL(n) over R and C, "

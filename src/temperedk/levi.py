@@ -10,7 +10,8 @@ sorted form so that each Weyl orbit has exactly one representative.
 
 It also owns the value helpers every layer shares: ``_require_int`` and
 ``_require_at_least``, the input checks of every catalog entry point ("n
-must be >= 1"), ``_Value``, the base of every value class in the package,
+must be >= 1"), ``_sorted_labels``, the one label check of every orbit and
+complex component, ``_Value``, the base of every value class in the package,
 all of them slotted, ``_setters``, which binds each one's slot setters,
 ``_binomial``, the one bounded binomial, and ``_Memo``, the dict behind the
 shared Levi shapes and the CLI's templates, cells and bc shapes.
@@ -18,10 +19,9 @@ shared Levi shapes and the CLI's templates, cells and bc shapes.
 
 from __future__ import annotations
 
-from itertools import chain
 from math import comb, inf
 from operator import attrgetter
-from typing import Callable
+from typing import Callable, Iterable
 
 
 def _require_int(name: str, value: object) -> None:
@@ -38,6 +38,26 @@ def _require_at_least(name: str, value: object, least: int) -> None:
         _require_int(name, value)
     if value < least:
         raise ValueError(f"{name} must be >= {least}, got {value}")
+
+
+def _sorted_labels(name: str, labels: Iterable[int]) -> tuple[int, ...]:
+    """``labels`` sorted into a tuple, each label checked in the order given."""
+    try:
+        block = [*labels]
+    except TypeError:
+        if hasattr(labels, "__iter__"):
+            raise  # raised while iterating: not a fault of the argument
+        block = None
+    # Raised here, not in the handler, so no builtin error is chained to it.
+    if block is None:
+        raise TypeError(f"{name} must be an iterable of integers, got {labels!r}")
+    for label in block:
+        # Inline test first: each real point and catalog entry builds an
+        # orbit, and each complex point a component.
+        if type(label) is not int:
+            _require_int("label", label)
+    block.sort()
+    return tuple(block)
 
 
 def _binomial(a: int, k: int) -> int | float:
@@ -141,19 +161,8 @@ class SigmaOrbit(_Value):
     __slots__ = _fields = ("gl2_labels", "gl1_labels")
 
     def __init__(self, gl2_labels: tuple[int, ...], gl1_labels: tuple[int, ...]) -> None:
-        try:
-            gl2 = tuple(sorted(gl2_labels))
-            gl1 = tuple(sorted(gl1_labels))
-        except TypeError:
-            # Labels of mixed types do not sort: name the first that is no
-            # int, as the loop below would, in place of the sort's bare error.
-            for label in chain(gl2_labels, gl1_labels):
-                _require_int("label", label)
-            raise
-        for label in gl2 + gl1:
-            # Inline test first: each real point and catalog entry builds an orbit.
-            if type(label) is not int:
-                _require_int("label", label)
+        gl2 = _sorted_labels("gl2_labels", gl2_labels)
+        gl1 = _sorted_labels("gl1_labels", gl1_labels)
         # The labels are sorted integers, so the end labels bound the rest.
         if gl2 and gl2[0] < 1:
             raise ValueError(f"gl2 labels index discrete series and must be >= 1: {gl2}")

@@ -23,8 +23,8 @@ from .levi import (
     _binomial,
     _Memo,
     _require_at_least,
-    _require_int,
     _setters,
+    _sorted_labels,
     _Value,
     enumerate_levi_shapes,
     run_multiplicities,
@@ -101,20 +101,9 @@ class ComplexComponent(_FreeOrCone):
     __slots__ = _fields = ("labels",)
 
     def __init__(self, labels: tuple[int, ...]) -> None:
-        try:
-            labels = tuple(sorted(labels))
-        except TypeError:
-            # As in SigmaOrbit: labels of mixed types are named, not compared.
-            for label in labels:
-                _require_int("label", label)
-            raise
+        labels = _sorted_labels("labels", labels)
         if not labels:
             raise ValueError("a complex component needs at least one label")
-        for label in labels:
-            # Inline test first: langlands_complex and bc_point_real build one
-            # per point, and point_transport times both.
-            if type(label) is not int:
-                _require_int("label", label)
         _set_labels(self, labels)
 
     @property
@@ -220,14 +209,14 @@ def _label_blocks(
 ) -> Iterator:
     """Label blocks, in catalog order, of the field's components whose dimension
     has one of these parities, each label passed through ``label`` and drawn
-    by ``choose``: with repeats the catalog, without its free components.  For
-    both parities, n and then the cutoff are checked before this returns."""
+    by ``choose``: with repeats the catalog, without its free components.  n
+    is checked first and, for both parities, then the cutoff."""
     if field == "real":
         shapes = [s for s in enumerate_levi_shapes(n) if (s.q + s.r) % 2 in parities]
         return _real_label_sets(shapes, cutoff, label, choose)
+    _require_at_least("n", n, 1)
     if n % 2 not in parities:
         return iter(())
-    _require_at_least("n", n, 1)
     _require_at_least("cutoff", cutoff, 1)
     return zip(choose(map(label, range(-cutoff, cutoff + 1)), n))
 

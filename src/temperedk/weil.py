@@ -18,7 +18,8 @@ block, and the twists become the continuous coordinates.
 
 from __future__ import annotations
 
-import math
+from math import isfinite
+from operator import attrgetter
 from typing import Union
 
 from .levi import SigmaOrbit, _require_int, _setters, _Value
@@ -33,7 +34,7 @@ from .param_space import (
 
 def _finite_twist(t: float) -> float:
     """t as a float; isfinite runs first because float() would parse a str."""
-    if not math.isfinite(t):
+    if not isfinite(t):
         raise ValueError(f"twist must be finite, got {t}")
     return float(t)
 
@@ -203,7 +204,7 @@ def langlands_real(parameter: LParameterR) -> RealTemperedPoint:
         else:
             gl1.append(s.chi.epsilon)
     # The summands are in gl2-then-gl1 order already, as the point's twists are.
-    params = tuple(s.chi.t for s in parameter.summands)
+    params = tuple(map(attrgetter("chi.t"), parameter.summands))
     return RealTemperedPoint(Component(SigmaOrbit(tuple(gl2), tuple(gl1))), params)
 
 
@@ -233,6 +234,5 @@ def langlands_complex(parameter: LParameterC) -> ComplexTemperedPoint:
     """
     if type(parameter) is not LParameterC:
         raise TypeError(f"langlands_complex takes an LParameterC, got {parameter!r}")
-    component = ComplexComponent(tuple(c.ell for c in parameter.summands))
-    params = tuple(c.t for c in parameter.summands)
-    return ComplexTemperedPoint(component, params)
+    labels, params = zip(*map(ComplexCharacter._values, parameter.summands))
+    return ComplexTemperedPoint(ComplexComponent(labels), params)

@@ -650,6 +650,13 @@ class TestCatalogInputTypes:
         with pytest.raises(TypeError):
             call()
 
+    @pytest.mark.parametrize("n", [1.0, "a", None], ids=["float", "str", "None"])
+    @pytest.mark.parametrize("call", list(N_INPUTS.values()), ids=list(N_INPUTS))
+    def test_n_of_another_type_is_named(self, call, n):
+        # n is checked before any arithmetic on it, such as its parity.
+        with pytest.raises(TypeError, match=f"^n must be an integer, got {re.escape(repr(n))}$"):
+            call(n)
+
     def test_float_label_rejected(self):
         with pytest.raises(TypeError):
             SigmaOrbit((1.0,), ())

@@ -60,14 +60,50 @@ def complex_point(pairs):
         (ComplexComponent, ((1, None),), "None"),
         (SigmaOrbit, ((1, "a"), ()), "'a'"),
         (SigmaOrbit, ((), (0, None)), "None"),
+        (SigmaOrbit, ((2.5, 1.5), ()), "2.5"),
+        (SigmaOrbit, ((2.5,), (None,)), "2.5"),
+        (SigmaOrbit, ((), (1, "a", 0.5)), "'a'"),
+        (ComplexComponent, ((2, 1.5, 0.5),), "1.5"),
     ],
-    ids=["complex-str", "complex-None", "gl2-str", "gl1-None"],
+    ids=[
+        "complex-str", "complex-None", "gl2-str", "gl1-None",
+        "gl2-first-given", "gl2-before-gl1", "gl1-first-given", "complex-first-given",
+    ],
 )
 def test_mixed_type_labels_are_named(value_class, labels, bad):
     # Labels that do not sort together get the message a single bad label
     # gets, not the sort's bare comparison error.
+    # Each label is checked before the sort, in the order given, so when
+    # several are bad the first given is named.
     with pytest.raises(TypeError, match=f"^label must be an integer, got {bad}$"):
         value_class(*labels)
+
+
+@pytest.mark.parametrize(
+    "build, name, bad",
+    [
+        (lambda: SigmaOrbit(None, ()), "gl2_labels", "None"),
+        (lambda: SigmaOrbit((1, 2), None), "gl1_labels", "None"),
+        (lambda: ComplexComponent(None), "labels", "None"),
+        (lambda: ComplexComponent(5), "labels", "5"),
+    ],
+    ids=["gl2-None", "gl1-None", "complex-None", "complex-int"],
+)
+def test_labels_argument_that_cannot_be_iterated_is_named(build, name, bad):
+    message = f"^{name} must be an iterable of integers, got {bad}$"
+    with pytest.raises(TypeError, match=message) as caught:
+        build()
+    # Raised by the package itself, not while handling the builtin's error.
+    assert caught.value.__context__ is None
+
+
+def test_labels_may_come_from_any_iterable():
+    assert SigmaOrbit((ell for ell in (3, 1)), iter((1, 0))) == SigmaOrbit((1, 3), (0, 1))
+    assert ComplexComponent(ell for ell in (2, -1)).labels == (-1, 2)
+    # An error raised while iterating is the iterable's own, not a complaint
+    # that the argument cannot be iterated.
+    with pytest.raises(TypeError, match="unsupported operand"):
+        ComplexComponent(1 + ell for ell in (0, None))
 
 
 class TestComponent:
