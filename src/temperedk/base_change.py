@@ -223,6 +223,10 @@ def induced_k_map(n: int, cutoff: int) -> InducedKMap:
 def pullback(kmap: InducedKMap, cls: KClass) -> KClass:
     """Linear extension of the induced map to an arbitrary class: one pass
     over the class's terms, summed into a single class."""
+    if type(kmap) is not InducedKMap:
+        raise TypeError(f"pullback takes an InducedKMap, got {kmap!r}")
+    if type(cls) is not KClass:
+        raise TypeError(f"pullback takes a KClass, got {cls!r}")
     if cls.presentation != kmap.source:
         raise ValueError("class does not live in the map's source presentation")
     total: dict[str, int] = {}

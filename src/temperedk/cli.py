@@ -24,7 +24,7 @@ import os
 import sys
 from argparse import Namespace
 from itertools import islice
-from json.encoder import encode_basestring_ascii
+from json.encoder import encode_basestring_ascii as encode
 from math import inf
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
@@ -161,15 +161,21 @@ def _collect(command: str, n: int, cutoff: int, field: str) -> tuple[str, object
 # complex, then the lines of its chart: param_space's own count of distinct
 # labels, made once per block (_block_lines) and summed.  It fixes the
 # dimension, kind and chart counts (the rays are the dimension less the
-# lines), and the number of labels in the key and in each list.  So a
-# writer makes one %-template per shape from those counts, a JSON object
-# with a %s slot per label or a table row with one for each key: _by_shape
-# calls template(shape, dimension, kind, lines, rays) once per shape and
-# fills in each record's labels, one tuple of them, or its keys.  Every
-# complex record of a command has dimension n, so its lines alone pick its
-# template.  A bc map's matrix, and so its rank and properness,
-# depend on the Levi shape (q, r) alone, so a bc writer builds, ranks and
-# writes one matrix per shape.  These memos hold a few dozen strings a
+# lines), and so every byte of a record but its labels.  So a writer
+# makes one record function per shape: _by_shape calls template(shape,
+# dimension, kind, lines, rays) once per shape, and the template writes
+# the shape's JSON object or table row once, with a %s placeholder for each
+# label list and one for the key, splits it there into fixed pieces and
+# returns a function of the shape's label blocks.  A record is then one
+# f-string of those pieces and its fills: each label list is one join of
+# its block, an empty one a fixed [] and an empty fill, and the key is
+# param_space's (_real_key, _complex_key), padded to its column in a table.
+# A key is written as is, in quotes, with no JSON escaping: its labels are
+# str(int), and its other characters are fixed ASCII.  Every complex
+# record of a command has dimension n, so its lines alone pick its
+# function.  A bc map's matrix, and so its rank and properness, depend on
+# the Levi shape (q, r) alone, so a bc writer builds, ranks and writes one
+# matrix per shape.  These memos hold a few dozen strings and functions a
 # command.
 
 
@@ -182,25 +188,23 @@ def _partition(shape: LeviShape) -> tuple[str, str, str, str]:
 _Blocks = tuple[Sequence[str], ...]
 
 
-def _by_shape(field: str, n: int, template: Callable[..., str], key: Callable | None) -> Callable:
-    """Record function: its shape's template (see above), filled with key(*blocks) or labels."""
+def _by_shape(field: str, n: int, template: Callable[..., Callable[..., str]]) -> Callable:
+    """Record function: its shape's own (see above), called on its label blocks."""
 
-    def counted(shape: tuple[int, ...]) -> str:
+    def counted(shape: tuple[int, ...]) -> Callable[..., str]:
         *parts, lines = shape
         rays = sum(parts) - lines
         return template(shape, lines + rays, KIND_CONE if rays else KIND_FREE, lines, rays)
 
-    templates = _Memo(counted if field == "real" else lambda lines: counted((n, lines)))
+    records = _Memo(counted if field == "real" else lambda lines: counted((n, lines)))
 
     def real(blocks: _Blocks) -> str:
         gl2, gl1 = blocks
-        shaped = templates[len(gl2), len(gl1), _block_lines(gl2) + _block_lines(gl1)]
-        return shaped % (gl1 + gl2 + gl2 + gl1) if key is None else shaped % key(gl2, gl1)
+        return records[len(gl2), len(gl1), _block_lines(gl2) + _block_lines(gl1)](gl2, gl1)
 
     def complex_(blocks: _Blocks) -> str:
         (labels,) = blocks
-        shaped = templates[_block_lines(labels)]
-        return shaped % (labels + labels) if key is None else shaped % key(labels)
+        return records[_block_lines(labels)](labels)
 
     return real if field == "real" else complex_
 
@@ -241,12 +245,13 @@ def _write_joined(write: _Write, items: Iterable[str], sep: str = "", head: str 
 
 
 # JSON: the bytes of json.dumps(document, sort_keys=True, indent=2), written
-# from templates whose keys are already sorted.  Strings go through
-# encode_basestring_ascii, ints through repr (or %s, its equal).  A value
-# that opens on a line indented by ``pad`` has its members at pad + "  ".
+# from templates whose keys are already sorted.  Strings go through encode
+# (json.encoder.encode_basestring_ascii), ints through repr (or %s, its
+# equal).  A value that opens on a line indented by ``pad`` has its members
+# at pad + "  ".
 
 _HEAD = '{\n  "cutoff": %d,\n  "kind": "%s",\n  "n": %d,\n  "payload": '
-_TAIL = ',\n  "tool_version": ' + encode_basestring_ascii(__version__) + "\n}\n"
+_TAIL = ',\n  "tool_version": ' + encode(__version__) + "\n}\n"
 _Degrees = tuple[tuple[KGroupPresentation, int], ...]
 
 
@@ -262,30 +267,27 @@ def _object(pad: str, keys: Sequence[str]) -> str:
     return _join((f'"{key}": %s' for key in keys), pad, "{}")
 
 
-def _component_json(pad: str, field: str, n: int) -> Callable[[_Blocks], str]:
-    """Writer of one component's JSON object; a cone's object has "chart" first."""
-    if field == "real":
-        keys = ("dimension", "gl1", "gl2", "key", "kind", "q", "r")
-    else:
-        keys = ("dimension", "key", "kind", "labels")
+def _component_json(pad: str, field: str) -> Callable[..., Callable[..., str]]:
+    """Template (see above) of one component's JSON object; a cone's has "chart" first."""
+    real_keys = ("dimension", "gl1", "gl2", "key", "kind", "q", "r")
+    keys = real_keys if field == "real" else ("dimension", "key", "kind", "labels")
     free, cone = _object(pad, keys), _object(pad, ("chart", *keys))
     inner = pad + "  "
     chart = _object(inner, ("num_lines", "num_rays"))
-    encode = encode_basestring_ascii
+    join = (",\n  " + inner).join
 
-    # The shape's object, with a %s slot for each label: those of the lists,
-    # in key order (gl1 before gl2), then those of the key, which param_space
-    # writes.
-    def template(shape: tuple[int, ...], dimension: int, kind: str, lines: int, rays: int) -> str:
-        slots = [["%s"] * count for count in shape[:-1]]
-        lists = [_join(slot, inner) for slot in reversed(slots)]
+    # The shape's object, split at its label lists, in key order (gl1 before
+    # gl2), and at its key.
+    def template(shape: tuple[int, ...], dimension: int, kind: str, lines: int, rays: int):
+        lists = [_join(("%s",), inner) if count else "[]%s" for count in reversed(shape[:-1])]
+        obj = cone.replace("%s", chart % (lines, rays), 1) if rays else free
         if field == "real":
-            fields = (dimension, *lists, encode(_real_key(*slots)), encode(kind), *shape[:2])
-        else:
-            fields = (dimension, encode(_complex_key(*slots)), encode(kind), *lists)
-        return cone % (chart % (lines, rays), *fields) if rays else free % fields
+            a, b, c, d = (obj % (dimension, *lists, '"%s"', encode(kind), *shape[:2])).split("%s")
+            return lambda gl2, gl1: f"{a}{join(gl1)}{b}{join(gl2)}{c}{_real_key(gl2, gl1)}{d}"
+        a, b, c = (obj % (dimension, '"%s"', encode(kind), *lists)).split("%s")
+        return lambda labels: f"{a}{_complex_key(labels)}{b}{join(labels)}{c}"
 
-    return _by_shape(field, n, template, None)
+    return template
 
 
 def _stream(write: _Write, items: Iterable[str], pad: str = "  ") -> None:
@@ -296,18 +298,16 @@ def _stream(write: _Write, items: Iterable[str], pad: str = "  ") -> None:
 
 def _partitions_json(write: _Write, shapes: list[LeviShape], args: Namespace) -> None:
     template = _object("    ", ("blocks", "q", "r", "weyl"))
-    encode = encode_basestring_ascii
     records = map(_partition, shapes)
     _stream(write, (template % (encode(b), q, r, encode(w)) for q, r, b, w in records))
 
 
 def _components_json(write: _Write, catalog: Iterator[_Blocks], args: Namespace) -> None:
-    _stream(write, map(_component_json("    ", args.field, args.n), catalog))
+    _stream(write, map(_by_shape(args.field, args.n, _component_json("    ", args.field)), catalog))
 
 
 def _ktheory_json(write: _Write, degrees: _Degrees, args: Namespace) -> None:
     # Generator lists are streamed too: k_complex(10, 10) has 352,716 in degree 0.
-    encode = encode_basestring_ascii
     for d, (p, listed) in enumerate(degrees):
         rank, predicted, closed_form = _degree(p, listed)
         head = ",\n" if d else "{\n"
@@ -321,21 +321,23 @@ def _ktheory_json(write: _Write, degrees: _Degrees, args: Namespace) -> None:
 def _bc_json(write: _Write, catalog: Iterator[_Blocks], args: Namespace) -> None:
     template = _object("    ", ("column_rank", "matrix", "proper", "source", "target"))
     pad = "      "
-    source, target = _component_json(pad, "real", args.n), _component_json(pad, "complex", args.n)
+    source = _component_json(pad, "real")
+    target = _by_shape("complex", args.n, _component_json(pad, "complex"))
     matrices = lambda m: _join((_join(map(repr, row), pad + "  ") for row in m), pad)
     shapes = _bc_shapes(matrices, ("false", "true"))
 
-    def record(blocks: _Blocks) -> str:
-        gl2, gl1 = blocks
-        matrix, rank, proper = shapes[len(gl2), len(gl1)]
-        labels = _target_labels(gl2, gl1)
-        return template % (rank, matrix, proper, source(blocks), target((labels,)))
+    # The source's shape fixes the map's: its object, split at its source,
+    # written by the source's record function, and at its target.
+    def bc_template(shape: tuple[int, ...], *counts: object) -> Callable[..., str]:
+        matrix, rank, proper = shapes[shape[:2]]
+        a, b, c = (template % (rank, matrix, proper, "%s", "%s")).split("%s")
+        record = source(shape, *counts)
+        return lambda gl2, gl1: f"{a}{record(gl2, gl1)}{b}{target((_target_labels(gl2, gl1),))}{c}"
 
-    _stream(write, map(record, catalog))
+    _stream(write, map(_by_shape("real", args.n, bc_template), catalog))
 
 
 def _kmap_json(write: _Write, kmap: InducedKMap, args: Namespace) -> None:
-    encode = encode_basestring_ascii
     support = kmap.support
     template = _object("      ", ("image", "source"))
 
@@ -382,20 +384,23 @@ def _components_table(write: _Write, catalog: Iterator[_Blocks], args: Namespace
     # components commands: each record counts its chart's lines once per block.
     key_of = _real_key if args.field == "real" else _complex_key
     widest = max(len(key_of(*b)) for b in _widest_blocks(args.field, args.n, args.cutoff))
-    key, cells = "%%-%ds" % max(3, widest), "  %%-%ds  %%-4s  %%s\n" % max(3, len(str(args.n)))
+    width, cells = max(3, widest), "  %%-%ds  %%-4s  %%s\n" % max(3, len(str(args.n)))
     free = predicted_size("ktheory", args.n, args.cutoff, args.field)
     cone = predicted_size("components", args.n, args.cutoff, args.field) - free
     write(
         f"Tempered-dual components for GL({args.n}, {_FIELD_NAMES[args.field]}) "
         f"at cutoff {args.cutoff}: {free} free, {cone} cone\n"
-        + (key + cells) % ("key", "dim", "kind", "chart")
+        + "key".ljust(width) + cells % ("dim", "kind", "chart")
     )
 
-    # The shape's row, with %s for the key.
-    def template(shape: tuple[int, ...], dimension: int, kind: str, lines: int, rays: int) -> str:
-        return key + cells % (dimension, kind, f"lines={lines},rays={rays}" if rays else "-")
+    # The shape's row: its key, then its fixed rest.
+    def template(shape: tuple[int, ...], dimension: int, kind: str, lines: int, rays: int):
+        rest = cells % (dimension, kind, f"lines={lines},rays={rays}" if rays else "-")
+        if args.field == "real":
+            return lambda gl2, gl1: _real_key(gl2, gl1).ljust(width) + rest
+        return lambda labels: _complex_key(labels).ljust(width) + rest
 
-    _write_joined(write, map(_by_shape(args.field, args.n, template, key_of), catalog))
+    _write_joined(write, map(_by_shape(args.field, args.n, template), catalog))
 
 
 def _ktheory_table(write: _Write, degrees: _Degrees, args: Namespace) -> None:
@@ -425,20 +430,22 @@ def _bc_table(write: _Write, catalog: Iterator[_Blocks], args: Namespace) -> Non
         records += count
     headers = ("source", "target", "target kind", "matrix", "rank", "proper")
     widths += tuple(max(map(len, column)) for column in zip(headers[3:5], *shapes.values()))
-    keys, cells = "%%-%ds  %%-%ds  " % widths[:2], "%%-11s  %%-%ds  %%-%ds  %%s\n" % widths[2:]
+    keys = lambda source, target: f"{source.ljust(widths[0])}  {target.ljust(widths[1])}  "
+    cells = "%%-11s  %%-%ds  %%-%ds  %%s\n" % widths[2:]
     write(
         f"Base change on components, GL({args.n}, R) -> GL({args.n}, C) "
         f"at cutoff {args.cutoff}: {proper_maps} of {records} maps proper\n"
-        + (keys + cells) % headers
+        + keys(*headers[:2]) + cells % headers[2:]
     )
 
     # A row's cells follow from its source's shape and chart: the target
     # labels are -l and l for each gl2 label l and one 0 for each gl1 label,
     # so the target is free exactly when the source is and r <= 1.
-    def template(shape: tuple[int, ...], dimension: int, kind: str, lines: int, rays: int) -> str:
-        return keys + cells % (kind if shape[1] <= 1 else KIND_CONE, *shapes[shape[:2]])
+    def template(shape: tuple[int, ...], dimension: int, kind: str, lines: int, rays: int):
+        rest = cells % (kind if shape[1] <= 1 else KIND_CONE, *shapes[shape[:2]])
+        return lambda gl2, gl1: keys(*key_pair(gl2, gl1)) + rest
 
-    _write_joined(write, map(_by_shape("real", args.n, template, key_pair), catalog))
+    _write_joined(write, map(_by_shape("real", args.n, template), catalog))
 
 
 def _kmap_table(write: _Write, kmap: InducedKMap, args: Namespace) -> None:

@@ -189,6 +189,8 @@ class KClass(_Value):
     def __init__(
         self, presentation: KGroupPresentation, items: tuple[tuple[str, int], ...]
     ) -> None:
+        if type(presentation) is not KGroupPresentation:
+            raise TypeError(f"a KClass needs a KGroupPresentation, got {presentation!r}")
         # Zeros of any type other than int are kept so the check below
         # rejects them; bool is an int subclass and is rejected too.
         items = [(k, c) for k, c in items if c != 0 or type(c) is not int]
@@ -239,6 +241,9 @@ def kclass(
 
 
 def kclass_add(a: KClass, b: KClass) -> KClass:
+    for x in (a, b):
+        if type(x) is not KClass:
+            raise TypeError(f"kclass_add takes a KClass, got {x!r}")
     if a.presentation != b.presentation:
         raise ValueError("cannot add classes over different presentations")
     total = dict(a.items)
@@ -248,6 +253,8 @@ def kclass_add(a: KClass, b: KClass) -> KClass:
 
 
 def kclass_scale(a: KClass, scalar: int) -> KClass:
+    if type(a) is not KClass:
+        raise TypeError(f"kclass_scale takes a KClass, got {a!r}")
     _require_int("scalar", scalar)
     return KClass(a.presentation, tuple((k, scalar * c) for k, c in a.items))
 

@@ -184,6 +184,8 @@ def enumerate_levi_shapes(n: int) -> list[LeviShape]:
 def weyl_group(shape: LeviShape) -> tuple[int, ...]:
     """Degrees of the block permutations S_q x S_r of the Levi, with the
     trivial factors (degree 0 or 1) dropped; () is the trivial group."""
+    if type(shape) is not LeviShape:
+        raise TypeError(f"weyl_group takes a LeviShape, got {shape!r}")
     return tuple(d for d in (shape.q, shape.r) if d >= 2)
 
 
@@ -195,4 +197,7 @@ def run_multiplicities(*blocks: tuple[int, ...]) -> tuple[int, ...]:
     its runs in order; equal labels in different blocks never merge.
     The result is empty exactly when no label repeats within a block.
     """
+    for block in blocks:
+        if type(block) is not tuple:
+            raise TypeError(f"run_multiplicities takes label tuples, got {block!r}")
     return tuple(m for block in blocks for m in map(block.count, sorted(set(block))) if m >= 2)

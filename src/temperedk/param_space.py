@@ -154,13 +154,21 @@ class TemperedPoint(_Value):
         expected = self._component_class
         if not isinstance(component, expected):
             raise TypeError(f"a {type(self).__name__} needs a {expected.__name__}")
-        params = tuple(params)
-        if len(params) != component.dimension:
-            raise ValueError(f"expected {component.dimension} parameters, got {len(params)}")
-        if not all(map(isfinite, params)):
-            raise ValueError(f"twists must be finite, got {params}")
+        try:
+            twists = tuple(params)
+        except TypeError:
+            if hasattr(params, "__iter__"):
+                raise  # raised while iterating: not a fault of the argument
+            twists = ()
+        # Named here, not in the handler, so no builtin error is chained to it.
+        if len(twists) != component.dimension:
+            if not hasattr(params, "__iter__"):
+                raise TypeError(f"params must be an iterable of twists, got {params!r}")
+            raise ValueError(f"expected {component.dimension} parameters, got {len(twists)}")
+        if not all(map(isfinite, twists)):
+            raise ValueError(f"twists must be finite, got {twists}")
         _set_component(self, component)
-        _set_params(self, params)
+        _set_params(self, twists)
 
 
 _set_component, _set_params = _setters(TemperedPoint)
@@ -300,6 +308,8 @@ def cone_chart(component: Component | ComplexComponent) -> ConeChart:
     when its chart has no ray, found with no run scan.  Each call builds a
     new chart; the CLI never calls this.
     """
+    if not isinstance(component, _FreeOrCone):
+        raise TypeError(f"cone_chart takes a Component or a ComplexComponent, got {component!r}")
     lines = sum(map(_block_lines, component.label_blocks))
     return ConeChart(lines, component.dimension - lines)
 

@@ -130,8 +130,16 @@ class LParameterR(_Value):
     __slots__ = _fields = ("summands",)
 
     def __init__(self, summands: tuple[Summand, ...]) -> None:
-        ordered = tuple(sorted(summands, key=_summand_key))
+        try:
+            ordered = tuple(sorted(summands, key=_summand_key))
+        except TypeError:
+            if hasattr(summands, "__iter__"):
+                raise  # raised while reading it, _summand_key's own included
+            ordered = None
+        # Named here, not in the handler, so no builtin error is chained to it.
         if not ordered:
+            if ordered is None:
+                raise TypeError(f"summands must be an iterable of W_R summands, got {summands!r}")
             raise ValueError("a parameter needs at least one summand")
         _set_real_summands(self, ordered)
 
@@ -150,8 +158,15 @@ class LParameterC(_Value):
     __slots__ = _fields = ("summands",)
 
     def __init__(self, summands: tuple[ComplexCharacter, ...]) -> None:
-        ordered = tuple(sorted(summands, key=_character_key))
+        try:
+            ordered = tuple(sorted(summands, key=_character_key))
+        except TypeError:
+            if hasattr(summands, "__iter__"):
+                raise  # raised while reading it, _character_key's own included
+            ordered = None
         if not ordered:
+            if ordered is None:
+                raise TypeError(f"summands must be an iterable of W_C summands, got {summands!r}")
             raise ValueError("a parameter needs at least one summand")
         _set_complex_summands(self, ordered)
 

@@ -12,6 +12,7 @@ from temperedk import (
     ComplexTemperedPoint,
     Component,
     InducedKMap,
+    KClass,
     LParameterC,
     LParameterR,
     OneDim,
@@ -22,6 +23,7 @@ from temperedk import (
     bc_component,
     bc_point_real,
     canonicalize_point,
+    cone_chart,
     induced_k_map,
     k_complex,
     k_real,
@@ -34,6 +36,8 @@ from temperedk import (
     pullback,
     real_components,
     restrict,
+    run_multiplicities,
+    weyl_group,
 )
 
 from oracles import (
@@ -72,6 +76,63 @@ def test_wrong_kind_is_named(function, value, expected):
     message = f"{function.__name__} takes {expected}, got {value!r}"
     with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
         function(value)
+
+
+REAL_COMPONENT = component((1,), ())
+TWISTS = "params must be an iterable of twists"
+ZERO_CLASS = kclass(k_complex(1, 1)[1])
+ONE_KMAP = induced_k_map(1, 1)
+
+
+# Every argument of the wrong kind, or that cannot be iterated, is named in
+# the package's own TypeError, raised outside any handler of a builtin one.
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: RealTemperedPoint(REAL_COMPONENT, None), f"{TWISTS}, got None"),
+        (lambda: ComplexTemperedPoint(COMPLEX_POINT.component, 5), f"{TWISTS}, got 5"),
+        (lambda: LParameterR(None), "summands must be an iterable of W_R summands, got None"),
+        (lambda: LParameterC(5), "summands must be an iterable of W_C summands, got 5"),
+        (lambda: kclass(None), "a KClass needs a KGroupPresentation, got None"),
+        (lambda: kclass("junk"), "a KClass needs a KGroupPresentation, got 'junk'"),
+        (lambda: KClass(None, (("labels:0", 1),)), "a KClass needs a KGroupPresentation, got None"),
+        (lambda: kclass_add(None, ZERO_CLASS), "kclass_add takes a KClass, got None"),
+        (lambda: kclass_add(ZERO_CLASS, {}), "kclass_add takes a KClass, got {}"),
+        (lambda: kclass_scale(None, 2), "kclass_scale takes a KClass, got None"),
+        (lambda: pullback(None, ZERO_CLASS), "pullback takes an InducedKMap, got None"),
+        (lambda: pullback(ONE_KMAP, None), "pullback takes a KClass, got None"),
+        (lambda: cone_chart(None), "cone_chart takes a Component or a ComplexComponent, got None"),
+        (lambda: weyl_group(None), "weyl_group takes a LeviShape, got None"),
+        (lambda: run_multiplicities(None), "run_multiplicities takes label tuples, got None"),
+    ],
+    ids=[
+        "real-point-None", "complex-point-int", "LParameterR-None", "LParameterC-int",
+        "kclass-None", "kclass-str", "KClass-None", "kclass_add-a", "kclass_add-b",
+        "kclass_scale", "pullback-kmap", "pullback-class", "cone_chart", "weyl_group",
+        "run_multiplicities",
+    ],
+)
+def test_argument_of_the_wrong_kind_is_named(call, message):
+    with pytest.raises(TypeError, match=f"^{re.escape(message)}$") as caught:
+        call()
+    assert caught.value.__context__ is None
+
+
+# An error raised while an iterable argument is read is its own, not a
+# complaint about the argument: a summand key's included.
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: RealTemperedPoint(REAL_COMPONENT, (t + 1 for t in [None])), "unsupported operand"),
+        (lambda: LParameterR(s + 1 for s in [None]), "unsupported operand"),
+        (lambda: LParameterC(s + 1 for s in [None]), "unsupported operand"),
+        (lambda: LParameterR([None]), "a W_R summand is a OneDim or a TwoDimInduced, got None"),
+        (lambda: LParameterC([None]), "a W_C summand is a ComplexCharacter, got None"),
+    ],
+)
+def test_error_while_reading_an_iterable_passes_through(call, message):
+    with pytest.raises(TypeError, match=f"^{re.escape(message)}"):
+        call()
 
 
 class TestBcComponent:

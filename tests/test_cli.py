@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from temperedk import (
     __version__,
+    ComplexComponent,
     Component,
     LeviShape,
     SigmaOrbit,
@@ -829,6 +830,99 @@ class TestJsonWriter:
         items = (f"{encode_basestring_ascii(k)}: {c!r}" for k, c in sorted(value.items()))
         expected = json.dumps(value, sort_keys=True, indent=2).replace("\n", "\n" + pad)
         assert cli._join(items, pad, "{}") == expected
+
+
+# Labels from a small range repeat often (cones); the wide range gives
+# multi-digit labels, negative ones over C.
+def _labels(low, high):
+    return st.one_of(st.integers(max(low, -2), min(high, 2)), st.integers(low, high))
+
+
+@st.composite
+def _real_blocks(draw):
+    """Sorted label strings (gl2, gl1) of a real component with n <= 12,
+    either block possibly empty."""
+    q = draw(st.integers(0, 6))
+    r = draw(st.integers(0 if q else 1, 12 - 2 * q))
+    gl2 = sorted(draw(st.lists(_labels(1, 150), min_size=q, max_size=q)))
+    gl1 = sorted(draw(st.lists(st.integers(0, 1), min_size=r, max_size=r)))
+    return tuple(map(str, gl2)), tuple(map(str, gl1))
+
+
+@st.composite
+def _complex_blocks(draw):
+    """Sorted label strings (labels,) of a complex component with n <= 12."""
+    labels = sorted(draw(st.lists(_labels(-150, 150), min_size=1, max_size=12)))
+    return (tuple(map(str, labels)),)
+
+
+def _component_of(blocks):
+    """The library's component with these label strings."""
+    labels = [tuple(map(int, block)) for block in blocks]
+    return Component(SigmaOrbit(*labels)) if len(labels) == 2 else ComplexComponent(*labels)
+
+
+def _written(writer, blocks, **fields):
+    """What a writer prints for a catalog of one record with these blocks."""
+    chunks = []
+    writer(chunks.append, iter([blocks]), argparse.Namespace(**fields))
+    return "".join(chunks)
+
+
+class TestRecordFunctions:
+    """Each record function on components drawn past the tier-1 grid (n up
+    to 12, empty blocks, repeated and multi-digit labels): its JSON is the
+    stdlib encoder's layout at its pad, and its table row is the %-*s
+    layout of the header's columns."""
+
+    @given(st.one_of(_real_blocks(), _complex_blocks()), st.sampled_from(["    ", "      "]))
+    def test_component_json(self, blocks, pad):
+        c = _component_of(blocks)
+        field = "real" if len(blocks) == 2 else "complex"
+        record = cli._by_shape(field, c.dimension, cli._component_json(pad, field))(blocks)
+        assert record == json.dumps(_expected_record(c), sort_keys=True, indent=2).replace(
+            "\n", "\n" + pad
+        )
+
+    @given(_real_blocks())
+    def test_bc_json(self, blocks):
+        m = bc_component(_component_of(blocks))
+        expected = {
+            "column_rank": m.column_rank,
+            "matrix": [list(row) for row in m.matrix],
+            "proper": m.is_proper,
+            "source": _expected_record(m.source),
+            "target": _expected_record(m.target),
+        }
+        text = _written(cli._bc_json, blocks, n=m.source.dimension + m.source.shape.q)
+        assert text == json.dumps([expected], sort_keys=True, indent=2).replace("\n", "\n  ")
+
+    @given(st.one_of(_real_blocks(), _complex_blocks()))
+    def test_components_table_row(self, blocks):
+        c = _component_of(blocks)
+        field = "real" if len(blocks) == 2 else "complex"
+        n = c.dimension + (c.shape.q if field == "real" else 0)
+        cutoff = max(1, *(abs(int(label)) for block in blocks for label in block))
+        text = _written(cli._components_table, blocks, n=n, cutoff=cutoff, field=field)
+        _, columns, row = text[:-1].split("\n")
+        key, dimension, kind, chart = _expected_cells(c)
+        width, dim_width = columns.index("  dim"), max(3, len(str(n)))
+        assert row == "%-*s  %-*s  %-4s  %s" % (width, key, dim_width, dimension, kind, chart)
+
+    @given(_real_blocks())
+    def test_bc_table_row(self, blocks):
+        m = bc_component(_component_of(blocks))
+        n, cutoff = m.source.dimension + m.source.shape.q, max([1, *map(int, blocks[0])])
+        _, columns, row = _written(cli._bc_table, blocks, n=n, cutoff=cutoff)[:-1].split("\n")
+        # Each column's width is where the next header starts, less the gap.
+        headers = ("target", "target kind", "matrix", "rank", "proper")
+        starts = [0, *(columns.index(f"  {h}") + 2 for h in headers)]
+        widths = [b - a - 2 for a, b in zip(starts, starts[1:])]
+        matrix = str([list(r) for r in m.matrix]).replace(" ", "")
+        cells = (m.source.key, m.target.key, m.target.kind, matrix, m.column_rank)
+        padded = (value for pair in zip(widths, cells) for value in pair)
+        proper = "yes" if m.is_proper else "no"
+        assert row == "%-*s  %-*s  %-*s  %-*s  %-*s  %s" % (*padded, proper)
 
 
 def _grid(path):
