@@ -22,7 +22,7 @@ from math import gcd
 from typing import Callable, Sequence
 
 from .ktheory import KClass, KGroupPresentation, _by_key, _is_generator, kclass
-from .levi import SigmaOrbit, _require_at_least, _require_int, _setters, _Value
+from .levi import SigmaOrbit, _require_at_least, _require_int, _setters, _unpacked, _Value
 from .param_space import (
     ComplexComponent,
     ComplexTemperedPoint,
@@ -42,7 +42,13 @@ class ParameterMap(_Value):
     def __init__(
         self, source: Component, target: ComplexComponent, matrix: tuple[tuple[int, ...], ...]
     ) -> None:
-        rows = tuple(tuple(row) for row in matrix)
+        if type(source) is not Component:
+            raise TypeError(f"a ParameterMap source must be a Component, got {source!r}")
+        if type(target) is not ComplexComponent:
+            raise TypeError(f"a ParameterMap target must be a ComplexComponent, got {target!r}")
+        rows = tuple(
+            _unpacked("matrix row", row, "integers") for row in _unpacked("matrix", matrix, "rows")
+        )
         if len(rows) != target.dimension:
             raise ValueError("matrix row count must equal the target dimension")
         for row in rows:
@@ -156,8 +162,14 @@ class InducedKMap(_Value):
         target: KGroupPresentation,
         assignments: tuple[tuple[str, KClass], ...],
     ) -> None:
-        # Checked in the given order, then sorted: every key sorted is then a
-        # source key, a string, so a key of another type is named, not compared.
+        if type(source) is not KGroupPresentation:
+            raise TypeError(f"an InducedKMap source must be a KGroupPresentation, got {source!r}")
+        if type(target) is not KGroupPresentation:
+            raise TypeError(f"an InducedKMap target must be a KGroupPresentation, got {target!r}")
+        # Read once, checked in the given order, then sorted: every key sorted
+        # is then a source key, a string, so a key of another type is named,
+        # not compared.
+        assignments = _unpacked("assignments", assignments, "(key, KClass) pairs")
         images: dict[str, KClass] = {}
         for key, cls in assignments:
             # Read inside the loop, so a map with no assignment lists no key.
@@ -165,6 +177,8 @@ class InducedKMap(_Value):
                 raise ValueError(f"assignment for {key!r}, which is not a source generator")
             if key in images:
                 raise ValueError(f"generator {key!r} assigned twice")
+            if type(cls) is not KClass:
+                raise TypeError(f"image of {key!r} must be a KClass, got {cls!r}")
             if cls.presentation != target:
                 raise ValueError(f"image of {key!r} lives in the wrong presentation")
             images[key] = cls

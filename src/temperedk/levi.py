@@ -10,11 +10,13 @@ sorted form so that each Weyl orbit has exactly one representative.
 
 It also owns the value helpers every layer shares: ``_require_int`` and
 ``_require_at_least``, the input checks of every catalog entry point ("n
-must be >= 1"), ``_sorted_labels``, the one label check of every orbit and
-complex component, ``_Value``, the base of every value class in the package,
-all of them slotted, ``_setters``, which binds each one's slot setters,
-``_binomial``, the one bounded binomial, and ``_Memo``, the dict behind the
-shared Levi shapes and the CLI's templates, cells and bc shapes.
+must be >= 1"), ``_unpacked``, the one reader of the params, summands,
+matrices and assignments the value classes take, ``_sorted_labels``, the
+one label check of every orbit and complex component, ``_Value``, the base
+of every value class in the package, all of them slotted, ``_setters``,
+which binds each one's slot setters, ``_binomial``, the one bounded
+binomial, and ``_Memo``, the dict behind the shared Levi shapes and the
+CLI's templates, cells and bc shapes.
 """
 
 from __future__ import annotations
@@ -40,8 +42,22 @@ def _require_at_least(name: str, value: object, least: int) -> None:
         raise ValueError(f"{name} must be >= {least}, got {value}")
 
 
+def _unpacked(name: str, value: Iterable, what: str) -> tuple:
+    """``value`` read into a tuple: an argument that cannot be iterated is
+    named as ``name``, an iterable of ``what``; an error raised while a real
+    iterable is read passes through as it is."""
+    try:
+        return tuple(value)
+    except TypeError:
+        if hasattr(value, "__iter__"):
+            raise  # raised while iterating: not a fault of the argument
+    # Raised here, not in the handler, so no builtin error is chained to it.
+    raise TypeError(f"{name} must be an iterable of {what}, got {value!r}")
+
+
 def _sorted_labels(name: str, labels: Iterable[int]) -> tuple[int, ...]:
     """``labels`` sorted into a tuple, each label checked in the order given."""
+    # Read inline, not via _unpacked: a call more per block slows every orbit.
     try:
         block = [*labels]
     except TypeError:

@@ -25,6 +25,7 @@ from .levi import (
     _require_at_least,
     _setters,
     _sorted_labels,
+    _unpacked,
     _Value,
     enumerate_levi_shapes,
     run_multiplicities,
@@ -154,16 +155,8 @@ class TemperedPoint(_Value):
         expected = self._component_class
         if not isinstance(component, expected):
             raise TypeError(f"a {type(self).__name__} needs a {expected.__name__}")
-        try:
-            twists = tuple(params)
-        except TypeError:
-            if hasattr(params, "__iter__"):
-                raise  # raised while iterating: not a fault of the argument
-            twists = ()
-        # Named here, not in the handler, so no builtin error is chained to it.
+        twists = _unpacked("params", params, "twists")
         if len(twists) != component.dimension:
-            if not hasattr(params, "__iter__"):
-                raise TypeError(f"params must be an iterable of twists, got {params!r}")
             raise ValueError(f"expected {component.dimension} parameters, got {len(twists)}")
         if not all(map(isfinite, twists)):
             raise ValueError(f"twists must be finite, got {twists}")

@@ -22,7 +22,7 @@ from math import isfinite
 from operator import attrgetter
 from typing import Union
 
-from .levi import SigmaOrbit, _require_int, _setters, _Value
+from .levi import SigmaOrbit, _require_int, _setters, _unpacked, _Value
 from .param_space import (
     ComplexComponent,
     ComplexTemperedPoint,
@@ -120,28 +120,32 @@ def _character_key(c: ComplexCharacter) -> tuple:
     return (c.ell, c.t)
 
 
-class LParameterR(_Value):
+class _Parameter(_Value):
+    """A multiset of summands, sorted by the class's ``_order``, which checks
+    each; ``_what`` names them when the argument cannot be iterated."""
+
+    __slots__ = _fields = ("summands",)
+
+    def __init__(self, summands: tuple) -> None:
+        ordered = sorted(_unpacked("summands", summands, self._what), key=self._order)
+        if not ordered:
+            raise ValueError("a parameter needs at least one summand")
+        _set_summands(self, tuple(ordered))
+
+
+(_set_summands,) = _setters(_Parameter)
+
+
+class LParameterR(_Parameter):
     """Tempered L-parameter of GL(n, R): a multiset of summands.
 
     Summands are kept sorted (two-dimensional first, then by label and
     twist) so equal parameters compare equal.
     """
 
-    __slots__ = _fields = ("summands",)
-
-    def __init__(self, summands: tuple[Summand, ...]) -> None:
-        try:
-            ordered = tuple(sorted(summands, key=_summand_key))
-        except TypeError:
-            if hasattr(summands, "__iter__"):
-                raise  # raised while reading it, _summand_key's own included
-            ordered = None
-        # Named here, not in the handler, so no builtin error is chained to it.
-        if not ordered:
-            if ordered is None:
-                raise TypeError(f"summands must be an iterable of W_R summands, got {summands!r}")
-            raise ValueError("a parameter needs at least one summand")
-        _set_real_summands(self, ordered)
+    __slots__ = ()
+    _what = "W_R summands"
+    _order = staticmethod(_summand_key)
 
     @property
     def n(self) -> int:
@@ -149,33 +153,16 @@ class LParameterR(_Value):
         return sum(2 if type(s) is TwoDimInduced else 1 for s in self.summands)
 
 
-(_set_real_summands,) = _setters(LParameterR)
-
-
-class LParameterC(_Value):
+class LParameterC(_Parameter):
     """Tempered L-parameter of GL(n, C): a multiset of C^* characters."""
 
-    __slots__ = _fields = ("summands",)
-
-    def __init__(self, summands: tuple[ComplexCharacter, ...]) -> None:
-        try:
-            ordered = tuple(sorted(summands, key=_character_key))
-        except TypeError:
-            if hasattr(summands, "__iter__"):
-                raise  # raised while reading it, _character_key's own included
-            ordered = None
-        if not ordered:
-            if ordered is None:
-                raise TypeError(f"summands must be an iterable of W_C summands, got {summands!r}")
-            raise ValueError("a parameter needs at least one summand")
-        _set_complex_summands(self, ordered)
+    __slots__ = ()
+    _what = "W_C summands"
+    _order = staticmethod(_character_key)
 
     @property
     def n(self) -> int:
         return len(self.summands)
-
-
-(_set_complex_summands,) = _setters(LParameterC)
 
 
 def restrict(parameter: LParameterR) -> LParameterC:

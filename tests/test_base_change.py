@@ -82,6 +82,7 @@ REAL_COMPONENT = component((1,), ())
 TWISTS = "params must be an iterable of twists"
 ZERO_CLASS = kclass(k_complex(1, 1)[1])
 ONE_KMAP = induced_k_map(1, 1)
+BC_TARGET = ComplexComponent((-1, 1))
 
 
 # Every argument of the wrong kind, or that cannot be iterated, is named in
@@ -104,12 +105,51 @@ ONE_KMAP = induced_k_map(1, 1)
         (lambda: cone_chart(None), "cone_chart takes a Component or a ComplexComponent, got None"),
         (lambda: weyl_group(None), "weyl_group takes a LeviShape, got None"),
         (lambda: run_multiplicities(None), "run_multiplicities takes label tuples, got None"),
+        (
+            lambda: ParameterMap(None, ComplexComponent((0,)), ((1,), (1,))),
+            "a ParameterMap source must be a Component, got None",
+        ),
+        (
+            lambda: ParameterMap(REAL_COMPONENT, None, ((1,), (1,))),
+            "a ParameterMap target must be a ComplexComponent, got None",
+        ),
+        (
+            lambda: ParameterMap(REAL_COMPONENT, BC_TARGET, None),
+            "matrix must be an iterable of rows, got None",
+        ),
+        (
+            lambda: ParameterMap(REAL_COMPONENT, BC_TARGET, ((1,), None)),
+            "matrix row must be an iterable of integers, got None",
+        ),
+        (
+            lambda: ParameterMap(REAL_COMPONENT, BC_TARGET, (5, (1,))),
+            "matrix row must be an iterable of integers, got 5",
+        ),
+        (
+            lambda: InducedKMap(None, k_real(1, 1)[1], ()),
+            "an InducedKMap source must be a KGroupPresentation, got None",
+        ),
+        (
+            lambda: InducedKMap(ONE_KMAP.source, None, ()),
+            "an InducedKMap target must be a KGroupPresentation, got None",
+        ),
+        (
+            lambda: InducedKMap(ONE_KMAP.source, ONE_KMAP.target, None),
+            "assignments must be an iterable of (key, KClass) pairs, got None",
+        ),
+        (
+            lambda: InducedKMap(ONE_KMAP.source, ONE_KMAP.target, (("labels:0", 5),)),
+            "image of 'labels:0' must be a KClass, got 5",
+        ),
     ],
     ids=[
         "real-point-None", "complex-point-int", "LParameterR-None", "LParameterC-int",
         "kclass-None", "kclass-str", "KClass-None", "kclass_add-a", "kclass_add-b",
         "kclass_scale", "pullback-kmap", "pullback-class", "cone_chart", "weyl_group",
-        "run_multiplicities",
+        "run_multiplicities", "ParameterMap-source", "ParameterMap-target",
+        "ParameterMap-matrix", "ParameterMap-row-None", "ParameterMap-row-int",
+        "InducedKMap-source", "InducedKMap-target", "InducedKMap-assignments",
+        "InducedKMap-image",
     ],
 )
 def test_argument_of_the_wrong_kind_is_named(call, message):
@@ -128,11 +168,41 @@ def test_argument_of_the_wrong_kind_is_named(call, message):
         (lambda: LParameterC(s + 1 for s in [None]), "unsupported operand"),
         (lambda: LParameterR([None]), "a W_R summand is a OneDim or a TwoDimInduced, got None"),
         (lambda: LParameterC([None]), "a W_C summand is a ComplexCharacter, got None"),
+        (
+            lambda: ParameterMap(REAL_COMPONENT, BC_TARGET, (row + 1 for row in [None])),
+            "unsupported operand",
+        ),
+        (
+            lambda: ParameterMap(REAL_COMPONENT, BC_TARGET, ((1,), (x + 1 for x in [None]))),
+            "unsupported operand",
+        ),
+        (
+            lambda: InducedKMap(ONE_KMAP.source, ONE_KMAP.target, (a + 1 for a in [None])),
+            "unsupported operand",
+        ),
     ],
 )
 def test_error_while_reading_an_iterable_passes_through(call, message):
     with pytest.raises(TypeError, match=f"^{re.escape(message)}"):
         call()
+
+
+# Like labels, every other iterable argument is read once, so a one-shot
+# generator or iterator serves as well as a tuple.
+def test_params_summands_matrix_and_assignments_may_come_from_any_iterable():
+    point = RealTemperedPoint(REAL_COMPONENT, (0.5,))
+    assert RealTemperedPoint(REAL_COMPONENT, (t for t in point.params)) == point
+    parameter = langlands_real_inverse(RealTemperedPoint(component((2,), (1, 0)), (0.5, 0.0, 1.0)))
+    assert LParameterR(s for s in reversed(parameter.summands)) == parameter
+    assert LParameterC(iter(COMPLEX_PARAMETER.summands)) == COMPLEX_PARAMETER
+    pmap = bc_component(component((1,), (0,)))
+    rebuilt = ParameterMap(pmap.source, pmap.target, (iter(row) for row in pmap.matrix))
+    assert rebuilt == pmap and rebuilt.column_rank == pmap.column_rank == 2
+    kmap = induced_k_map(1, 2)
+    rebuilt = InducedKMap(kmap.source, kmap.target, (pair for pair in kmap.assignments))
+    assert rebuilt == kmap and rebuilt.support == kmap.support != ()
+    key = kmap.support[0]
+    assert rebuilt.image_of(key) == kmap.image_of(key)
 
 
 class TestBcComponent:
