@@ -34,7 +34,9 @@ from .param_space import (
 
 class ParameterMap(_Value):
     """Integer linear map between component parameter spaces, rows = target
-    coordinates, columns = source coordinates."""
+    coordinates, columns = source coordinates.  The rows are in the order
+    its maker gives them, which need not be the target's label order (see
+    ``bc_component``)."""
 
     __slots__ = ("source", "target", "matrix", "column_rank")
     _fields = ("source", "target", "matrix")
@@ -111,6 +113,12 @@ def bc_component(component: Component) -> ParameterMap:
 
     Each gl2 label ell lands on the pair {ell, -ell} sharing the source
     coordinate; each gl1 label lands on 0 with the coordinate doubled.
+
+    The matrix lists its rows by source coordinate, not in the target's
+    sorted label order: for each gl2 label ell, in order, a row for ell and
+    one for -ell, then one row for each gl1 label.  So on SigmaOrbit((3,),
+    (0,)) the rows stand for the labels 3, -3, 0, while the target's labels
+    are (-3, 0, 3).
     """
     if type(component) is not Component:
         raise TypeError(f"bc_component takes a Component, got {component!r}")

@@ -157,26 +157,30 @@ def _collect(command: str, n: int, cutoff: int, field: str) -> tuple[str, object
 # record is written from its label blocks, as strings, straight from the
 # enumerator: a bc map's source is a real catalog record, and its target's
 # labels follow from the source's (base_change._target_labels).  Its shape
-# is the size of each block, (q, r) when real and the dimension n when
-# complex, then the lines of its chart: param_space's own count of distinct
-# labels, made once per block (_block_lines) and summed.  It fixes the
-# dimension, kind and chart counts (the rays are the dimension less the
-# lines), and so every byte of a record but its labels.  So a writer
-# makes one record function per shape: _by_shape calls template(shape,
-# dimension, kind, lines, rays) once per shape, and the template writes
-# the shape's JSON object or table row once, with a %s placeholder for each
-# label list and one for the key, splits it there into fixed pieces and
-# returns a function of the shape's label blocks.  A record is then one
-# f-string of those pieces and its fills: each label list is one join of
-# its block, an empty one a fixed [] and an empty fill, and the key is
-# param_space's (_real_key, _complex_key), padded to its column in a table.
-# A key is written as is, in quotes, with no JSON escaping: its labels are
-# str(int), and its other characters are fixed ASCII.  Every complex
-# record of a command has dimension n, so its lines alone pick its
-# function.  A bc map's matrix, and so its rank and properness, depend on
-# the Levi shape (q, r) alone, so a bc writer builds, ranks and writes one
-# matrix per shape.  These memos hold a few dozen strings and functions a
-# command.
+# key is the size of each block, then the lines of each block's chart:
+# param_space's own count of distinct labels, made once per block
+# (_block_lines).  A real key is (q, r, gl2 lines, gl1 lines), a complex
+# one (n, lines).  The key fixes the dimension, kind and chart counts (the
+# rays are the dimension less the lines), and so every byte of a record but
+# its labels.  So a writer makes one record function per shape key: _record
+# calls template(shape, dimension, kind, lines, rays), and the template
+# writes the shape's JSON object or table row once, with a %s placeholder
+# for each label list and one for the key, splits it there into fixed
+# pieces and returns a function of the shape's label blocks.  A record is
+# then one f-string of those pieces and its fills: each label list is one
+# join of its block, an empty one a fixed [] and an empty fill, and the key
+# is param_space's (_real_key, _complex_key), padded to its column in a
+# table.  A key is written as is, in quotes, with no JSON escaping: its
+# labels are str(int), and its other characters are fixed ASCII.  Every
+# complex record of a command has dimension n, so _by_shape memoizes its
+# record functions by their lines alone.  A bc map's target key follows
+# from its source's: gl2 labels are >= 1, so each distinct one gives two
+# distinct target labels, l and -l, and a gl1 block of any size the one
+# label 0, so the target has n labels and 2 * (gl2 lines) + min(r, 1) lines.
+# Its matrix, and so its rank and properness, depend on (q, r) alone.  So a
+# bc writer picks the target's record function, and builds, ranks and
+# writes the matrix, once per source shape.  These memos hold a few dozen
+# strings and functions a command.
 
 
 def _partition(shape: LeviShape) -> tuple[str, str, str, str]:
@@ -188,19 +192,21 @@ def _partition(shape: LeviShape) -> tuple[str, str, str, str]:
 _Blocks = tuple[Sequence[str], ...]
 
 
+def _record(template: Callable[..., Callable[..., str]], shape: tuple[int, ...]) -> Callable:
+    """Record function of one shape key (see above): its blocks' sizes, then their lines."""
+    half = len(shape) // 2
+    lines = sum(shape[half:])
+    rays = sum(shape[:half]) - lines
+    return template(shape, lines + rays, KIND_CONE if rays else KIND_FREE, lines, rays)
+
+
 def _by_shape(field: str, n: int, template: Callable[..., Callable[..., str]]) -> Callable:
     """Record function: its shape's own (see above), called on its label blocks."""
-
-    def counted(shape: tuple[int, ...]) -> Callable[..., str]:
-        *parts, lines = shape
-        rays = sum(parts) - lines
-        return template(shape, lines + rays, KIND_CONE if rays else KIND_FREE, lines, rays)
-
-    records = _Memo(counted if field == "real" else lambda lines: counted((n, lines)))
+    records = _Memo(lambda key: _record(template, key if field == "real" else (n, key)))
 
     def real(blocks: _Blocks) -> str:
         gl2, gl1 = blocks
-        return records[len(gl2), len(gl1), _block_lines(gl2) + _block_lines(gl1)](gl2, gl1)
+        return records[len(gl2), len(gl1), _block_lines(gl2), _block_lines(gl1)](gl2, gl1)
 
     def complex_(blocks: _Blocks) -> str:
         (labels,) = blocks
@@ -279,7 +285,8 @@ def _component_json(pad: str, field: str) -> Callable[..., Callable[..., str]]:
     # The shape's object, split at its label lists, in key order (gl1 before
     # gl2), and at its key.
     def template(shape: tuple[int, ...], dimension: int, kind: str, lines: int, rays: int):
-        lists = [_join(("%s",), inner) if count else "[]%s" for count in reversed(shape[:-1])]
+        sizes = shape[: len(shape) // 2]
+        lists = [_join(("%s",), inner) if count else "[]%s" for count in reversed(sizes)]
         obj = cone.replace("%s", chart % (lines, rays), 1) if rays else free
         if field == "real":
             a, b, c, d = (obj % (dimension, *lists, '"%s"', encode(kind), *shape[:2])).split("%s")
@@ -321,18 +328,20 @@ def _ktheory_json(write: _Write, degrees: _Degrees, args: Namespace) -> None:
 def _bc_json(write: _Write, catalog: Iterator[_Blocks], args: Namespace) -> None:
     template = _object("    ", ("column_rank", "matrix", "proper", "source", "target"))
     pad = "      "
-    source = _component_json(pad, "real")
-    target = _by_shape("complex", args.n, _component_json(pad, "complex"))
+    source, target = _component_json(pad, "real"), _component_json(pad, "complex")
     matrices = lambda m: _join((_join(map(repr, row), pad + "  ") for row in m), pad)
     shapes = _bc_shapes(matrices, ("false", "true"))
 
     # The source's shape fixes the map's: its object, split at its source,
-    # written by the source's record function, and at its target.
+    # written by the source's record function, and at its target, written by
+    # the record function of the target's key.
     def bc_template(shape: tuple[int, ...], *counts: object) -> Callable[..., str]:
-        matrix, rank, proper = shapes[shape[:2]]
+        q, r, gl2_lines, _ = shape
+        matrix, rank, proper = shapes[q, r]
         a, b, c = (template % (rank, matrix, proper, "%s", "%s")).split("%s")
         record = source(shape, *counts)
-        return lambda gl2, gl1: f"{a}{record(gl2, gl1)}{b}{target((_target_labels(gl2, gl1),))}{c}"
+        image = _record(target, (args.n, 2 * gl2_lines + min(r, 1)))
+        return lambda gl2, gl1: f"{a}{record(gl2, gl1)}{b}{image(_target_labels(gl2, gl1))}{c}"
 
     _stream(write, map(_by_shape("real", args.n, bc_template), catalog))
 

@@ -16,7 +16,15 @@ from operator import itemgetter
 from types import MappingProxyType
 from typing import Callable, Iterator, Mapping, Union
 
-from .levi import SigmaOrbit, _binomial, _require_at_least, _require_int, _setters, _Value
+from .levi import (
+    SigmaOrbit,
+    _binomial,
+    _require_at_least,
+    _require_int,
+    _setters,
+    _unpacked,
+    _Value,
+)
 from .param_space import Component, ComplexComponent, _complex_key, _label_blocks, _real_key
 
 # The key of a (key, value) pair: classes and induced maps sort their terms by it.
@@ -193,7 +201,8 @@ class KClass(_Value):
             raise TypeError(f"a KClass needs a KGroupPresentation, got {presentation!r}")
         # Zeros of any type other than int are kept so the check below
         # rejects them; bool is an int subclass and is rejected too.
-        items = [(k, c) for k, c in items if c != 0 or type(c) is not int]
+        terms = _unpacked("items", items, "(key, coefficient) pairs")
+        items = [(k, c) for k, c in terms if c != 0 or type(c) is not int]
         # Read only with terms to check, so a zero class lists no key.
         known = presentation.generator_index if items else {}
         try:
@@ -237,6 +246,10 @@ def kclass(
     presentation: KGroupPresentation, coefficients: Mapping[str, int] = MappingProxyType({})
 ) -> KClass:
     """Class from a generator-to-coefficient mapping; zeros are pruned."""
+    if not hasattr(coefficients, "items"):
+        raise TypeError(
+            f"kclass takes a mapping of generator keys to coefficients, got {coefficients!r}"
+        )
     return KClass(presentation, tuple(coefficients.items()))
 
 

@@ -49,7 +49,7 @@ def _complex_key(labels: Iterable[str]) -> str:
 
 class _FreeOrCone(_Value):
     """Free (and so a K-theory generator) exactly when its cone chart has no
-    ray; each component class supplies ``label_blocks`` and ``dimension``."""
+    ray; each component class supplies ``label_blocks``, ``dimension``, ``_key``."""
 
     __slots__ = ()
 
@@ -67,12 +67,18 @@ class _FreeOrCone(_Value):
     def kind(self) -> str:
         return KIND_FREE if self.is_free else KIND_CONE
 
+    @property
+    def key(self) -> str:
+        """Canonical reference string, stable across runs and serializations."""
+        return self._key(*([*map(str, block)] for block in self.label_blocks))
+
 
 class Component(_FreeOrCone):
     """One connected piece of the real tempered dual: an orbit; its label counts give the shape."""
 
     __slots__ = ("orbit", "shape")
     _fields = ("orbit",)
+    _key = staticmethod(_real_key)
 
     def __init__(self, orbit: SigmaOrbit) -> None:
         _set_orbit(self, orbit)
@@ -81,11 +87,6 @@ class Component(_FreeOrCone):
     @property
     def dimension(self) -> int:
         return self.shape.q + self.shape.r
-
-    @property
-    def key(self) -> str:
-        """Canonical reference string, stable across runs and serializations."""
-        return _real_key([*map(str, self.orbit.gl2_labels)], [*map(str, self.orbit.gl1_labels)])
 
     @property
     def label_blocks(self) -> tuple[tuple[int, ...], ...]:
@@ -100,6 +101,7 @@ class ComplexComponent(_FreeOrCone):
     """One connected piece of the complex tempered dual: n circle exponents."""
 
     __slots__ = _fields = ("labels",)
+    _key = staticmethod(_complex_key)
 
     def __init__(self, labels: tuple[int, ...]) -> None:
         labels = _sorted_labels("labels", labels)
@@ -110,10 +112,6 @@ class ComplexComponent(_FreeOrCone):
     @property
     def dimension(self) -> int:
         return len(self.labels)
-
-    @property
-    def key(self) -> str:
-        return _complex_key(map(str, self.labels))
 
     @property
     def label_blocks(self) -> tuple[tuple[int, ...], ...]:

@@ -1,3 +1,4 @@
+import operator
 import random
 import re
 
@@ -97,6 +98,18 @@ BC_TARGET = ComplexComponent((-1, 1))
         (lambda: kclass(None), "a KClass needs a KGroupPresentation, got None"),
         (lambda: kclass("junk"), "a KClass needs a KGroupPresentation, got 'junk'"),
         (lambda: KClass(None, (("labels:0", 1),)), "a KClass needs a KGroupPresentation, got None"),
+        (
+            lambda: KClass(ZERO_CLASS.presentation, None),
+            "items must be an iterable of (key, coefficient) pairs, got None",
+        ),
+        (
+            lambda: kclass(ZERO_CLASS.presentation, None),
+            "kclass takes a mapping of generator keys to coefficients, got None",
+        ),
+        (
+            lambda: kclass(ZERO_CLASS.presentation, 5),
+            "kclass takes a mapping of generator keys to coefficients, got 5",
+        ),
         (lambda: kclass_add(None, ZERO_CLASS), "kclass_add takes a KClass, got None"),
         (lambda: kclass_add(ZERO_CLASS, {}), "kclass_add takes a KClass, got {}"),
         (lambda: kclass_scale(None, 2), "kclass_scale takes a KClass, got None"),
@@ -144,7 +157,8 @@ BC_TARGET = ComplexComponent((-1, 1))
     ],
     ids=[
         "real-point-None", "complex-point-int", "LParameterR-None", "LParameterC-int",
-        "kclass-None", "kclass-str", "KClass-None", "kclass_add-a", "kclass_add-b",
+        "kclass-None", "kclass-str", "KClass-None", "KClass-items-None", "kclass-coefficients-None",
+        "kclass-coefficients-int", "kclass_add-a", "kclass_add-b",
         "kclass_scale", "pullback-kmap", "pullback-class", "cone_chart", "weyl_group",
         "run_multiplicities", "ParameterMap-source", "ParameterMap-target",
         "ParameterMap-matrix", "ParameterMap-row-None", "ParameterMap-row-int",
@@ -415,6 +429,26 @@ class TestBcPointReal:
     def test_output_is_returned_by_canonicalize(self, gl2, gl1):
         image = bc_point_real(RealTemperedPoint(component((1, 1, 3), (0, 0)), tuple(gl2 + gl1)))
         assert canonicalize_point(image) is image
+
+    @given(st.data())
+    def test_matrix_rows_follow_the_source_coordinates(self, data):
+        # bc_component's rows come by source coordinate, not in the target's
+        # label order: for each gl2 label ell a row for ell and one for -ell,
+        # then a row for 0 per gl1 label.  Paired so, each row carries the
+        # twist bc_point_real gives its label.
+        q = data.draw(st.integers(0, 3))
+        gl2 = sorted(data.draw(st.lists(st.integers(1, 4), min_size=q, max_size=q)))
+        gl1 = sorted(data.draw(st.lists(st.integers(0, 1), min_size=0 if q else 1, max_size=3)))
+        c = component(gl2, gl1)
+        # |t| <= 1e300, so no doubled twist overflows.
+        twists = st.lists(st.floats(-1e300, 1e300), min_size=c.dimension, max_size=c.dimension)
+        params = tuple(data.draw(twists))
+        labels = [label for ell in gl2 for label in (ell, -ell)] + [0] * len(gl1)
+        rows = bc_component(c).matrix
+        pairs = [(label, sum(map(operator.mul, row, params))) for label, row in zip(labels, rows)]
+        image = bc_point_real(RealTemperedPoint(c, params))
+        assert len(rows) == len(labels)
+        assert sorted(pairs) == sorted(zip(image.component.labels, image.params))
 
     def test_doubling_overflow_names_the_input_twist(self):
         c = component((), (0,))

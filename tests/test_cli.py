@@ -797,6 +797,18 @@ class TestChartOnce:
         assert counted == [b for blocks in param_space._catalog(field, 6, 4, str) for b in blocks]
 
     @pytest.mark.parametrize("fmt", ["json", "table"])
+    def test_bc_counts_each_source_block_once(self, fmt, monkeypatch, capsys):
+        # A bc target's chart follows from its source's shape key (twice the
+        # distinct gl2 labels, plus one for any gl1 label), so each record
+        # counts its source's gl2 and gl1 blocks and none of its target.
+        counted = []
+        lines = cli._block_lines
+        monkeypatch.setattr(cli, "_block_lines", lambda block: counted.append(block) or lines(block))
+        assert main(["bc", "--n", "6", "--cutoff", "4", "--format", fmt]) == 0
+        assert len(counted) == 2 * cli.predicted_size("bc", 6, 4, "real")
+        assert counted == [b for blocks in param_space._catalog("real", 6, 4, str) for b in blocks]
+
+    @pytest.mark.parametrize("fmt", ["json", "table"])
     def test_bc_scans_no_runs(self, fmt, monkeypatch, capsys):
         scans = []
         scan = param_space.run_multiplicities
