@@ -142,13 +142,13 @@ def bc_point_real(point: RealTemperedPoint) -> ComplexTemperedPoint:
     """
     if type(point) is not RealTemperedPoint:
         raise TypeError(f"bc_point_real takes a RealTemperedPoint, got {point!r}")
-    component = point.component
-    q = component.shape.q
+    twists = iter(point.params)
     pairs = []
-    for ell, t in zip(component.orbit.gl2_labels, point.params[:q]):
+    # zip stops at the end of the gl2 block without drawing the next twist.
+    for ell, t in zip(point.component.orbit.gl2_labels, twists):
         pairs.append((ell, t))
         pairs.append((-ell, t))
-    for t in point.params[q:]:
+    for t in twists:
         pairs.append((0, _doubled_twist(t)))
     pairs.sort()
     # A component has dimension >= 1, so pairs is never empty.

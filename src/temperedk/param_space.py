@@ -153,11 +153,18 @@ class TemperedPoint(_Value):
         expected = self._component_class
         if not isinstance(component, expected):
             raise TypeError(f"a {type(self).__name__} needs a {expected.__name__}")
-        twists = _unpacked("params", params, "twists")
+        twists = params if type(params) is tuple else _unpacked("params", params, "twists")
         if len(twists) != component.dimension:
             raise ValueError(f"expected {component.dimension} parameters, got {len(twists)}")
-        if not all(map(isfinite, twists)):
-            raise ValueError(f"twists must be finite, got {twists}")
+        for t in twists:
+            # Inline test first: t - t is 0.0 for a finite float, NaN for NaN
+            # and +-inf.  At the first other twist, all are checked and then
+            # converted, as a character converts its twist.
+            if type(t) is not float or t - t != 0.0:
+                if not all(map(isfinite, twists)):
+                    raise ValueError(f"twists must be finite, got {twists}")
+                twists = tuple(map(float, twists))
+                break
         _set_component(self, component)
         _set_params(self, twists)
 
@@ -187,7 +194,8 @@ def _doubled_twist(t: float) -> float:
     """2t for a finite twist t; a t whose double overflows is named in the
     error, rather than the infinite double a point or character would report."""
     doubled = 2.0 * t
-    if not isfinite(doubled):
+    # A float, so finite exactly when doubled - doubled is 0.0, as in a point.
+    if doubled - doubled != 0.0:
         raise ValueError(f"twist {t!r} overflows when doubled")
     return doubled
 

@@ -50,7 +50,9 @@ class RealCharacter(_Value):
         if epsilon not in (0, 1):
             raise ValueError(f"epsilon must be 0 or 1, got {epsilon}")
         _set_real_epsilon(self, epsilon)
-        _set_real_t(self, _finite_twist(t))
+        # Inline test first: t - t is 0.0 for a finite float, NaN for NaN and
+        # +-inf, so only a twist that is not a finite float takes the call.
+        _set_real_t(self, t if type(t) is float and t - t == 0.0 else _finite_twist(t))
 
 
 _set_real_epsilon, _set_real_t = _setters(RealCharacter)
@@ -65,7 +67,7 @@ class ComplexCharacter(_Value):
         if type(ell) is not int:
             _require_int("ell", ell)
         _set_complex_ell(self, ell)
-        _set_complex_t(self, _finite_twist(t))
+        _set_complex_t(self, t if type(t) is float and t - t == 0.0 else _finite_twist(t))
 
 
 _set_complex_ell, _set_complex_t = _setters(ComplexCharacter)
@@ -105,6 +107,8 @@ class TwoDimInduced(_Value):
 
 Summand = Union[OneDim, TwoDimInduced]
 
+_twist_of = attrgetter("chi.t")
+
 
 def _summand_key(s: Summand) -> tuple:
     if type(s) is TwoDimInduced:
@@ -127,7 +131,9 @@ class _Parameter(_Value):
     __slots__ = _fields = ("summands",)
 
     def __init__(self, summands: tuple) -> None:
-        ordered = sorted(_unpacked("summands", summands, self._what), key=self._order)
+        if type(summands) is not tuple:
+            summands = _unpacked("summands", summands, self._what)
+        ordered = sorted(summands, key=self._order)
         if not ordered:
             raise ValueError("a parameter needs at least one summand")
         _set_summands(self, tuple(ordered))
@@ -205,9 +211,10 @@ def langlands_real(parameter: LParameterR) -> RealTemperedPoint:
             gl2.append(s.chi.ell)
         else:
             gl1.append(s.chi.epsilon)
-    # The summands are in gl2-then-gl1 order already, as the point's twists are.
-    params = tuple(map(attrgetter("chi.t"), parameter.summands))
-    return RealTemperedPoint(Component(SigmaOrbit(tuple(gl2), tuple(gl1))), params)
+    # The summands are in gl2-then-gl1 order already, as the point's twists
+    # are; the orbit copies the label lists.
+    params = tuple(map(_twist_of, parameter.summands))
+    return RealTemperedPoint(Component(SigmaOrbit(gl2, gl1)), params)
 
 
 def langlands_real_inverse(point: RealTemperedPoint) -> LParameterR:
@@ -218,12 +225,13 @@ def langlands_real_inverse(point: RealTemperedPoint) -> LParameterR:
     """
     if type(point) is not RealTemperedPoint:
         raise TypeError(f"langlands_real_inverse takes a RealTemperedPoint, got {point!r}")
-    component = point.component
-    q = component.shape.q
+    orbit = point.component.orbit
+    twists = iter(point.params)
     summands: list[Summand] = []
-    for ell, t in zip(component.orbit.gl2_labels, point.params[:q]):
+    # zip stops at the end of a block without drawing the next twist.
+    for ell, t in zip(orbit.gl2_labels, twists):
         summands.append(TwoDimInduced(ComplexCharacter(ell, t)))
-    for eps, t in zip(component.orbit.gl1_labels, point.params[q:]):
+    for eps, t in zip(orbit.gl1_labels, twists):
         summands.append(OneDim(RealCharacter(eps, t)))
     return LParameterR(tuple(summands))
 

@@ -1,4 +1,6 @@
 import operator
+from decimal import Decimal
+from fractions import Fraction
 import random
 import re
 
@@ -449,6 +451,13 @@ class TestBcPointReal:
         image = bc_point_real(RealTemperedPoint(c, params))
         assert len(rows) == len(labels)
         assert sorted(pairs) == sorted(zip(image.component.labels, image.params))
+
+    def test_decimal_gl1_twist_doubles_to_a_float(self):
+        # The point converts its twists to floats, so doubling never meets
+        # a Decimal.
+        image = bc_point_real(RealTemperedPoint(component((3,), (0,)), (Fraction(1, 2), Decimal("0.25"))))
+        assert image.params == (0.5, 0.5, 0.5)
+        assert all(type(t) is float for t in image.params)
 
     def test_doubling_overflow_names_the_input_twist(self):
         c = component((), (0,))

@@ -1,3 +1,5 @@
+from decimal import Decimal
+from fractions import Fraction
 from math import comb
 
 import pytest
@@ -104,6 +106,12 @@ def test_labels_may_come_from_any_iterable():
     # that the argument cannot be iterated.
     with pytest.raises(TypeError, match="unsupported operand"):
         ComplexComponent(1 + ell for ell in (0, None))
+
+
+@pytest.mark.parametrize("empty", [(), [], (ell for ell in ())], ids=["tuple", "list", "generator"])
+def test_complex_component_needs_a_label(empty):
+    with pytest.raises(ValueError, match="^a complex component needs at least one label$"):
+        ComplexComponent(empty)
 
 
 class TestComponent:
@@ -432,6 +440,32 @@ class TestPoints:
             RealTemperedPoint(component((), (0, 0, 0)), (1.0, bad, 0.5))
         with pytest.raises(ValueError):
             ComplexTemperedPoint(ComplexComponent((0, 0)), (bad, 0.0))
+
+    @pytest.mark.parametrize(
+        "twist, value",
+        [
+            (2, 2.0),
+            (True, 1.0),
+            (Fraction(1, 2), 0.5),
+            (Decimal("0.25"), 0.25),
+            (type("FloatSubclass", (float,), {})(1.5), 1.5),
+        ],
+        ids=["int", "bool", "Fraction", "Decimal", "float-subclass"],
+    )
+    def test_twists_become_plain_floats(self, twist, value):
+        # As a character does, a point converts a finite twist that is not
+        # a float, and converts every twist once one needs it.
+        real = RealTemperedPoint(component((3,), (0,)), (0.5, twist))
+        cplx = ComplexTemperedPoint(ComplexComponent((0, 1)), [twist, -1.0])
+        assert real.params == (0.5, value) and cplx.params == (value, -1.0)
+        for t in real.params + cplx.params:
+            assert type(t) is float
+
+    def test_str_twist_rejected(self):
+        with pytest.raises(TypeError):
+            RealTemperedPoint(component((), (0,)), ("2",))
+        with pytest.raises(TypeError):
+            ComplexTemperedPoint(ComplexComponent((0, 1)), (0.5, "0.5"))
 
     def test_point_kind_must_match_component(self):
         real_c, complex_c = component((), (0,)), ComplexComponent((0,))

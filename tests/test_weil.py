@@ -1,6 +1,11 @@
 import random
+import re
+import sys
+from math import isfinite
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from temperedk import (
     ComplexCharacter,
@@ -15,11 +20,14 @@ from temperedk import (
     RealTemperedPoint,
     SigmaOrbit,
     TwoDimInduced,
+    bc_point_real,
     canonicalize_point,
     langlands_complex,
     langlands_real,
     langlands_real_inverse,
+    param_space,
     restrict,
+    weil,
 )
 
 from oracles import restricted_labels_by_induction
@@ -261,3 +269,83 @@ class TestLanglandsComplex:
             for _ in range(25):
                 point = langlands_complex(restrict(random_real_parameter(rng, n)))
                 assert canonicalize_point(point) is point
+
+
+# Drawn first, before any float: NaN, +-inf, +-0.0, subnormals and +-max.
+EDGE_FLOATS = (
+    float("nan"), float("inf"), float("-inf"), 0.0, -0.0, 5e-324, -5e-324,
+    sys.float_info.max, -sys.float_info.max, sys.float_info.min,
+)
+
+
+def with_edges(test):
+    for t in EDGE_FLOATS:
+        test = example(t)(test)
+    return given(st.floats())(test)
+
+
+class TestInlineFiniteTest:
+    # A twist passes on a type test and t - t == 0.0; this must agree with
+    # math.isfinite on every float, and a twist it rejects must meet the
+    # helper's own check and message.
+
+    @with_edges
+    def test_characters_accept_exactly_the_finite_floats(self, t):
+        for make, label in ((RealCharacter, 0), (ComplexCharacter, 1)):
+            if isfinite(t):
+                assert make(label, t).t is t
+            else:
+                with pytest.raises(ValueError, match=f"^twist must be finite, got {re.escape(str(t))}$"):
+                    make(label, t)
+
+    @with_edges
+    def test_points_accept_exactly_the_finite_floats(self, t):
+        twists = (t,)
+        makers = (
+            lambda: RealTemperedPoint(Component(SigmaOrbit((), (1,))), twists),
+            lambda: ComplexTemperedPoint(ComplexComponent((0,)), twists),
+        )
+        for point in makers:
+            if isfinite(t):
+                p = point()
+                assert p.params is twists and p.params[0] is t
+            else:
+                with pytest.raises(ValueError, match=f"^twists must be finite, got {re.escape(str(twists))}$"):
+                    point()
+
+    @with_edges
+    def test_doubling_raises_exactly_when_the_double_is_infinite(self, t):
+        if isfinite(2.0 * t):
+            assert param_space._doubled_twist(t) == 2.0 * t
+        else:
+            with pytest.raises(ValueError, match=f"^twist {re.escape(repr(t))} overflows when doubled$"):
+                param_space._doubled_twist(t)
+
+
+class TestNoHelperForValidValues:
+    def test_point_path_calls_no_twist_or_tuple_helper(self, monkeypatch):
+        # Float twists and tuple arguments pass on inline tests; only a value
+        # that needs converting or rejecting goes through a helper.
+        calls = []
+        for module, name in ((weil, "_finite_twist"), (weil, "_unpacked"), (param_space, "_unpacked")):
+            helper = getattr(module, name)
+            monkeypatch.setattr(module, name, lambda *a, _h=helper, _n=name: calls.append(_n) or _h(*a))
+        rng = random.Random(35)
+        for n in range(1, 9):
+            for _ in range(10):
+                parameter = random_real_parameter(rng, n)
+                restricted = restrict(parameter)
+                point = langlands_real(parameter)
+                assert langlands_real_inverse(point) == parameter
+                complex_point = langlands_complex(restricted)
+                image = bc_point_real(point)
+                assert image == complex_point
+                reversed_point = RealTemperedPoint(point.component, point.params[::-1])
+                for p in (point, complex_point, image, reversed_point):
+                    canonicalize_point(p)
+        assert calls == []
+        # The helpers are still there for a value that is not valid as given.
+        RealCharacter(0, 1)
+        LParameterC([ComplexCharacter(0, 0.0)])
+        RealTemperedPoint(Component(SigmaOrbit((), (0,))), [0.0])
+        assert calls == ["_finite_twist", "_unpacked", "_unpacked"]
