@@ -180,7 +180,6 @@ class InducedKMap(_Value):
         assignments = _unpacked("assignments", assignments, "(key, KClass) pairs")
         images: dict[str, KClass] = {}
         for key, cls in assignments:
-            # Read inside the loop, so a map with no assignment lists no key.
             if not _is_generator(source, key):
                 raise ValueError(f"assignment for {key!r}, which is not a source generator")
             if key in images:

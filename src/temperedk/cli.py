@@ -44,14 +44,15 @@ from .param_space import (
     _real_key,
     _shape_catalog_size,
     _widest_blocks,
+    _widest_key,
 )
 
 # Largest output a command may write, in cells: n labels per entry, n^2 per
 # bc record for the n-row matrix it prints, plus the label pool if one is
-# built.  kmap lists keys only for n = 1, so for n >= 2 it counts just the
-# pool.  Catalogs, bc maps and ktheory keys stream from label strings, a
-# chunk of records per write, and hold no record, so the cap bounds a
-# command's time and output, not its memory.
+# built.  kmap is priced at its keys only for n = 1, so for n >= 2 it
+# counts just the pool.  Catalogs, bc maps and ktheory keys stream from
+# label strings, a chunk of records per write, and hold no record, so the
+# cap bounds a command's time and output, not its memory.
 MAX_CELLS = 4_000_000
 
 
@@ -87,8 +88,9 @@ def predicted_size(command: str, n: int, cutoff: int, field: str) -> int | float
     Levi shapes (partitions), ``param_space``'s catalog counts (components,
     bc), the bounded ranks of ``ktheory``'s closed forms, both degrees
     (ktheory), or the keys of both presentations when n = 1 and none for
-    n >= 2 (kmap).  0 when n < 1, which every command rejects before
-    enumerating; ``inf`` for counts above 10^37 (see ``levi._binomial``)."""
+    n >= 2 (kmap, which lists none).  0 when n < 1, which every command
+    rejects before enumerating; ``inf`` for counts above 10^37 (see
+    ``levi._binomial``)."""
     if n < 1:
         return 0
     if command == "partitions":
@@ -105,11 +107,13 @@ def predicted_size(command: str, n: int, cutoff: int, field: str) -> int | float
     )
     if command == "ktheory":
         return real_rank if field == "real" else complex_rank
-    # kmap lists keys only to check its one assignment when n = 1: the
-    # 2 * cutoff + 1 source keys and the two target keys.  For n >= 2 the
-    # map is zero and nothing is listed.  It prints both ranks exactly, so
-    # an infinite one refuses it, and the pool term of _check_size bounds
-    # the digits of a finite one.
+    # kmap at n = 1 is priced at the 2 * cutoff + 1 source keys and the two
+    # target keys it once listed to check its one assignment, so that its
+    # refusals stay byte-identical, though it now reads membership from the
+    # three keys alone and lists none.  For n >= 2 the map is zero and
+    # costs nothing.  It prints both ranks exactly, so an infinite one
+    # refuses it, and the pool term of _check_size bounds the digits of a
+    # finite one.
     both = real_rank + complex_rank
     return both if n == 1 or both == inf else 0
 
@@ -119,7 +123,7 @@ def _check_size(command: str, n: int, cutoff: int, field: str) -> None:
     size = predicted_size(command, n, cutoff, field)
     # Real shapes draw gl2 labels only when q >= 1, so at n = 1 a real-only
     # command (real components and ktheory, bc) builds no pool.  kmap's
-    # source at n = 1 is complex and lists its pool.
+    # source at n = 1 is complex and is priced with its pool.
     real_only = command == "bc" or (command in ("components", "ktheory") and field == "real")
     pool = 2 * max(cutoff, 0) + 1 if command != "partitions" and (n > 1 or not real_only) else 0
     cells = size * (n * n if command == "bc" else n) + pool
@@ -385,15 +389,14 @@ def _partitions_table(write: _Write, shapes: list[LeviShape], args: Namespace) -
 
 def _components_table(write: _Write, catalog: Iterator[_Blocks], args: Namespace) -> None:
     # One pass, and no row is held: the widest key is a closed form
-    # (param_space._widest_blocks).  The widest dimension is n, which every
+    # (param_space._widest_key).  The widest dimension is n, which every
     # catalog has (over R, on the shape of n 1-blocks), "free" and "cone" are
     # as wide as "kind", and the chart ends the row.  The free components are
     # the K-theory generators of both degrees, so the header counts them, and
     # the whole catalog, with the closed forms that price ktheory and
     # components commands: each record counts its chart's lines once per block.
-    key_of = _real_key if args.field == "real" else _complex_key
-    widest = max(len(key_of(*b)) for b in _widest_blocks(args.field, args.n, args.cutoff))
-    width, cells = max(3, widest), "  %%-%ds  %%-4s  %%s\n" % max(3, len(str(args.n)))
+    width = max(3, _widest_key(args.field, args.n, args.cutoff))
+    cells = "  %%-%ds  %%-4s  %%s\n" % max(3, len(str(args.n)))
     free = predicted_size("ktheory", args.n, args.cutoff, args.field)
     cone = predicted_size("components", args.n, args.cutoff, args.field) - free
     write(

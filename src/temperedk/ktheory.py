@@ -6,13 +6,17 @@ K-group is therefore free abelian with one generator per free component of
 matching parity.  At a finite label cutoff the generator catalog is a finite
 truncation; the accompanying closed form describes the full countable index
 family and predicts the truncated rank at any cutoff.
+
+A presentation is its four fields, (field, n, cutoff, degree): its closed
+form and rank follow from them, and whether a key is a generator follows
+from the key itself (``_is_generator``), so no class or induced map lists one.
 """
 
 from __future__ import annotations
 
 from itertools import combinations, count, starmap
 from math import comb
-from operator import itemgetter
+from operator import itemgetter, lt
 from types import MappingProxyType
 from typing import Callable, Iterator, Mapping, Union
 
@@ -25,7 +29,14 @@ from .levi import (
     _unpacked,
     _Value,
 )
-from .param_space import Component, ComplexComponent, _complex_key, _label_blocks, _real_key
+from .param_space import (
+    Component,
+    ComplexComponent,
+    _complex_key,
+    _key_blocks,
+    _label_blocks,
+    _real_key,
+)
 
 # The key of a (key, value) pair: classes and induced maps sort their terms by it.
 _by_key = itemgetter(0)
@@ -53,7 +64,12 @@ class IndexFamily(_Value):
     __slots__ = _fields = ("kind", "size")
 
     def __init__(self, kind: str, size: int) -> None:
-        if kind not in _FAMILIES:
+        try:
+            known = kind in _FAMILIES
+        except TypeError:
+            known = False  # an unhashable kind, such as a list
+        # Raised here, not in the handler, so no builtin error is chained to it.
+        if not known:
             raise ValueError(f"unknown family kind: {kind!r}")
         _require_at_least("size", size, 0)
         _set_kind(self, kind)
@@ -85,15 +101,17 @@ class KGroupPresentation(_Value):
     mod 2, in the order of the full component catalog with its cones left
     out: over R a q-subset of gl2 labels {1..cutoff} with an r-subset of the
     gl1 labels {0, 1}, over C an n-subset of {-cutoff..cutoff}.  Construction
-    checks the four fields and lists nothing: the rank comes from the closed
-    form.  The key-to-position index, the one listing a presentation keeps,
-    is listed on first read, straight from those subsets, and checked
-    against that rank; treat it as read-only.  ``_keys`` streams the same
-    keys and keeps none, and ``generators`` builds the component records on
-    each read.
+    checks the four fields and builds nothing else: the closed form is
+    derived from (field, n, degree) on each read, and the rank from it.
+    Membership is read from the key itself (``_is_generator``), and each key
+    it accepts is kept in ``_members``, a shared empty frozenset until the
+    first.  Only ``generator_index`` lists the keys: on first read, straight
+    from those subsets, checked against the rank and kept; treat it as
+    read-only.  ``_keys`` streams the same keys and keeps none, and
+    ``generators`` builds the component records on each read.
     """
 
-    __slots__ = ("field", "n", "cutoff", "degree", "closed_form", "_index")
+    __slots__ = ("field", "n", "cutoff", "degree", "_index", "_members")
     _fields = ("field", "n", "cutoff", "degree")
 
     def __init__(self, field: str, n: int, cutoff: int, degree: int) -> None:
@@ -115,13 +133,18 @@ class KGroupPresentation(_Value):
                 f"cutoff {cutoff} offers only {2 * cutoff + 1} labels for {n} distinct ones; "
                 f"need 2*cutoff + 1 >= n"
             )
-        closed_form = (closed_form_real if field == "real" else closed_form_complex)(n)[degree]
         _set_field(self, field)
         _set_n(self, n)
         _set_cutoff(self, cutoff)
         _set_degree(self, degree)
-        _set_closed_form(self, closed_form)
         _set_index(self, None)
+        _set_members(self, _NO_MEMBERS)
+
+    @property
+    def closed_form(self) -> IndexFamily:
+        """The degree's closed form, derived from (field, n, degree) on each read."""
+        forms = closed_form_real if self.field == "real" else closed_form_complex
+        return forms(self.n)[self.degree]
 
     @property
     def rank(self) -> int:
@@ -170,18 +193,48 @@ class KGroupPresentation(_Value):
         return tuple(starmap(ComplexComponent, self._label_sets(int)))
 
 
-_set_field, _set_n, _set_cutoff, _set_degree, _set_closed_form, _set_index = _setters(
+_set_field, _set_n, _set_cutoff, _set_degree, _set_index, _set_members = _setters(
     KGroupPresentation
 )
+# Every presentation's members until it accepts its first key: construction
+# allocates no set.
+_NO_MEMBERS = frozenset()
+
+
+def _within(block: list[int], low: int, high: int) -> bool:
+    """Whether the labels increase strictly from at least low to at most high."""
+    return all(map(lt, [low - 1, *block], [*block, high + 1]))
 
 
 def _is_generator(p: KGroupPresentation, key: object) -> bool:
     """Whether key is a generator key of p, the one membership rule of
-    classes and induced maps; an unhashable key is not."""
+    classes and induced maps, read from the key itself: a string that
+    ``param_space`` writes back byte for byte from its labels
+    (``_key_blocks``), as many as the degree's dimension, distinct and in
+    range: over C n of them in {-cutoff..cutoff}, over R q gl2 labels in
+    {1..cutoff} and r gl1 labels in {0, 1} with 2q + r = n.  Each key
+    accepted is kept in p._members, which is tested first."""
     try:
-        return key in p.generator_index
+        if key in p._members:
+            return True
     except TypeError:
+        return False  # an unhashable key
+    if not isinstance(key, str):
         return False
+    blocks = _key_blocks(p.field, p.n, p.cutoff, key)
+    # A free component's dimension is its label count.
+    if blocks is None or sum(map(len, blocks)) % 2 != p.degree:
+        return False
+    if p.field == "real":
+        gl2, gl1 = blocks
+        if 2 * len(gl2) + len(gl1) != p.n or not (_within(gl2, 1, p.cutoff) and _within(gl1, 0, 1)):
+            return False
+    elif len(blocks[0]) != p.n or not _within(blocks[0], -p.cutoff, p.cutoff):
+        return False
+    if not p._members:
+        _set_members(p, set())
+    p._members.add(key)
+    return True
 
 
 class KClass(_Value):
@@ -203,20 +256,23 @@ class KClass(_Value):
         # rejects them; bool is an int subclass and is rejected too.
         terms = _unpacked("items", items, "(key, coefficient) pairs")
         items = [(k, c) for k, c in terms if c != 0 or type(c) is not int]
-        # Read only with terms to check, so a zero class lists no key.
-        known = presentation.generator_index if items else {}
+        # The keys the presentation has accepted: a key outside them is read
+        # by the membership rule, which adds it.
+        known = presentation._members
         try:
             items.sort(key=_by_key)
         except TypeError:
             # A key that is not a string cannot be ordered against one: the
-            # keys outside the index go first, for the check below to name.
+            # keys that are no generators go first, for the check below to name.
             items.sort(key=lambda term: _is_generator(presentation, term[0]))
         # A key that passed the first check is a string, never None.
         previous = None
         try:
             for key, coeff in items:
                 if key not in known:
-                    raise ValueError(f"generator {key!r} does not belong to this presentation")
+                    if not _is_generator(presentation, key):
+                        raise ValueError(f"generator {key!r} does not belong to this presentation")
+                    known = presentation._members
                 if key == previous:
                     raise ValueError(f"generator {key!r} repeated in class")
                 previous = key

@@ -36,7 +36,8 @@ KIND_CONE = "cone"
 
 
 # The one owner of the key format.  Labels arrive already written as strings,
-# so K-group presentations and the CLI key label sets without building them.
+# so K-group presentations and the CLI key label sets without building them;
+# ``_key_blocks`` reads a key back, for the K-theory membership rule.
 
 
 def _real_key(gl2: Sequence[str], gl1: Sequence[str]) -> str:
@@ -45,6 +46,30 @@ def _real_key(gl2: Sequence[str], gl1: Sequence[str]) -> str:
 
 def _complex_key(labels: Iterable[str]) -> str:
     return "labels:" + ",".join(labels)
+
+
+def _int_labels(block: str) -> list[int]:
+    return [*map(int, block.split(","))] if block else []
+
+
+def _key_blocks(field: str, n: int, cutoff: int, key: str) -> list[list[int]] | None:
+    """The label blocks, as ints, of a key in the field's format that the
+    key's writer writes back byte for byte from them, so ``+1``, ``01``,
+    ``-0``, ``1_0``, `` 1``, other digits than ASCII and a trailing comma
+    are refused; None for any other key.  A key wider than every free
+    component's key in the (n, cutoff) catalog is refused before it is split."""
+    if len(key) > _widest_key(field, n, cutoff, free=True):
+        return None
+    try:
+        if field == "real":
+            _, gl2, gl1 = key.split("|")
+            blocks = [_int_labels(gl2[4:]), _int_labels(gl1[4:])]
+        else:
+            blocks = [_int_labels(key[7:])]
+    except ValueError:
+        return None
+    write = _real_key if field == "real" else _complex_key
+    return blocks if write(*([*map(str, block)] for block in blocks)) == key else None
 
 
 class _FreeOrCone(_Value):
@@ -239,6 +264,8 @@ def enumerate_orbits(shape: LeviShape, cutoff: int) -> list[SigmaOrbit]:
     gl1 labels range over {0, 1} and need no truncation.  The order is
     lexicographic, gl2-major; the count is C(cutoff + q - 1, q) * (r + 1).
     """
+    if type(shape) is not LeviShape:
+        raise TypeError(f"enumerate_orbits takes a LeviShape, got {shape!r}")
     label_sets = _real_label_sets([shape], cutoff, int, combinations_with_replacement)
     return list(starmap(SigmaOrbit, label_sets))
 
@@ -270,13 +297,24 @@ def _shape_catalog_size(q: int, r: int, cutoff: int) -> int | float:
     return _binomial(cutoff + q - 1, q) * (r + 1)
 
 
-def _widest_blocks(field: str, n: int, cutoff: int) -> list[tuple[list[str], ...]]:
+def _widest_blocks(
+    field: str, n: int, cutoff: int, free: bool = False
+) -> list[tuple[list[str], ...]]:
     """Label blocks, as strings, of a widest-keyed component of each shape in
-    the field's catalog (unchecked): every label written widest, -cutoff over
-    C; the cutoff in a gl2 block and a one-digit gl1 label over R."""
+    the field's catalog, in catalog order, or of each shape with a free
+    component when ``free`` (unchecked): every label written widest, -cutoff
+    over C; the cutoff in a gl2 block and a one-digit gl1 label over R, where
+    a free component has at most two gl1 labels, 0 and 1."""
     if field == "complex":
         return [([f"-{cutoff}"] * n,)]
-    return [([str(cutoff)] * s.q, ["0"] * s.r) for s in enumerate_levi_shapes(n)]
+    most_gl1 = min(n, 2) if free else n
+    return [([str(cutoff)] * ((n - r) // 2), ["0"] * r) for r in range(n % 2, most_gl1 + 1, 2)]
+
+
+def _widest_key(field: str, n: int, cutoff: int, free: bool = False) -> int:
+    """Length of the widest key of ``_widest_blocks`` (unchecked)."""
+    write = _real_key if field == "real" else _complex_key
+    return max(len(write(*blocks)) for blocks in _widest_blocks(field, n, cutoff, free))
 
 
 def _complex_catalog_size(n: int, cutoff: int) -> int | float:

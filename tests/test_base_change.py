@@ -27,6 +27,7 @@ from temperedk import (
     bc_point_real,
     canonicalize_point,
     cone_chart,
+    enumerate_orbits,
     induced_k_map,
     k_complex,
     k_real,
@@ -119,6 +120,7 @@ BC_TARGET = ComplexComponent((-1, 1))
         (lambda: pullback(ONE_KMAP, None), "pullback takes a KClass, got None"),
         (lambda: cone_chart(None), "cone_chart takes a Component or a ComplexComponent, got None"),
         (lambda: weyl_group(None), "weyl_group takes a LeviShape, got None"),
+        (lambda: enumerate_orbits(None, 2), "enumerate_orbits takes a LeviShape, got None"),
         (lambda: run_multiplicities(None), "run_multiplicities takes label tuples, got None"),
         (
             lambda: ParameterMap(None, ComplexComponent((0,)), ((1,), (1,))),
@@ -162,7 +164,7 @@ BC_TARGET = ComplexComponent((-1, 1))
         "kclass-None", "kclass-str", "KClass-None", "KClass-items-None", "kclass-coefficients-None",
         "kclass-coefficients-int", "kclass_add-a", "kclass_add-b",
         "kclass_scale", "pullback-kmap", "pullback-class", "cone_chart", "weyl_group",
-        "run_multiplicities", "ParameterMap-source", "ParameterMap-target",
+        "enumerate_orbits", "run_multiplicities", "ParameterMap-source", "ParameterMap-target",
         "ParameterMap-matrix", "ParameterMap-row-None", "ParameterMap-row-int",
         "InducedKMap-source", "InducedKMap-target", "InducedKMap-assignments",
         "InducedKMap-image",

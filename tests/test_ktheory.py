@@ -1,4 +1,7 @@
+import os
 import re
+import subprocess
+import sys
 from math import comb, inf
 
 import pytest
@@ -9,6 +12,7 @@ from temperedk import (
     Component,
     ComplexComponent,
     IndexFamily,
+    InducedKMap,
     KClass,
     KGroupPresentation,
     LeviShape,
@@ -25,6 +29,7 @@ from temperedk import (
     kclass_add,
     kclass_scale,
     ktheory,
+    param_space,
     real_components,
 )
 
@@ -143,9 +148,13 @@ class TestClosedForms:
         assert IndexFamily("nat_subsets_x_z2", 1).rank_at(4) == 8
         assert IndexFamily("int_subsets", 3).rank_at(1) == comb(3, 3)
 
+    # An unhashable kind is unknown too, not a TypeError from the lookup.
     def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError):
-            IndexFamily("lists", 2)
+        for kind in ("lists", []):
+            message = re.escape(f"unknown family kind: {kind!r}")
+            with pytest.raises(ValueError, match=f"^{message}$") as caught:
+                IndexFamily(kind, 2)
+            assert caught.value.__context__ is None
 
     def test_bounded_read_is_exact_below_its_bound(self):
         for n in range(1, 41):
@@ -521,17 +530,17 @@ class TestKClasses:
         with pytest.raises(TypeError):
             kclass.__defaults__[0][self.g1] = 1
 
-    # A class reads the index only when it has terms to check, so a zero
-    # class, such as an induced map's zero image, lists no key.
+    # A class reads membership from each key, so a zero class, such as an
+    # induced map's zero image, lists no key.
     def test_zero_class_lists_no_key(self, monkeypatch):
         listed = count_listed_keys(monkeypatch)
         p = k_complex(8, 8)[0]
         assert kclass(p).is_zero and KClass(p, ()).is_zero
         assert kclass(p, {"labels:-8,-7,-6,-5,-4,-3,-2,-1": 0}).is_zero
         assert listed[0] == 0
-        # Control: one term lists the whole index.
+        # Control: a one-term class writes at most its own key, not the index.
         assert not kclass(p, {"labels:-8,-7,-6,-5,-4,-3,-2,-1": 1}).is_zero
-        assert listed[0] == p.rank
+        assert listed[0] <= 1
 
     def test_repeated_generator_rejected(self):
         with pytest.raises(ValueError):
@@ -723,6 +732,151 @@ class TestIndexOnce:
         k1 = k_complex(2, 3)[1]
         with pytest.raises(ValueError):
             kclass_add(kclass(k0, {k0.generator_keys[0]: 1}), kclass(k1))
+
+
+def grid_presentations():
+    """Every presentation with n <= 7 and cutoff <= 5, of both fields and degrees."""
+    for field in ("real", "complex"):
+        for n in range(1, 8):
+            # Over R the cutoff hosts n // 2 gl2 labels, over C 2 * cutoff + 1 >= n.
+            for cutoff in range(max(1, n // 2), 6):
+                for degree in (0, 1):
+                    yield KGroupPresentation(field, n, cutoff, degree)
+
+
+class Probe(str):
+    """A key that records whether it was read past its length: sliced or split."""
+
+    read = False
+
+    def __getitem__(self, index):
+        self.read = True
+        return str.__getitem__(self, index)
+
+    def split(self, *args):
+        self.read = True
+        return str.split(self, *args)
+
+
+# A generator key of each field with a two-digit label and, for each, keys
+# that are not: written otherwise than canonically (each would parse to the
+# generator's labels), unsorted, repeated, out of range, of another count or
+# degree, under a wrong head, or not a string at all.
+COMPLEX_MEMBER = (k_complex(2, 12)[0], "labels:-1,10")
+REAL_MEMBER = (k_real(3, 12)[0], "shape:1,1|gl2:10|gl1:0")
+STRANGERS = {
+    "complex": [
+        "labels:+1,10", "labels:-1,+10", "labels:-1,010", "labels:-0,10", "labels:-1,1_0",
+        "labels: -1,10", "labels:-1,10 ", "labels:-1,\u0661\u0660", "labels:-1,10,",
+        "labels:,-1,10", "labels:10,-1", "labels:10,10", "labels:-1,13", "labels:-13,10",
+        "labels:-1", "labels:-2,-1,10", "Labels:-1,10", "labels -1,10", "shape:1,1|gl2:10|gl1:0",
+    ],
+    "real": [
+        "shape:1,1|gl2:+10|gl1:0", "shape:1,1|gl2:010|gl1:0", "shape:1,1|gl2:1_0|gl1:0",
+        "shape:1,1|gl2:10|gl1:-0", "shape:1,1|gl2: 10|gl1:0", "shape:1,1|gl2:10|gl1:0,",
+        "shape:1,1|gl2:\u0661\u0660|gl1:0", "shape:1,1|gl2:13|gl1:0", "shape:1,1|gl2:0|gl1:0",
+        "shape:1,1|gl2:10|gl1:2", "shape:0,3|gl2:|gl1:0,1,1", "shape:0,3|gl2:|gl1:1,0,1",
+        "shape:1,2|gl2:10|gl1:0", "shape:01,1|gl2:10|gl1:0", "shape:1,1|gl3:10|gl1:0",
+        "shape:1,1|gl1:0|gl2:10", "shape:1,1|gl2:10|gl1:0|", "shape:1,1|gl2:10", "labels:-1,10",
+    ],
+}
+NOT_STRINGS = [
+    10, None, 2.5, b"labels:-1,10", ("labels:-1,10",), ["labels:-1,10"], {"labels:-1,10"},
+]
+
+
+class TestMembershipFromTheKey:
+    """``_is_generator`` reads membership from the key alone, and agrees
+    with the listing that ``generator_index`` still makes."""
+
+    def test_membership_equals_the_listing_on_a_grid(self):
+        listed = {p: set(p.generator_keys) for p in grid_presentations()}
+        # Every key any presentation on the grid lists, and cones of both fields.
+        pool = set().union(*listed.values())
+        pool.update(c.key for n in range(1, 5) for c in real_components(n, 3))
+        pool.update(c.key for n in range(1, 4) for c in complex_components(n, 2))
+        for p, keys in listed.items():
+            fresh = KGroupPresentation(p.field, p.n, p.cutoff, p.degree)
+            accepted = {key for key in pool if ktheory._is_generator(fresh, key)}
+            assert accepted == keys, p
+            # Read again, the keys accepted come from the presentation's members.
+            assert fresh._members == keys
+            assert {key for key in pool if ktheory._is_generator(fresh, key)} == keys
+
+    @pytest.mark.parametrize("p, member", [COMPLEX_MEMBER, REAL_MEMBER], ids=["complex", "real"])
+    def test_strangers_are_named(self, p, member):
+        kmap = InducedKMap(p, p, ())
+        assert kclass(p, {member: 2}).coefficients == {member: 2}
+        assert kmap.image_of(member).is_zero
+        for key in STRANGERS[p.field] + NOT_STRINGS:
+            message = re.escape(f"generator {key!r} does not belong to this presentation")
+            for terms in (((key, 1),), ((member, 1), (key, 1))):
+                with pytest.raises(ValueError, match=f"^{message}$"):
+                    KClass(p, terms)
+            message = re.escape(f"assignment for {key!r}, which is not a source generator")
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                InducedKMap(p, p, ((key, kclass(p)),))
+            message = re.escape(f"{key!r} is not a source generator")
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                kmap.image_of(key)
+        assert p._members == {member}
+
+    def test_presentations_share_no_members_until_one_is_accepted(self):
+        p, q = k_complex(2, 12)
+        assert p._members is q._members == frozenset()
+        kclass(p, {"labels:-1,10": 1})
+        assert p._members == {"labels:-1,10"} and q._members == frozenset()
+
+    def test_construction_builds_no_closed_form(self, monkeypatch):
+        built = count_constructions(monkeypatch, IndexFamily)
+        presentations = [*k_real(4, 3), *k_complex(3, 2), *k_real(5, 2), *k_complex(2, 1)]
+        assert built[0] == 0
+        for p in presentations:
+            forms = closed_form_real if p.field == "real" else closed_form_complex
+            assert p.closed_form == forms(p.n)[p.degree]
+            assert p.rank == forms(p.n)[p.degree].rank_at(p.cutoff)
+
+    # Each key below is as wide as the widest free key of its presentation's
+    # catalog: its labels written widest.
+    @pytest.mark.parametrize(
+        "fields, key",
+        [(("complex", 2, 12, 0), "labels:-12,-11"), (("real", 3, 12, 0), "shape:1,1|gl2:12|gl1:0")],
+        ids=["complex", "real"],
+    )
+    def test_key_wider_than_the_widest_is_refused_before_it_is_split(self, fields, key):
+        assert len(key) == param_space._widest_key(*fields[:3], free=True)
+        at_widest, wider = Probe(key), Probe(key + "0")
+        assert ktheory._is_generator(KGroupPresentation(*fields), at_widest) and at_widest.read
+        assert not ktheory._is_generator(KGroupPresentation(*fields), wider)
+        assert not wider.read
+
+
+# Memory the membership rule may use: an interpreter with temperedk imported
+# fits well within it, a listing of the presentation's index does not.
+_BOUNDED_PROBE = """
+import resource
+limit = 256 * 2**20
+resource.setrlimit(resource.RLIMIT_AS, (limit, resource.getrlimit(resource.RLIMIT_AS)[1]))
+from temperedk import induced_k_map, k_complex, kclass
+image = induced_k_map(1, 10**12).image_of("labels:0")
+key = "labels:" + ",".join(map(str, range(-12, 0)))
+one = kclass(k_complex(12, 12)[0], {key: 1})
+print(image.coefficients == {"shape:0,1|gl2:|gl1:0": 1, "shape:0,1|gl2:|gl1:1": 1})
+print(one.items == ((key, 1),))
+"""
+
+
+def test_membership_runs_in_bounded_memory():
+    # induced_k_map(1, 10**12) has a source of rank 2 * 10**12 + 1, and
+    # k_complex(12, 12)[0] one of rank 5,200,300: neither is listed.
+    pytest.importorskip("resource")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    result = subprocess.run(
+        [sys.executable, *["-O"] * sys.flags.optimize, "-c", _BOUNDED_PROBE],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == ["True", "True"]
 
 
 LAW_PRESENTATION = k_complex(2, 2)[0]
