@@ -44,7 +44,6 @@ from .param_space import (
     _real_key,
     _shape_catalog_size,
     _widest_blocks,
-    _widest_key,
 )
 
 # Largest output a command may write, in cells: n labels per entry, n^2 per
@@ -389,14 +388,15 @@ def _partitions_table(write: _Write, shapes: list[LeviShape], args: Namespace) -
 
 def _components_table(write: _Write, catalog: Iterator[_Blocks], args: Namespace) -> None:
     # One pass, and no row is held: the widest key is a closed form
-    # (param_space._widest_key).  The widest dimension is n, which every
+    # (param_space._widest_blocks).  The widest dimension is n, which every
     # catalog has (over R, on the shape of n 1-blocks), "free" and "cone" are
     # as wide as "kind", and the chart ends the row.  The free components are
     # the K-theory generators of both degrees, so the header counts them, and
     # the whole catalog, with the closed forms that price ktheory and
     # components commands: each record counts its chart's lines once per block.
-    width = max(3, _widest_key(args.field, args.n, args.cutoff))
-    cells = "  %%-%ds  %%-4s  %%s\n" % max(3, len(str(args.n)))
+    key_of = _real_key if args.field == "real" else _complex_key
+    widest = max(len(key_of(*b)) for b in _widest_blocks(args.field, args.n, args.cutoff))
+    width, cells = max(3, widest), "  %%-%ds  %%-4s  %%s\n" % max(3, len(str(args.n)))
     free = predicted_size("ktheory", args.n, args.cutoff, args.field)
     cone = predicted_size("components", args.n, args.cutoff, args.field) - free
     write(

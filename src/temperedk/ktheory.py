@@ -9,14 +9,14 @@ family and predicts the truncated rank at any cutoff.
 
 A presentation is its four fields, (field, n, cutoff, degree): its closed
 form and rank follow from them, and whether a key is a generator follows
-from the key itself (``_is_generator``), so no class or induced map lists one.
+from the key itself (``_are_generators``), so no class or induced map lists one.
 """
 
 from __future__ import annotations
 
-from itertools import combinations, count, starmap
+from itertools import combinations, count, filterfalse, repeat, starmap
 from math import comb
-from operator import itemgetter, lt
+from operator import itemgetter
 from types import MappingProxyType
 from typing import Callable, Iterator, Mapping, Union
 
@@ -32,8 +32,8 @@ from .levi import (
 from .param_space import (
     Component,
     ComplexComponent,
+    _are_free_keys,
     _complex_key,
-    _key_blocks,
     _label_blocks,
     _real_key,
 )
@@ -103,12 +103,12 @@ class KGroupPresentation(_Value):
     gl1 labels {0, 1}, over C an n-subset of {-cutoff..cutoff}.  Construction
     checks the four fields and builds nothing else: the closed form is
     derived from (field, n, degree) on each read, and the rank from it.
-    Membership is read from the key itself (``_is_generator``), and each key
-    it accepts is kept in ``_members``, a shared empty frozenset until the
-    first.  Only ``generator_index`` lists the keys: on first read, straight
-    from those subsets, checked against the rank and kept; treat it as
-    read-only.  ``_keys`` streams the same keys and keeps none, and
-    ``generators`` builds the component records on each read.
+    Membership is read from the keys themselves (``_are_generators``), and
+    each key accepted is kept in ``_members``, a shared empty frozenset
+    until the first.  Only ``generator_index`` lists the keys: on first
+    read, straight from those subsets, checked against the rank and kept;
+    treat it as read-only.  ``_keys`` streams the same keys and keeps
+    none, and ``generators`` builds the component records on each read.
     """
 
     __slots__ = ("field", "n", "cutoff", "degree", "_index", "_members")
@@ -201,40 +201,39 @@ _set_field, _set_n, _set_cutoff, _set_degree, _set_index, _set_members = _setter
 _NO_MEMBERS = frozenset()
 
 
-def _within(block: list[int], low: int, high: int) -> bool:
-    """Whether the labels increase strictly from at least low to at most high."""
-    return all(map(lt, [low - 1, *block], [*block, high + 1]))
+def _are_generators(p: KGroupPresentation, keys: list[object]) -> bool:
+    """Whether every key in keys is a generator key of p, the one
+    membership rule of classes and induced maps, read from the keys
+    themselves, all at once: the key of a free component of p's catalog
+    whose dimension is p's degree mod 2 (``param_space._are_free_keys``).
+    The keys accepted are kept in p._members, which is tested first; an
+    unhashable key, or one of another type than str, is no generator."""
+    try:
+        new = [*filterfalse(p._members.__contains__, keys)]
+    except TypeError:
+        return False
+    if not new:
+        return True
+    if not all(map(isinstance, new, repeat(str))):
+        return False
+    if not _are_free_keys(p.field, p.n, p.cutoff, p.degree, new):
+        return False
+    if p._members is _NO_MEMBERS:
+        _set_members(p, set(new))
+    else:
+        p._members.update(new)
+    return True
 
 
 def _is_generator(p: KGroupPresentation, key: object) -> bool:
-    """Whether key is a generator key of p, the one membership rule of
-    classes and induced maps, read from the key itself: a string that
-    ``param_space`` writes back byte for byte from its labels
-    (``_key_blocks``), as many as the degree's dimension, distinct and in
-    range: over C n of them in {-cutoff..cutoff}, over R q gl2 labels in
-    {1..cutoff} and r gl1 labels in {0, 1} with 2q + r = n.  Each key
-    accepted is kept in p._members, which is tested first."""
+    """Whether key is a generator key of p: one of its members, tested
+    first, or else read by ``_are_generators``."""
     try:
         if key in p._members:
             return True
     except TypeError:
         return False  # an unhashable key
-    if not isinstance(key, str):
-        return False
-    blocks = _key_blocks(p.field, p.n, p.cutoff, key)
-    # A free component's dimension is its label count.
-    if blocks is None or sum(map(len, blocks)) % 2 != p.degree:
-        return False
-    if p.field == "real":
-        gl2, gl1 = blocks
-        if 2 * len(gl2) + len(gl1) != p.n or not (_within(gl2, 1, p.cutoff) and _within(gl1, 0, 1)):
-            return False
-    elif len(blocks[0]) != p.n or not _within(blocks[0], -p.cutoff, p.cutoff):
-        return False
-    if not p._members:
-        _set_members(p, set())
-    p._members.add(key)
-    return True
+    return _are_generators(p, [key])
 
 
 class KClass(_Value):
@@ -256,8 +255,8 @@ class KClass(_Value):
         # rejects them; bool is an int subclass and is rejected too.
         terms = _unpacked("items", items, "(key, coefficient) pairs")
         items = [(k, c) for k, c in terms if c != 0 or type(c) is not int]
-        # The keys the presentation has accepted: a key outside them is read
-        # by the membership rule, which adds it.
+        # The keys the presentation has accepted: the keys outside them are
+        # read by the membership rule, which adds them.
         known = presentation._members
         try:
             items.sort(key=_by_key)
@@ -266,11 +265,16 @@ class KClass(_Value):
             # keys that are no generators go first, for the check below to name.
             items.sort(key=lambda term: _is_generator(presentation, term[0]))
         # A key that passed the first check is a string, never None.
-        previous = None
+        previous = read_all = None
         try:
             for key, coeff in items:
                 if key not in known:
-                    if not _is_generator(presentation, key):
+                    # The first key outside the members has every key read at
+                    # once; if one is no generator, each is read on its own,
+                    # so the first in order is named.
+                    if read_all is None:
+                        read_all = _are_generators(presentation, [*map(_by_key, items)])
+                    if not (read_all or _is_generator(presentation, key)):
                         raise ValueError(f"generator {key!r} does not belong to this presentation")
                     known = presentation._members
                 if key == previous:

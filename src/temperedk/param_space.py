@@ -13,8 +13,9 @@ orbits on one shape (``enumerate_orbits``), their counts and their records.
 
 from __future__ import annotations
 
-from itertools import combinations_with_replacement, starmap
+from itertools import combinations_with_replacement, repeat, starmap
 from math import isfinite
+from operator import lt
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .levi import (
@@ -37,7 +38,7 @@ KIND_CONE = "cone"
 
 # The one owner of the key format.  Labels arrive already written as strings,
 # so K-group presentations and the CLI key label sets without building them;
-# ``_key_blocks`` reads a key back, for the K-theory membership rule.
+# ``_are_free_keys`` reads keys back, for the K-theory membership rule.
 
 
 def _real_key(gl2: Sequence[str], gl1: Sequence[str]) -> str:
@@ -48,28 +49,85 @@ def _complex_key(labels: Iterable[str]) -> str:
     return "labels:" + ",".join(labels)
 
 
-def _int_labels(block: str) -> list[int]:
-    return [*map(int, block.split(","))] if block else []
-
-
-def _key_blocks(field: str, n: int, cutoff: int, key: str) -> list[list[int]] | None:
-    """The label blocks, as ints, of a key in the field's format that the
-    key's writer writes back byte for byte from them, so ``+1``, ``01``,
-    ``-0``, ``1_0``, `` 1``, other digits than ASCII and a trailing comma
-    are refused; None for any other key.  A key wider than every free
-    component's key in the (n, cutoff) catalog is refused before it is split."""
-    if len(key) > _widest_key(field, n, cutoff, free=True):
-        return None
+def _rising(columns: list[list[str]], low: int, high: int) -> bool:
+    """Whether every label in the columns is an int from low to high that
+    ``str`` writes back byte for byte (not ``+1``, ``01``, ``-0``, ``1_0``,
+    `` 1``, other digits than ASCII or an empty label), and each column's
+    labels lie below the next column's, row by row.  Each distinct label is
+    converted once: the keys of a class share most."""
+    distinct = set().union(*columns)
     try:
-        if field == "real":
-            _, gl2, gl1 = key.split("|")
-            blocks = [_int_labels(gl2[4:]), _int_labels(gl1[4:])]
-        else:
-            blocks = [_int_labels(key[7:])]
+        value = dict(zip(distinct, map(int, distinct)))
     except ValueError:
-        return None
-    write = _real_key if field == "real" else _complex_key
-    return blocks if write(*([*map(str, block)] for block in blocks)) == key else None
+        return False
+    ints = value.values()
+    if [*map(str, ints)] != [*value] or min(ints) < low or max(ints) > high:
+        return False
+    values = [[*map(value.__getitem__, column)] for column in columns]
+    return all(all(map(lt, below, above)) for below, above in zip(values, values[1:]))
+
+
+# The marks of both key formats, each split off as a piece of its own when
+# keys are read.
+_MARKS = ("labels:", "|gl2:", "|gl1:")
+
+
+def _rows_read(keys: list[str], row: list) -> bool:
+    """Whether keys that all start with one head are each one row of pieces
+    as row describes them, all read at once.  Joined by commas, with each
+    mark split off as a piece of its own, the keys split at their commas
+    into pieces, and each item of row stands for columns of them: a piece
+    every row has, or a block (size, low, high) of size label columns that
+    ``_rising`` reads.  The head's first piece, or its mark when that piece
+    is empty, can stand only in its own column, so each key is exactly one
+    row, and is the key its writer writes from that row's labels."""
+    text = ",".join(keys)
+    for mark in _MARKS:
+        text = text.replace(mark, f",{mark},")
+    pieces = text.split(",")
+    width = sum(1 if type(item) is str else item[0] for item in row)
+    if len(pieces) != width * len(keys):
+        return False
+    column = 0
+    for item in row:
+        if type(item) is str:
+            if pieces[column::width].count(item) != len(keys):
+                return False
+            column += 1
+        else:
+            size, low, high = item
+            if not _rising([pieces[c::width] for c in range(column, column + size)], low, high):
+                return False
+            column += size
+    return True
+
+
+def _are_free_keys(field: str, n: int, cutoff: int, degree: int, keys: list[str]) -> bool:
+    """Whether each of keys is the key, as ``_real_key`` or ``_complex_key``
+    writes it byte for byte, of a free component of the (n, cutoff) catalog
+    whose dimension, its label count, is degree mod 2: over C n labels in
+    {-cutoff..cutoff}, over R q gl2 labels in {1..cutoff} and r gl1 labels
+    in {0, 1} with 2q + r = n, distinct and in order.  One shape at most
+    has such components (``_widest_blocks``); a key wider than its widest
+    key is refused before any key is read, and the keys are read all at
+    once (``_rows_read``)."""
+    widest = _widest_blocks(field, n, cutoff, free=True)
+    shape = [blocks for blocks in widest if sum(map(len, blocks)) % 2 == degree]
+    if not shape:
+        return False
+    # The shape's head, its widest key and the row of its keys; a block
+    # without labels is one empty piece.
+    if field == "complex":
+        head, widest_key = "labels:", _complex_key(*shape[0])
+        row = ["", "labels:", (n, -cutoff, cutoff)]
+    else:
+        q, r = map(len, shape[0])
+        head, widest_key = f"shape:{q},{r}|gl2:", _real_key(*shape[0])
+        gl2, gl1 = ((q, 1, cutoff) if q else ""), ((r, 0, 1) if r else "")
+        row = [f"shape:{q}", str(r), "|gl2:", gl2, "|gl1:", gl1]
+    if max(map(len, keys)) > len(widest_key) or not all(map(str.startswith, keys, repeat(head))):
+        return False
+    return _rows_read(keys, row)
 
 
 class _FreeOrCone(_Value):
@@ -309,12 +367,6 @@ def _widest_blocks(
         return [([f"-{cutoff}"] * n,)]
     most_gl1 = min(n, 2) if free else n
     return [([str(cutoff)] * ((n - r) // 2), ["0"] * r) for r in range(n % 2, most_gl1 + 1, 2)]
-
-
-def _widest_key(field: str, n: int, cutoff: int, free: bool = False) -> int:
-    """Length of the widest key of ``_widest_blocks`` (unchecked)."""
-    write = _real_key if field == "real" else _complex_key
-    return max(len(write(*blocks)) for blocks in _widest_blocks(field, n, cutoff, free))
 
 
 def _complex_catalog_size(n: int, cutoff: int) -> int | float:

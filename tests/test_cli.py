@@ -643,13 +643,13 @@ class TestSizePredictor:
         assert predicted("ktheory", n, cutoff, "real") == real_rank
         # kmap is priced at the keys of both presentations for n = 1, so its
         # refusals stay as they were, and at none for the zero map of
-        # n >= 2.  It lists neither presentation: for n = 1 it writes at
-        # most the three keys it checks.
+        # n >= 2.  It lists neither presentation: the keys it checks are
+        # read, not listed.
         for field in ("real", "complex"):
             assert predicted("kmap", n, cutoff, field) == (2 * cutoff + 3 if n == 1 else 0)
         listed = count_listed_keys(monkeypatch)
         base_change.induced_k_map(n, cutoff)
-        assert listed[0] <= (3 if n == 1 else 0)
+        assert listed[0] == 0
 
     def test_invalid_n_predicts_nothing(self):
         for command in ("partitions", "components", "ktheory", "bc", "kmap"):

@@ -537,10 +537,11 @@ class TestKClasses:
         p = k_complex(8, 8)[0]
         assert kclass(p).is_zero and KClass(p, ()).is_zero
         assert kclass(p, {"labels:-8,-7,-6,-5,-4,-3,-2,-1": 0}).is_zero
-        assert listed[0] == 0
-        # Control: a one-term class writes at most its own key, not the index.
+        # A one-term class reads its key and lists none either.
         assert not kclass(p, {"labels:-8,-7,-6,-5,-4,-3,-2,-1": 1}).is_zero
-        assert listed[0] <= 1
+        assert listed[0] == 0
+        # Control: the counter sees the index when it is listed.
+        assert len(p.generator_index) == p.rank and listed[0] == p.rank
 
     def test_repeated_generator_rejected(self):
         with pytest.raises(ValueError):
@@ -744,20 +745,6 @@ def grid_presentations():
                     yield KGroupPresentation(field, n, cutoff, degree)
 
 
-class Probe(str):
-    """A key that records whether it was read past its length: sliced or split."""
-
-    read = False
-
-    def __getitem__(self, index):
-        self.read = True
-        return str.__getitem__(self, index)
-
-    def split(self, *args):
-        self.read = True
-        return str.split(self, *args)
-
-
 # A generator key of each field with a two-digit label and, for each, keys
 # that are not: written otherwise than canonically (each would parse to the
 # generator's labels), unsorted, repeated, out of range, of another count or
@@ -786,8 +773,9 @@ NOT_STRINGS = [
 
 
 class TestMembershipFromTheKey:
-    """``_is_generator`` reads membership from the key alone, and agrees
-    with the listing that ``generator_index`` still makes."""
+    """``_is_generator`` and ``_are_generators`` read membership from the
+    keys alone, and agree with the listing that ``generator_index`` still
+    makes."""
 
     def test_membership_equals_the_listing_on_a_grid(self):
         listed = {p: set(p.generator_keys) for p in grid_presentations()}
@@ -801,7 +789,36 @@ class TestMembershipFromTheKey:
             assert accepted == keys, p
             # Read again, the keys accepted come from the presentation's members.
             assert fresh._members == keys
-            assert {key for key in pool if ktheory._is_generator(fresh, key)} == keys
+            assert {key for key in pool if ktheory._are_generators(fresh, [key])} == keys
+            # Read all at once, the listed keys are accepted together, and
+            # any other key of the pool among them refuses the lot.
+            for stranger in sorted(pool - keys)[:4]:
+                fresh = KGroupPresentation(p.field, p.n, p.cutoff, p.degree)
+                assert not ktheory._are_generators(fresh, [*keys, stranger])
+                assert fresh._members == frozenset()
+            assert ktheory._are_generators(fresh, sorted(keys))
+            assert fresh._members == keys
+
+    @pytest.mark.parametrize("p", [k_complex(4, 3)[0], k_real(6, 4)[0]], ids=["complex", "real"])
+    def test_a_class_of_every_generator_reads_its_keys_together(self, p, monkeypatch):
+        keys = p.generator_keys
+        fresh = KGroupPresentation(p.field, p.n, p.cutoff, p.degree)
+        reads = []
+        read = ktheory._are_free_keys
+        monkeypatch.setattr(ktheory, "_are_free_keys", lambda *args: reads.append(args[4]) or read(*args))
+        whole = kclass(fresh, dict.fromkeys(reversed(keys), 3))
+        assert whole.items == tuple((key, 3) for key in sorted(keys))
+        assert fresh._members == set(keys)
+        # One read of every key, and none once they are members.
+        assert reads == [sorted(keys)]
+        kclass_add(whole, kclass(fresh, {keys[0]: 1}))
+        assert len(reads) == 1
+        # One stranger among them is named, whichever keys are read first.
+        for stranger in STRANGERS[p.field][:3] + NOT_STRINGS[:2]:
+            fresh = KGroupPresentation(p.field, p.n, p.cutoff, p.degree)
+            message = re.escape(f"generator {stranger!r} does not belong to this presentation")
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                KClass(fresh, tuple((key, 1) for key in (*keys, stranger)))
 
     @pytest.mark.parametrize("p, member", [COMPLEX_MEMBER, REAL_MEMBER], ids=["complex", "real"])
     def test_strangers_are_named(self, p, member):
@@ -843,12 +860,43 @@ class TestMembershipFromTheKey:
         [(("complex", 2, 12, 0), "labels:-12,-11"), (("real", 3, 12, 0), "shape:1,1|gl2:12|gl1:0")],
         ids=["complex", "real"],
     )
-    def test_key_wider_than_the_widest_is_refused_before_it_is_split(self, fields, key):
-        assert len(key) == param_space._widest_key(*fields[:3], free=True)
-        at_widest, wider = Probe(key), Probe(key + "0")
-        assert ktheory._is_generator(KGroupPresentation(*fields), at_widest) and at_widest.read
-        assert not ktheory._is_generator(KGroupPresentation(*fields), wider)
-        assert not wider.read
+    def test_key_wider_than_the_widest_is_refused_before_it_is_split(self, fields, key, monkeypatch):
+        write = param_space._real_key if fields[0] == "real" else param_space._complex_key
+        widest = param_space._widest_blocks(*fields[:3], free=True)
+        assert len(key) == max(len(write(*blocks)) for blocks in widest)
+        read, rows_read = [], param_space._rows_read
+        monkeypatch.setattr(
+            param_space, "_rows_read", lambda keys, row: read.extend(keys) or rows_read(keys, row)
+        )
+        assert ktheory._are_generators(KGroupPresentation(*fields), [key]) and read == [key]
+        assert not ktheory._are_generators(KGroupPresentation(*fields), [key + "0"])
+        assert read == [key]
+
+    # Two keys, neither a generator, that split into as many pieces as two
+    # generator keys do: one short of its labels and one over, one with a
+    # head too many and one with none, or one with a block mark too many.
+    # In the second and the last, every column holds what a row of
+    # generator keys would, read off the joined keys: only the keys' heads
+    # tell in the one, and the columns of fixed pieces in the other.
+    @pytest.mark.parametrize(
+        "fields, keys",
+        [
+            (("complex", 2, 12, 0), ["labels:", "labels:-1,10,11"]),
+            (("complex", 2, 10**6, 0), ["labels:1,2,labels:3", "4"]),
+            (("complex", 2, 12, 0), ["labels:-1", "labels:10,11,12"]),
+            (("real", 3, 12, 0), ["shape:1,1|gl2:10", "shape:1,1|gl2:10|gl1:0|gl1:0"]),
+            (("real", 3, 12, 0), ["shape:1,1|gl2:10|gl1:0,1", "shape:1,1|gl2:10,0"]),
+            (("real", 3, 12, 0), ["shape:1,1|gl2:7", "shape:1,1|gl2:,,9,,0"]),
+        ],
+    )
+    def test_each_key_is_read_as_one_row(self, fields, keys):
+        row_pieces = {"complex": 4, "real": 6}[fields[0]]
+        text = ",".join(keys)
+        for mark in param_space._MARKS:
+            text = text.replace(mark, f",{mark},")
+        assert len(text.split(",")) == row_pieces * len(keys)
+        for batch in (keys, keys[::-1], keys[:1], keys[1:]):
+            assert not ktheory._are_generators(KGroupPresentation(*fields), batch)
 
 
 # Memory the membership rule may use: an interpreter with temperedk imported
