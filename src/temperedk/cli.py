@@ -12,7 +12,7 @@ the command (``predicted_size``) from the counts the library owns: the
 catalog counts next to the catalogs in ``param_space`` and the ranks of
 ``ktheory.IndexFamily``.  It rejects a command over ``MAX_CELLS``; then
 ``_collect`` runs every other check (ktheory counts its label sets against
-their closed-form ranks and builds no key index) as it builds what the
+their closed-form ranks and lists no key tuple) as it builds what the
 command prints; then it writes JSON or a table, a chunk of records per write.
 A ``ValueError`` exits 1 with an empty stdout; a closed pipe exits 1 quietly.
 """

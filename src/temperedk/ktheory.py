@@ -14,7 +14,7 @@ from the key itself (``_are_generators``), so no class or induced map lists one.
 
 from __future__ import annotations
 
-from itertools import combinations, count, filterfalse, repeat, starmap
+from itertools import combinations, filterfalse, repeat, starmap
 from math import comb
 from operator import itemgetter
 from types import MappingProxyType
@@ -105,13 +105,12 @@ class KGroupPresentation(_Value):
     derived from (field, n, degree) on each read, and the rank from it.
     Membership is read from the keys themselves (``_are_generators``), and
     each key accepted is kept in ``_members``, a shared empty frozenset
-    until the first.  Only ``generator_index`` lists the keys: on first
-    read, straight from those subsets, checked against the rank and kept;
-    treat it as read-only.  ``_keys`` streams the same keys and keeps
-    none, and ``generators`` builds the component records on each read.
+    until the first.  No key list is kept: ``generator_keys`` lists the keys
+    and ``generators`` the components anew on each read, and ``_keys``
+    streams the keys.
     """
 
-    __slots__ = ("field", "n", "cutoff", "degree", "_index", "_members")
+    __slots__ = ("field", "n", "cutoff", "degree", "_members")
     _fields = ("field", "n", "cutoff", "degree")
 
     def __init__(self, field: str, n: int, cutoff: int, degree: int) -> None:
@@ -137,7 +136,6 @@ class KGroupPresentation(_Value):
         _set_n(self, n)
         _set_cutoff(self, cutoff)
         _set_degree(self, degree)
-        _set_index(self, None)
         _set_members(self, _NO_MEMBERS)
 
     @property
@@ -152,22 +150,12 @@ class KGroupPresentation(_Value):
         return self.closed_form.rank_at(self.cutoff)
 
     @property
-    def generator_index(self) -> dict[str, int]:
-        """Key -> position, listed on first read in one pass over the label
-        sets, checked against the closed-form rank and kept."""
-        if self._index is None:
-            # zip stops on the first key that is missing without drawing a
-            # position, so the next position is the number of keys listed.
-            index = dict(zip(self._keys(), positions := count()))
-            if len(index) != self._checked(next(positions)):
-                raise RuntimeError("duplicate generator key in presentation")
-            _set_index(self, index)
-        return self._index
-
-    @property
     def generator_keys(self) -> tuple[str, ...]:
-        """The keys in catalog order, the order the index was listed in."""
-        return tuple(self.generator_index)
+        """The keys in catalog order, listed on each read and checked against the rank."""
+        keys = tuple(self._keys())
+        if self._checked(len(keys)) != len(set(keys)):
+            raise RuntimeError("duplicate generator key in presentation")
+        return keys
 
     def _checked(self, listed: int) -> int:
         """The number of keys listed, once it equals the closed-form rank."""
@@ -193,9 +181,7 @@ class KGroupPresentation(_Value):
         return tuple(starmap(ComplexComponent, self._label_sets(int)))
 
 
-_set_field, _set_n, _set_cutoff, _set_degree, _set_index, _set_members = _setters(
-    KGroupPresentation
-)
+_set_field, _set_n, _set_cutoff, _set_degree, _set_members = _setters(KGroupPresentation)
 # Every presentation's members until it accepts its first key: construction
 # allocates no set.
 _NO_MEMBERS = frozenset()

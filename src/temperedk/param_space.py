@@ -108,9 +108,9 @@ def _are_free_keys(field: str, n: int, cutoff: int, degree: int, keys: list[str]
     whose dimension, its label count, is degree mod 2: over C n labels in
     {-cutoff..cutoff}, over R q gl2 labels in {1..cutoff} and r gl1 labels
     in {0, 1} with 2q + r = n, distinct and in order.  One shape at most
-    has such components (``_widest_blocks``); a key wider than its widest
-    key is refused before any key is read, and the keys are read all at
-    once (``_rows_read``)."""
+    has such components (``_widest_blocks``); a key wider than a bound on
+    its widest key is refused before any key is read, and the keys are read
+    all at once (``_rows_read``)."""
     widest = _widest_blocks(field, n, cutoff, free=True)
     shape = [blocks for blocks in widest if sum(map(len, blocks)) % 2 == degree]
     if not shape:
@@ -164,6 +164,8 @@ class Component(_FreeOrCone):
     _key = staticmethod(_real_key)
 
     def __init__(self, orbit: SigmaOrbit) -> None:
+        if type(orbit) is not SigmaOrbit:
+            raise TypeError(f"a Component wraps a SigmaOrbit, got {orbit!r}")
         _set_orbit(self, orbit)
         _set_shape(self, _SHAPES[len(orbit.gl2_labels), len(orbit.gl1_labels)])
 
@@ -242,11 +244,9 @@ class TemperedPoint(_Value):
         for t in twists:
             # Inline test first: t - t is 0.0 for a finite float, NaN for NaN
             # and +-inf.  At the first other twist, all are checked and then
-            # converted, as a character converts its twist.
+            # converted, by the reader a character's twist takes too.
             if type(t) is not float or t - t != 0.0:
-                if not all(map(isfinite, twists)):
-                    raise ValueError(f"twists must be finite, got {twists}")
-                twists = tuple(map(float, twists))
+                twists = _finite_twists("twists", twists, twists)
                 break
         _set_component(self, component)
         _set_params(self, twists)
@@ -271,6 +271,19 @@ class ComplexTemperedPoint(TemperedPoint):
     """A point on a complex component: n continuous twists."""
 
     __slots__ = ()
+
+
+def _finite_twists(name: str, shown: object, twists: tuple) -> tuple[float, ...]:
+    """twists as floats, once isfinite finds each a finite real number (float()
+    would parse a str); an error names ``name`` and shows ``shown``, as given."""
+    try:
+        if all(map(isfinite, twists)):
+            return tuple(map(float, twists))
+        raise ValueError(f"{name} must be finite, got {shown}")
+    except TypeError:
+        pass
+    # Raised here, not in the handler, so no builtin error is chained to it.
+    raise TypeError(f"{name} must be real, got {shown!r}")
 
 
 def _doubled_twist(t: float) -> float:
@@ -363,10 +376,13 @@ def _widest_blocks(
     component when ``free`` (unchecked): every label written widest, -cutoff
     over C; the cutoff in a gl2 block and a one-digit gl1 label over R, where
     a free component has at most two gl1 labels, 0 and 1."""
+    # For ``free``, a key reader, the cutoff's width is bounded from its bits,
+    # not written: str refuses an int past 4300 digits.
+    widest = "9" * (cutoff.bit_length() // 3 + 1) if free else str(cutoff)
     if field == "complex":
-        return [([f"-{cutoff}"] * n,)]
+        return [([f"-{widest}"] * n,)]
     most_gl1 = min(n, 2) if free else n
-    return [([str(cutoff)] * ((n - r) // 2), ["0"] * r) for r in range(n % 2, most_gl1 + 1, 2)]
+    return [([widest] * ((n - r) // 2), ["0"] * r) for r in range(n % 2, most_gl1 + 1, 2)]
 
 
 def _complex_catalog_size(n: int, cutoff: int) -> int | float:

@@ -18,7 +18,6 @@ block, and the twists become the continuous coordinates.
 
 from __future__ import annotations
 
-from math import isfinite
 from operator import attrgetter
 from typing import Union
 
@@ -29,14 +28,13 @@ from .param_space import (
     Component,
     RealTemperedPoint,
     _doubled_twist,
+    _finite_twists,
 )
 
 
 def _finite_twist(t: float) -> float:
-    """t as a float; isfinite runs first because float() would parse a str."""
-    if not isfinite(t):
-        raise ValueError(f"twist must be finite, got {t}")
-    return float(t)
+    """t as a float, read as a point reads its twists."""
+    return _finite_twists("twist", t, (t,))[0]
 
 
 class RealCharacter(_Value):

@@ -96,6 +96,14 @@ BC_TARGET = ComplexComponent((-1, 1))
     [
         (lambda: RealTemperedPoint(REAL_COMPONENT, None), f"{TWISTS}, got None"),
         (lambda: ComplexTemperedPoint(COMPLEX_POINT.component, 5), f"{TWISTS}, got 5"),
+        (lambda: RealTemperedPoint(REAL_COMPONENT, (None,)), "twists must be real, got (None,)"),
+        (
+            lambda: ComplexTemperedPoint(COMPLEX_POINT.component, ("a",)),
+            "twists must be real, got ('a',)",
+        ),
+        (lambda: RealCharacter(0, None), "twist must be real, got None"),
+        (lambda: ComplexCharacter(1, "a"), "twist must be real, got 'a'"),
+        (lambda: Component(None), "a Component wraps a SigmaOrbit, got None"),
         (lambda: LParameterR(None), "summands must be an iterable of W_R summands, got None"),
         (lambda: LParameterC(5), "summands must be an iterable of W_C summands, got 5"),
         (lambda: kclass(None), "a KClass needs a KGroupPresentation, got None"),
@@ -160,7 +168,9 @@ BC_TARGET = ComplexComponent((-1, 1))
         ),
     ],
     ids=[
-        "real-point-None", "complex-point-int", "LParameterR-None", "LParameterC-int",
+        "real-point-None", "complex-point-int", "real-point-twist-None", "complex-point-twist-str",
+        "RealCharacter-None", "ComplexCharacter-str", "Component-None",
+        "LParameterR-None", "LParameterC-int",
         "kclass-None", "kclass-str", "KClass-None", "KClass-items-None", "kclass-coefficients-None",
         "kclass-coefficients-int", "kclass_add-a", "kclass_add-b",
         "kclass_scale", "pullback-kmap", "pullback-class", "cone_chart", "weyl_group",

@@ -122,13 +122,13 @@ class TestKtheoryCommand:
         monkeypatch.setattr(ktheory.IndexFamily, "rank_at", lambda self, cutoff: 0)
         assert cli._degree(*degrees[0]) == ("4", "0", "1-subsets of N x Z/2")
 
-    def test_builds_no_index(self, monkeypatch, capsys):
+    def test_lists_no_key_tuple(self, monkeypatch, capsys):
         # The writers stream the keys from the label sets, so no ktheory
-        # command, of either field or format, lists a presentation's index.
+        # command, of either field or format, lists a presentation's keys.
         def refuse(p):
-            raise RuntimeError("the ktheory command read a generator index")
+            raise RuntimeError("the ktheory command read generator_keys")
 
-        monkeypatch.setattr(ktheory.KGroupPresentation, "generator_index", property(refuse))
+        monkeypatch.setattr(ktheory.KGroupPresentation, "generator_keys", property(refuse))
         entries = [e for e in GRID if e["argv"][0] == "ktheory" and e["exit"] == 0]
         fields_formats = {(e["argv"][6], e["argv"][8]) for e in entries}
         assert fields_formats == {(f, m) for f in ("real", "complex") for m in ("json", "table")}

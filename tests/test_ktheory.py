@@ -59,7 +59,7 @@ def accepted_degrees(component):
     return tuple(
         degree
         for degree in (0, 1)
-        if component.key in KGroupPresentation(field, n, cutoff, degree).generator_index
+        if component.key in KGroupPresentation(field, n, cutoff, degree).generator_keys
     )
 
 
@@ -317,7 +317,7 @@ class TestFreeEnumeration:
         assert kmap.source.rank == comb(33, 16) and kmap.target.rank == comb(16, 8)
         assert [count[0] for count in built] == [0, 0] and listed[0] == 0
 
-    def test_first_key_read_lists_once(self, monkeypatch):
+    def test_each_key_read_lists_anew(self, monkeypatch):
         listed = [0]
         complex_key = ktheory._complex_key
 
@@ -328,10 +328,10 @@ class TestFreeEnumeration:
         monkeypatch.setattr(ktheory, "_complex_key", counting)
         p = k_complex(8, 8)[0]
         assert listed[0] == 0
-        assert p.generator_keys[0] == "labels:-8,-7,-6,-5,-4,-3,-2,-1"
-        assert listed[0] == 24310
-        assert len(p.generator_index) == len(p.generator_keys) == 24310
-        assert listed[0] == 24310
+        keys = p.generator_keys
+        assert keys[0] == "labels:-8,-7,-6,-5,-4,-3,-2,-1" and listed[0] == 24310
+        # Nothing is kept: the second read lists the keys again, in order.
+        assert p.generator_keys == keys and listed[0] == 2 * 24310
 
     def test_real_builds_only_generators(self, monkeypatch):
         built = count_constructions(monkeypatch, Component)
@@ -392,8 +392,8 @@ def count_listed_keys(monkeypatch):
 
 class TestPresentationValidation:
     """A presentation is defined by (field, n, cutoff, degree): construction
-    checks those, and the first read of ``generator_index`` checks the keys
-    it lists against the closed-form rank."""
+    checks those, and each read of ``generator_keys`` checks the keys it
+    lists against the closed-form rank."""
 
     def test_bad_degree_rejected(self):
         for degree in (2, -1):
@@ -429,11 +429,11 @@ class TestPresentationValidation:
     FILLED = (("real", 3, 2, 0), ("complex", 2, 2, 0))
 
     def test_duplicate_generator_rejected(self, monkeypatch):
-        # Construction lists nothing, so the first read of the index raises.
+        # Construction lists nothing, so the first read of the keys raises.
         monkeypatch.setattr(ktheory, "_complex_key", lambda labels: "labels:x")
         p = KGroupPresentation("complex", 2, 1, 0)
         with pytest.raises(RuntimeError, match="duplicate generator key"):
-            p.generator_index
+            p.generator_keys
 
     def test_listing_must_match_the_closed_form(self, monkeypatch):
         presentations = [KGroupPresentation(*fields) for fields in self.FILLED]
@@ -442,15 +442,16 @@ class TestPresentationValidation:
         monkeypatch.setattr(ktheory, "combinations", lambda pool, k: combinations(pool, k - 1))
         for p in presentations:
             with pytest.raises(RuntimeError, match=f"^listed .* keys for a closed-form rank of {p.rank}$"):
-                p.generator_index
+                p.generator_keys
 
     def test_generators_stay_out_of_equality_and_hash(self, monkeypatch):
         listed = count_listed_keys(monkeypatch)
         p, p_again = KGroupPresentation("real", 4, 3, 1), KGroupPresentation("real", 4, 3, 1)
-        assert p.generators and len(p.generator_index) == listed[0] > 0
+        keys = p.generator_keys
+        assert p.generators and len(keys) == listed[0] > 0
         assert p == p_again and hash(p) == hash(p_again)
         # Comparing and hashing listed none of p_again's keys.
-        assert listed[0] == len(p.generator_index)
+        assert listed[0] == len(keys)
 
 
 class TestPresentationIdentity:
@@ -540,8 +541,8 @@ class TestKClasses:
         # A one-term class reads its key and lists none either.
         assert not kclass(p, {"labels:-8,-7,-6,-5,-4,-3,-2,-1": 1}).is_zero
         assert listed[0] == 0
-        # Control: the counter sees the index when it is listed.
-        assert len(p.generator_index) == p.rank and listed[0] == p.rank
+        # Control: the counter sees the keys when they are listed.
+        assert len(p.generator_keys) == p.rank and listed[0] == p.rank
 
     def test_repeated_generator_rejected(self):
         with pytest.raises(ValueError):
@@ -697,24 +698,27 @@ class TestCatalogInputTypes:
             SigmaOrbit((), (-1, 0))
 
 
-class TestIndexOnce:
-    def test_keys_computed_once(self, monkeypatch):
+class TestKeyListing:
+    def test_keys_kept_nowhere(self, monkeypatch):
         listed = count_listed_keys(monkeypatch)
         p = k_real(4, 3)[1]
-        assert p.generator_index is p.generator_index
-        assert p.generator_keys == p.generator_keys == tuple(c.key for c in p.generators)
-        assert listed[0] == p.rank > 0
-        assert p.generator_index == {key: i for i, key in enumerate(p.generator_keys)}
+        keys = p.generator_keys
+        assert keys == tuple(c.key for c in p.generators) and listed[0] == p.rank > 0
+        # A presentation holds its four fields and its members, no key list:
+        # each read lists the keys again, into an equal tuple.
+        assert KGroupPresentation.__slots__ == ("field", "n", "cutoff", "degree", "_members")
+        again = p.generator_keys
+        assert again == keys and again is not keys and listed[0] == 2 * p.rank
 
-    def test_rank_keys_and_index_agree(self):
+    def test_rank_and_distinct_keys_agree(self):
         for n in range(1, 9):
             for cutoff in range(max(1, n // 2), 7):
                 for field in ("real", "complex"):
                     for degree in (0, 1):
                         p = KGroupPresentation(field, n, cutoff, degree)
-                        keys, index = p.generator_keys, p.generator_index
-                        assert p.rank == len(keys) == len(index) == p.closed_form.rank_at(cutoff)
-                        assert all(index[key] == i for i, key in enumerate(keys))
+                        keys = p.generator_keys
+                        assert p.rank == len(keys) == p.closed_form.rank_at(cutoff)
+                        assert len(set(keys)) == len(keys)
 
     def test_index_fields_stay_out_of_equality_and_repr(self):
         p = k_complex(2, 1)[0]
@@ -774,8 +778,7 @@ NOT_STRINGS = [
 
 class TestMembershipFromTheKey:
     """``_is_generator`` and ``_are_generators`` read membership from the
-    keys alone, and agree with the listing that ``generator_index`` still
-    makes."""
+    keys alone, and agree with the listing of ``generator_keys``."""
 
     def test_membership_equals_the_listing_on_a_grid(self):
         listed = {p: set(p.generator_keys) for p in grid_presentations()}
@@ -898,9 +901,25 @@ class TestMembershipFromTheKey:
         for batch in (keys, keys[::-1], keys[:1], keys[1:]):
             assert not ktheory._are_generators(KGroupPresentation(*fields), batch)
 
+    # A cutoff wider than the 4300 digits str writes by default: membership
+    # bounds the widest key from the cutoff's bits, and never writes it.
+    @pytest.mark.parametrize(
+        "call, items",
+        [
+            (lambda: kclass(k_complex(1, 10**5000)[1], {"labels:0": 1}), (("labels:0", 1),)),
+            (
+                lambda: induced_k_map(1, 10**5000).image_of("labels:0"),
+                (("shape:0,1|gl2:|gl1:0", 1), ("shape:0,1|gl2:|gl1:1", 1)),
+            ),
+        ],
+        ids=["kclass", "induced_k_map"],
+    )
+    def test_cutoff_past_the_str_digit_limit(self, call, items):
+        assert call().items == items
+
 
 # Memory the membership rule may use: an interpreter with temperedk imported
-# fits well within it, a listing of the presentation's index does not.
+# fits well within it, a listing of the presentation's keys does not.
 _BOUNDED_PROBE = """
 import resource
 limit = 256 * 2**20
